@@ -1,0 +1,60 @@
+#!/usr/bin/env python
+"""Lint: the harness plumbing stays in its two kernels.
+
+Fails if a ``src/repro/harness`` module other than the owning kernel
+
+* calls ``json.dump`` (``grid.write_document`` is the one JSON writer),
+* constructs a ``FlightRecorder`` (``grid.timeline`` owns ``--timeline``),
+* calls ``.crash_at(...)`` (``crashpoints`` arms every crash-point VFS).
+
+Exit status: 0 when clean, 1 otherwise.  Run from the repository root:
+``python scripts/lint_harness_kernels.py``.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import sys
+
+_HARNESS = (
+    pathlib.Path(__file__).resolve().parent.parent / "src/repro/harness"
+)
+#: pattern -> (the module allowed to use it, what to call instead)
+_OWNERS = {
+    "json.dump": ("grid.py", "grid.write_document"),
+    "FlightRecorder": ("grid.py", "grid.timeline"),
+    ".crash_at": ("crashpoints.py", "crashpoints.crash_points"),
+}
+
+
+def _pattern(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        if func.attr == "dump" and getattr(func.value, "id", "") == "json":
+            return "json.dump"
+        name = func.attr
+    else:
+        name = getattr(func, "id", "")
+    if name == "FlightRecorder":
+        return "FlightRecorder"
+    return ".crash_at" if name == "crash_at" else None
+
+
+def main() -> int:
+    errors = []
+    for path in sorted(_HARNESS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            pattern = _pattern(node) if isinstance(node, ast.Call) else None
+            if pattern and path.name != _OWNERS[pattern][0]:
+                errors.append(
+                    f"{path.name}:{node.lineno}: {pattern}(...) outside"
+                    f" its kernel; use {_OWNERS[pattern][1]}"
+                )
+    print("\n".join(errors) or "harness kernels: clean")
+    return 1 if errors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,6 @@ time, so reported figures combine compute and simulated communication.
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.bitmap import Bitmap
@@ -26,8 +25,7 @@ from repro.core.interface import HyperModelDatabase, NodeRef
 from repro.core.model import LinkAttributes, NodeData, NodeKind
 from repro.netsim.cache import WorkstationCache
 from repro.netsim.config import NetworkConfig
-from repro.netsim.faults import FaultModel
-from repro.netsim.latency import LatencyModel, SimulatedClock
+from repro.netsim.latency import SimulatedClock
 from repro.netsim.server import ObjectServer
 from repro.obs import Instrumentation, TraceContext, resolve
 from repro.replication.group import ReplicationGroup
@@ -41,11 +39,6 @@ from repro.errors import (
     NodeNotFoundError,
     RpcExhaustedError,
 )
-
-#: Legacy-kwarg combinations already warned about in this process: the
-#: deprecation fires once per distinct combination, not once per call
-#: (a benchmark constructing hundreds of clients must not spam it).
-_WARNED_LEGACY: set = set()
 
 _KIND_NAMES = {
     NodeKind.NODE: "node",
@@ -105,11 +98,7 @@ class ClientServerDatabase(HyperModelDatabase):
     :class:`~repro.netsim.config.NetworkConfig` — latency and fault
     models, cache size, retry policy, push-down/readahead, and the
     concurrency mode (plain stores vs optimistic validation at
-    commit).  The old per-knob keyword arguments (``cache_capacity=``,
-    ``latency=``, ``fault_model=``, ``rpc_retries=``,
-    ``rpc_backoff_seconds=``, ``pushdown=``, ``readahead_depth=``)
-    still work for one release: each is folded into the config and
-    emits a ``DeprecationWarning``.
+    commit).
 
     Args:
         path: unused (registry signature compatibility); the server
@@ -129,16 +118,6 @@ class ClientServerDatabase(HyperModelDatabase):
             attributable per client.
     """
 
-    _LEGACY_OPTIONS = (
-        "cache_capacity",
-        "latency",
-        "fault_model",
-        "rpc_retries",
-        "rpc_backoff_seconds",
-        "pushdown",
-        "readahead_depth",
-    )
-
     def __init__(
         self,
         path: Optional[str] = None,
@@ -148,40 +127,8 @@ class ClientServerDatabase(HyperModelDatabase):
         instrumentation: Optional[Instrumentation] = None,
         clock: Optional[SimulatedClock] = None,
         client_id: Optional[str] = None,
-        cache_capacity: Optional[int] = None,
-        latency: Optional[LatencyModel] = None,
-        fault_model: Optional[FaultModel] = None,
-        rpc_retries: Optional[int] = None,
-        rpc_backoff_seconds: Optional[float] = None,
-        pushdown: Optional[bool] = None,
-        readahead_depth: Optional[int] = None,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("cache_capacity", cache_capacity),
-                ("latency", latency),
-                ("fault_model", fault_model),
-                ("rpc_retries", rpc_retries),
-                ("rpc_backoff_seconds", rpc_backoff_seconds),
-                ("pushdown", pushdown),
-                ("readahead_depth", readahead_depth),
-            )
-            if value is not None
-        }
-        if legacy:
-            fingerprint = tuple(sorted(legacy))
-            if fingerprint not in _WARNED_LEGACY:
-                _WARNED_LEGACY.add(fingerprint)
-                warnings.warn(
-                    "ClientServerDatabase keyword option(s) "
-                    + ", ".join(sorted(legacy))
-                    + " are deprecated; pass network=NetworkConfig(...)"
-                    " instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-        network = (network or NetworkConfig()).replace(**legacy)
+        network = network or NetworkConfig()
         self.network = network
         self.client_id = client_id
         self.pushdown = bool(network.pushdown)

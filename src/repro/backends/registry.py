@@ -24,21 +24,13 @@ backend takes one typed ``network=``
 fault models, cache size, retry policy, closure push-down and the
 concurrency mode (``clientserver-bfs`` is the
 ``NetworkConfig(pushdown=False)`` ablation, mirroring
-``oodb-unclustered``).  The old per-knob keywords (``fault_model=``,
-``rpc_retries=``, ``rpc_backoff_seconds=``, ``pushdown=``,
-``readahead_depth=``, ``cache_capacity=``, ``latency=``) still forward
-for one release behind a ``DeprecationWarning``.
-
-The legacy private ``_FACTORIES`` dict is retained as a deprecated
-read-only view for code that used to reach into it; it warns on
-access and will be removed.
+``oodb-unclustered``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.core.interface import HyperModelDatabase
 from repro.errors import ConfigurationError
@@ -325,43 +317,3 @@ register_backend(
         " land on the primary"
     ),
 )
-
-
-# ----------------------------------------------------------------------
-# Deprecated legacy surface
-# ----------------------------------------------------------------------
-
-
-class _DeprecatedFactories(Mapping):
-    """Read-only, warning view emulating the old ``_FACTORIES`` dict.
-
-    Old code did ``_FACTORIES[name](path)``; each value here is a
-    single-argument callable delegating to :func:`create_backend`.
-    """
-
-    def _warn(self) -> None:
-        warnings.warn(
-            "_FACTORIES is deprecated; use register_backend() /"
-            " create_backend() instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __getitem__(self, name: str) -> Callable[..., HyperModelDatabase]:
-        self._warn()
-        if name not in _REGISTRY:
-            raise KeyError(name)
-        return lambda path=None, **options: create_backend(
-            name, path, **options
-        )
-
-    def __iter__(self) -> Iterator[str]:
-        self._warn()
-        return iter(list(_REGISTRY))
-
-    def __len__(self) -> int:
-        self._warn()
-        return len(_REGISTRY)
-
-
-_FACTORIES = _DeprecatedFactories()

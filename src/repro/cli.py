@@ -43,8 +43,9 @@ pytest benchmarks use; the CLI only parses arguments and prints.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.core.config import HyperModelConfig
 
@@ -66,7 +67,71 @@ def _add_common_db_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+#: The bench and crash commands: help text, and the ``repro.harness``
+#: modules whose ``BENCH`` legs the command runs in order.  Flags,
+#: defaults, the run call and the document header all come from each
+#: module's parameter table (see :mod:`repro.harness.grid`).
+_BENCH_COMMANDS = {
+    "bench-closure": (
+        "measure batched closure traversals, write BENCH_closure.json",
+        ("batchbench",),
+    ),
+    "bench-multiuser": (
+        "run the multi-client optimistic grid, write BENCH_multiuser.json",
+        ("multiuserbench",),
+    ),
+    "bench-sharded": (
+        "run the shard-count × placement grid, write BENCH_sharded.json",
+        ("shardbench",),
+    ),
+    "bench-replica": (
+        "run the replica-count × write-rate × staleness grid, write"
+        " BENCH_replica.json",
+        ("replicabench",),
+    ),
+    "crashtest": (
+        "crash the engine at every I/O op, verify recovery, write"
+        " BENCH_crash.json",
+        ("crashtest", "shardcrash", "replicacrash"),
+    ),
+}
+
+
+def _bench_legs(command: str) -> list:
+    return [
+        importlib.import_module(f"repro.harness.{module}").BENCH
+        for module in _BENCH_COMMANDS[command][1]
+    ]
+
+
+def _add_bench_parser(sub, command: str, with_flags: bool) -> None:
+    parser = sub.add_parser(command, help=_BENCH_COMMANDS[command][0])
+    if not with_flags:
+        return  # importing a command's legs costs ~0.3 s of startup
+    seen = set()  # later legs share earlier legs' flags (crashtest --seed)
+    for leg in _bench_legs(command):
+        for p in (leg.switch, *leg.params, leg.out):
+            if p is None or p.flag is None or p.flag in seen:
+                continue
+            seen.add(p.flag)
+            if p.kind is bool:
+                parser.add_argument(p.flag, action="store_true", help=p.help)
+            else:
+                parser.add_argument(
+                    p.flag,
+                    default=p.default,
+                    type=p.kind if p.kind in (int, float) else None,
+                    choices=p.choices,
+                    metavar=p.metavar,
+                    help=p.help,
+                )
+
+
+def _build_parser(
+    flags_for: Sequence[str] = tuple(_BENCH_COMMANDS),
+) -> argparse.ArgumentParser:
+    """The full parser; bench commands outside ``flags_for`` are listed
+    but get no flags (``main`` only needs the invoked command's)."""
     parser = argparse.ArgumentParser(
         prog="hypermodel",
         description="The HyperModel benchmark (EDBT 1990), reproduced in Python.",
@@ -165,244 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="Chrome trace-event JSON path (default: trace.json)",
     )
 
-    closure = sub.add_parser(
-        "bench-closure",
-        help="measure batched closure traversals, write BENCH_closure.json",
-    )
-    closure.add_argument(
-        "--backends",
-        default=",".join(
-            ("memory", "sqlite", "oodb", "clientserver")
-        ),
-        help="comma-separated backend names",
-    )
-    closure.add_argument(
-        "--level", type=int, default=4, help="leaf level (paper: 4, 5 or 6)"
-    )
-    closure.add_argument(
-        "--repetitions", type=int, default=5, help="runs per operation"
-    )
-    closure.add_argument("--seed", type=int, default=19880301)
-    closure.add_argument(
-        "--out",
-        default="BENCH_closure.json",
-        help="output JSON path (default: BENCH_closure.json)",
-    )
-    closure.add_argument(
-        "--compare-pushdown",
-        action="store_true",
-        help=(
-            "also run the clientserver-bfs ablation so the document"
-            " compares closure push-down against frontier BFS"
-        ),
-    )
-    closure.add_argument(
-        "--levels",
-        default=None,
-        metavar="L1,L2",
-        help=(
-            "extra tree levels to run alongside --level; their cells"
-            " land under <backend>-L<level> keys (e.g. --levels 6 adds"
-            " the 19531-node big-database column)"
-        ),
-    )
-    closure.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "cProfile each operation's cold pass and write the top-25"
-            " cumulative reports to <out>.profile.txt"
-        ),
-    )
-    closure.add_argument(
-        "--timeline",
-        default=None,
-        metavar="JSONL",
-        help="write a flight-recorder timeline (wall clock, one sample"
-        " per repetition) to this JSONL path",
-    )
-
-    multiuser = sub.add_parser(
-        "bench-multiuser",
-        help="run the multi-client optimistic grid, write"
-        " BENCH_multiuser.json",
-    )
-    multiuser.add_argument(
-        "--clients",
-        default="1,2,4,8",
-        help="comma-separated client counts (default: 1,2,4,8)",
-    )
-    multiuser.add_argument(
-        "--conflict",
-        default="0.0,0.2",
-        help="comma-separated conflict rates in [0,1] (default: 0.0,0.2)",
-    )
-    multiuser.add_argument(
-        "--level", type=int, default=3, help="leaf level (default: 3)"
-    )
-    multiuser.add_argument(
-        "--transactions",
-        type=int,
-        default=8,
-        help="transactions per client (default: 8)",
-    )
-    multiuser.add_argument(
-        "--reads-per-txn",
-        type=int,
-        default=4,
-        help="Zipf-skewed reads per transaction (default: 4)",
-    )
-    multiuser.add_argument(
-        "--hot-set",
-        type=int,
-        default=8,
-        help="size of the shared hot write set (default: 8)",
-    )
-    multiuser.add_argument("--seed", type=int, default=1989)
-    multiuser.add_argument(
-        "--group-commit-size",
-        type=int,
-        default=8,
-        help="WAL commits per fsync in group-commit mode (default: 8)",
-    )
-    multiuser.add_argument(
-        "--out",
-        default="BENCH_multiuser.json",
-        help="output JSON path (default: BENCH_multiuser.json)",
-    )
-    multiuser.add_argument(
-        "--trace",
-        default=None,
-        metavar="TRACE_JSON",
-        help="export a Chrome trace-event JSON of the run's tail, one"
-        " lane per client (see docs/observability.md)",
-    )
-    multiuser.add_argument(
-        "--timeline",
-        default=None,
-        metavar="JSONL",
-        help="write a flight-recorder timeline (virtual clock,"
-        " deterministic, byte-identical across runs) to this JSONL path",
-    )
-    multiuser.add_argument(
-        "--timeline-cadence",
-        type=float,
-        default=0.02,
-        metavar="SECONDS",
-        help="virtual-time sampling cadence for --timeline"
-        " (default: 0.02)",
-    )
-
-    sharded = sub.add_parser(
-        "bench-sharded",
-        help="run the shard-count × placement grid, write"
-        " BENCH_sharded.json",
-    )
-    sharded.add_argument(
-        "--shards",
-        default="1,2,4",
-        help="comma-separated shard counts (default: 1,2,4)",
-    )
-    sharded.add_argument(
-        "--placements",
-        default="hash,affine",
-        help="comma-separated placement policies (default: hash,affine)",
-    )
-    sharded.add_argument(
-        "--level", type=int, default=4, help="leaf level (default: 4)"
-    )
-    sharded.add_argument(
-        "--closures",
-        type=int,
-        default=12,
-        help="cold closure traversals per cell (default: 12)",
-    )
-    sharded.add_argument(
-        "--updates",
-        type=int,
-        default=24,
-        help="optimistic update transactions per cell (default: 24)",
-    )
-    sharded.add_argument("--seed", type=int, default=1989)
-    sharded.add_argument(
-        "--out",
-        default="BENCH_sharded.json",
-        help="output JSON path (default: BENCH_sharded.json)",
-    )
-    sharded.add_argument(
-        "--timeline",
-        default=None,
-        metavar="JSONL",
-        help="write a flight-recorder timeline (virtual clock, one"
-        " sample per closure/update) to this JSONL path",
-    )
-    sharded.add_argument(
-        "--deep-level",
-        type=int,
-        default=None,
-        metavar="LEVEL",
-        help="add one whole-structure closure cell per placement at"
-        " this level (7 = 97 656 nodes) over the largest shard count;"
-        " informational until the baseline carries a budget",
-    )
-    sharded.add_argument(
-        "--deep-closures",
-        type=int,
-        default=2,
-        help="closures in the deep scale cell (default: 2)",
-    )
-
-    replica = sub.add_parser(
-        "bench-replica",
-        help="run the replica-count × write-rate × staleness grid,"
-        " write BENCH_replica.json",
-    )
-    replica.add_argument(
-        "--replicas",
-        default="1,2,4",
-        help="comma-separated replica counts (default: 1,2,4)",
-    )
-    replica.add_argument(
-        "--write-rates",
-        default="0,40",
-        help="comma-separated writer rates in writes/s of virtual"
-        " time; 0 = read-only (default: 0,40)",
-    )
-    replica.add_argument(
-        "--lags",
-        default="0,0.02",
-        help="comma-separated replica apply lags in seconds"
-        " (default: 0,0.02)",
-    )
-    replica.add_argument(
-        "--level", type=int, default=4, help="leaf level (default: 4)"
-    )
-    replica.add_argument(
-        "--reads-per-reader",
-        type=int,
-        default=8,
-        help="closure reads per reader station (default: 8)",
-    )
-    replica.add_argument(
-        "--routing-closures",
-        type=int,
-        default=6,
-        help="closures in the replica-warm vs primary-warm cell"
-        " (default: 6)",
-    )
-    replica.add_argument("--seed", type=int, default=1989)
-    replica.add_argument(
-        "--out",
-        default="BENCH_replica.json",
-        help="output JSON path (default: BENCH_replica.json)",
-    )
-    replica.add_argument(
-        "--timeline",
-        default=None,
-        metavar="JSONL",
-        help="write a flight-recorder timeline (virtual clock,"
-        " deterministic) to this JSONL path",
-    )
+    for command in _BENCH_COMMANDS:
+        _add_bench_parser(sub, command, command in flags_for)
 
     dash = sub.add_parser(
         "dash",
@@ -437,106 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out",
         default="dashboard.html",
         help="output HTML path (default: dashboard.html)",
-    )
-
-    crash = sub.add_parser(
-        "crashtest",
-        help="crash the engine at every I/O op, verify recovery, "
-        "write BENCH_crash.json",
-    )
-    crash.add_argument(
-        "--transactions",
-        type=int,
-        default=16,
-        help="committed transactions in the scripted workload",
-    )
-    crash.add_argument(
-        "--ops-per-txn",
-        type=int,
-        default=6,
-        help="object operations per transaction",
-    )
-    crash.add_argument(
-        "--payload-bytes",
-        type=int,
-        default=512,
-        help="object body size (bigger = more I/O ops per commit)",
-    )
-    crash.add_argument("--seed", type=int, default=7)
-    crash.add_argument(
-        "--stride",
-        type=int,
-        default=1,
-        help="test every Nth crash point (1 = exhaustive)",
-    )
-    crash.add_argument(
-        "--out",
-        default="BENCH_crash.json",
-        help="output JSON path (default: BENCH_crash.json)",
-    )
-    crash.add_argument(
-        "--two-phase",
-        action="store_true",
-        help="also run the two-phase-commit crash matrix"
-        " (coordinator/participant crashes, torn prepares) and fold"
-        " its violations into the exit code",
-    )
-    crash.add_argument(
-        "--two-phase-shards",
-        type=int,
-        default=3,
-        help="shard servers in the 2PC matrix (default: 3)",
-    )
-    crash.add_argument(
-        "--two-phase-placement",
-        default="hash",
-        choices=["hash", "affine"],
-        help="placement policy in the 2PC matrix (default: hash)",
-    )
-    crash.add_argument(
-        "--two-phase-transactions",
-        type=int,
-        default=4,
-        help="cross-shard transactions crashed per scenario"
-        " (default: 4)",
-    )
-    crash.add_argument(
-        "--two-phase-out",
-        default="BENCH_crash2pc.json",
-        help="2PC matrix output path (default: BENCH_crash2pc.json)",
-    )
-    crash.add_argument(
-        "--failover",
-        action="store_true",
-        help="also run the promote-on-primary-crash failover drill"
-        " (crash the replication primary at every commit-path I/O op,"
-        " elect a replica, verify durability/atomicity/re-route) and"
-        " fold its violations into the exit code",
-    )
-    crash.add_argument(
-        "--failover-replicas",
-        type=int,
-        default=2,
-        help="replicas behind the crashed primary (default: 2)",
-    )
-    crash.add_argument(
-        "--failover-transactions",
-        type=int,
-        default=5,
-        help="acked transactions scripted before the crash window"
-        " closes (default: 5)",
-    )
-    crash.add_argument(
-        "--failover-out",
-        default="BENCH_failover.json",
-        help="failover drill output path (default: BENCH_failover.json)",
-    )
-    crash.add_argument(
-        "--failover-trace",
-        default=None,
-        metavar="TRACE_JSON",
-        help="export a Chrome trace of one instrumented failover cell"
-        " (the replication.failover span is the failover gap)",
     )
 
     query = sub.add_parser("query", help="run an ad-hoc query (R12)")
@@ -680,8 +409,8 @@ def _cmd_bench_diff(args: argparse.Namespace) -> int:
         format_diff,
         load_document,
         refresh_improvements,
-        write_document,
     )
+    from repro.harness.grid import write_document
 
     rows, exit_code = diff_files(args.baseline, args.candidate)
     print(format_diff(rows, only_regressions=not args.all))
@@ -744,128 +473,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_closure(args: argparse.Namespace) -> int:
-    from repro.harness.batchbench import format_summary, write_closure_bench
-
-    extra_levels = (
-        [int(lvl) for lvl in args.levels.split(",")] if args.levels else ()
-    )
-    document = write_closure_bench(
-        args.out,
-        backends=args.backends.split(","),
-        level=args.level,
-        repetitions=args.repetitions,
-        seed=args.seed,
-        compare_pushdown=args.compare_pushdown,
-        extra_levels=extra_levels,
-        profile=args.profile,
-        timeline=args.timeline,
-    )
-    print(format_summary(document))
-    print(f"results written to {args.out}")
-    if document.get("profile_report"):
-        print(f"cold-pass profiles written to {args.out}.profile.txt")
-    if args.timeline:
-        print(f"timeline written to {args.timeline} (wall clock)")
-    return 0
-
-
-def _cmd_bench_multiuser(args: argparse.Namespace) -> int:
-    from repro.harness.multiuserbench import (
-        format_summary,
-        write_multiuser_bench,
-    )
-
-    instr = None
-    if args.trace:
-        from repro.obs import Instrumentation
-
-        instr = Instrumentation(span_capacity=65536)
-    document = write_multiuser_bench(
-        args.out,
-        clients=[int(n) for n in args.clients.split(",")],
-        conflict_rates=[float(r) for r in args.conflict.split(",")],
-        level=args.level,
-        transactions_per_client=args.transactions,
-        reads_per_txn=args.reads_per_txn,
-        hot_set_size=args.hot_set,
-        seed=args.seed,
-        group_commit_size=args.group_commit_size,
-        instrumentation=instr,
-        timeline=args.timeline,
-        timeline_cadence_seconds=args.timeline_cadence,
-    )
-    print(format_summary(document))
-    print(f"results written to {args.out}")
-    if args.timeline:
-        print(
-            f"timeline written to {args.timeline}"
-            " (virtual clock, deterministic)"
-        )
-    if instr is not None:
-        from repro.obs.traceexport import write_chrome_trace
-
-        trace_doc = write_chrome_trace(instr, args.trace)
-        print(
-            f"trace written to {args.trace} "
-            f"({trace_doc['otherData']['span_count']} spans,"
-            " one lane per client)"
-        )
-    return 0
-
-
-def _cmd_bench_sharded(args: argparse.Namespace) -> int:
-    from repro.harness.shardbench import format_summary, write_sharded_bench
-
-    document = write_sharded_bench(
-        args.out,
-        shard_counts=[int(n) for n in args.shards.split(",")],
-        placements=[p.strip() for p in args.placements.split(",")],
-        level=args.level,
-        closures=args.closures,
-        updates=args.updates,
-        seed=args.seed,
-        timeline=args.timeline,
-        deep_level=args.deep_level,
-        deep_closures=args.deep_closures,
-    )
-    print(format_summary(document))
-    print(f"results written to {args.out}")
-    if args.timeline:
-        print(
-            f"timeline written to {args.timeline}"
-            " (virtual clock, deterministic)"
-        )
-    return 0
-
-
-def _cmd_bench_replica(args: argparse.Namespace) -> int:
-    from repro.harness.replicabench import (
-        format_summary,
-        write_replica_bench,
-    )
-
-    document = write_replica_bench(
-        args.out,
-        replica_counts=[int(n) for n in args.replicas.split(",")],
-        write_rates=[float(r) for r in args.write_rates.split(",")],
-        lags=[float(s) for s in args.lags.split(",")],
-        level=args.level,
-        reads_per_reader=args.reads_per_reader,
-        routing_closures=args.routing_closures,
-        seed=args.seed,
-        timeline=args.timeline,
-    )
-    print(format_summary(document))
-    print(f"results written to {args.out}")
-    if args.timeline:
-        print(
-            f"timeline written to {args.timeline}"
-            " (virtual clock, deterministic)"
-        )
-    return 0
-
-
 def _cmd_dash(args: argparse.Namespace) -> int:
     from repro.obs.dashboard import write_dashboard
 
@@ -883,60 +490,28 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_crashtest(args: argparse.Namespace) -> int:
-    from repro.harness.crashtest import (
-        CrashWorkload,
-        format_summary,
-        write_crash_bench,
-    )
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """Run the command's legs: call, write, summarize, tally violations."""
+    from repro.harness.grid import write_document
 
-    workload = CrashWorkload(
-        transactions=args.transactions,
-        ops_per_txn=args.ops_per_txn,
-        payload_bytes=args.payload_bytes,
-        seed=args.seed,
-    )
-    document = write_crash_bench(
-        args.out, workload=workload, stride=args.stride
-    )
-    print(format_summary(document))
-    print(f"results written to {args.out}")
-    violations = document["violation_count"]
-    if args.two_phase:
-        from repro.harness import shardcrash
-
-        two_phase = shardcrash.write_two_phase_crash_bench(
-            args.two_phase_out,
-            workload=shardcrash.TwoPhaseWorkload(
-                shards=args.two_phase_shards,
-                placement=args.two_phase_placement,
-                transactions=args.two_phase_transactions,
-                seed=args.seed,
-            ),
-        )
-        print(shardcrash.format_summary(two_phase))
-        print(f"results written to {args.two_phase_out}")
-        violations += two_phase["violation_count"]
-    if args.failover:
-        from repro.harness import replicacrash
-
-        failover = replicacrash.write_failover_bench(
-            args.failover_out,
-            workload=replicacrash.FailoverWorkload(
-                replicas=args.failover_replicas,
-                transactions=args.failover_transactions,
-                seed=args.seed,
-            ),
-            trace_path=args.failover_trace,
-        )
-        print(replicacrash.format_summary(failover))
-        print(f"results written to {args.failover_out}")
-        if args.failover_trace:
-            print(
-                f"trace written to {args.failover_trace}"
-                " (replication.failover = the failover gap)"
-            )
-        violations += failover["violation_count"]
+    violations = 0
+    for leg in _bench_legs(args.command):
+        if leg.switch is not None and not getattr(args, leg.switch.dest):
+            continue
+        values = {
+            p.name: p.value(getattr(args, p.dest))
+            for p in leg.params
+            if p.flag is not None
+        }
+        out = getattr(args, leg.out.dest)
+        document = leg.run(**values)
+        (leg.write or write_document)(out, document)
+        print(leg.summary(document))
+        print(f"results written to {out}")
+        for p in leg.params:
+            if p.note and values.get(p.name):
+                print(p.note.format(values[p.name], out=out))
+        violations += document.get("violation_count", 0)
     return 1 if violations else 0
 
 
@@ -1034,26 +609,24 @@ def _cmd_r7() -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(flags_for=argv[:1]).parse_args(argv)
     handlers = {
         "info": lambda: _cmd_info(),
         "generate": lambda: _cmd_generate(args),
         "verify": lambda: _cmd_verify(args),
         "run": lambda: _cmd_run(args),
         "bench": lambda: _cmd_run(args, bench=True),
-        "bench-closure": lambda: _cmd_bench_closure(args),
-        "bench-multiuser": lambda: _cmd_bench_multiuser(args),
-        "bench-sharded": lambda: _cmd_bench_sharded(args),
-        "bench-replica": lambda: _cmd_bench_replica(args),
         "bench-diff": lambda: _cmd_bench_diff(args),
         "dash": lambda: _cmd_dash(args),
         "trace": lambda: _cmd_trace(args),
-        "crashtest": lambda: _cmd_crashtest(args),
         "query": lambda: _cmd_query(args),
         "rubenstein": lambda: _cmd_rubenstein(args),
         "maintain": lambda: _cmd_maintain(args),
         "r7": lambda: _cmd_r7(),
     }
+    if args.command in _BENCH_COMMANDS:
+        return _cmd_bench(args)
     return handlers[args.command]()
 
 

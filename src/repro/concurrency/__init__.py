@@ -26,8 +26,6 @@ from repro.concurrency.multiuser import (
     ParallelLoadResult,
     TransactionLoadResult,
     UpdateLoadResult,
-    run_read_load,
-    run_update_load,
 )
 
 __all__ = [
@@ -42,6 +40,4 @@ __all__ = [
     "ParallelLoadResult",
     "TransactionLoadResult",
     "UpdateLoadResult",
-    "run_read_load",
-    "run_update_load",
 ]

@@ -9,9 +9,15 @@
 * :mod:`repro.harness.report` — paper-style result tables;
 * :mod:`repro.harness.runner` — the full grid driver
   (backends x levels x operations);
-* :mod:`repro.harness.crashtest` — the crash-recovery matrix (kill the
-  engine at every mutating I/O operation, reopen, verify atomicity and
-  durability), surfaced as the ``repro crashtest`` CLI subcommand.
+* :mod:`repro.harness.grid` — the grid-bench kernel (parameter tables,
+  structure dump, latency leaf, timeline recorder, document header +
+  provenance, the one JSON writer) under the four ``BENCH_*.json``
+  grids ``batchbench`` / ``multiuserbench`` / ``shardbench`` /
+  ``replicabench``;
+* :mod:`repro.harness.crashpoints` — the crash-point kernel (counting
+  pre-pass, one armed VFS per mutating I/O operation, violation tally)
+  under the three ``repro crashtest`` drills ``crashtest`` /
+  ``shardcrash`` / ``replicacrash``.
 """
 
 from repro.harness.protocol import ColdWarmResult, run_operation_sequence

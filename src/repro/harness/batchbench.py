@@ -16,27 +16,55 @@ the pytest-benchmark twin for interactive exploration.
 from __future__ import annotations
 
 import cProfile
-import dataclasses
 import io
-import json
 import os
 import pstats
 import statistics
 import tempfile
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 from repro.core.config import HyperModelConfig
 from repro.core.generator import DatabaseGenerator
 from repro.core.operations import CATALOG, Operations
-from repro.harness.provenance import provenance
-from repro.obs import FlightRecorder, Instrumentation, LatencyHistogram
+from repro.harness import grid
+from repro.harness.grid import Bench, Param
+from repro.obs import Instrumentation, LatencyHistogram
 
 #: The closure operations the batch layer targets (section 6.5/6.6).
 CLOSURE_OPS = ("10", "11", "12")
 
-#: Backends the benchmark compares (the paper's four architectures).
-DEFAULT_BACKENDS = ("memory", "sqlite", "oodb", "clientserver")
+PARAMS = (
+    Param(
+        "--backends", "backends", "memory,sqlite,oodb,clientserver",
+        grid.strs, "comma-separated backend names",
+    ),
+    Param("--level", "level", 4, int, "leaf level (paper: 4, 5 or 6)"),
+    Param("--repetitions", "repetitions", 5, int, "runs per operation"),
+    Param("--seed", "seed", 19880301, int),
+    Param(
+        "--compare-pushdown", "compare_pushdown", False, bool,
+        "also run the clientserver-bfs ablation so the document"
+        " compares closure push-down against frontier BFS",
+    ),
+    Param(
+        "--levels", "extra_levels", None, grid.ints,
+        "extra tree levels to run alongside --level; their cells land"
+        " under <backend>-L<level> keys (e.g. --levels 6 adds the"
+        " 19531-node big-database column)",
+        metavar="L1,L2",
+    ),
+    Param(
+        "--profile", "profile", False, bool,
+        "cProfile each operation's cold pass and write the top-25"
+        " cumulative reports to <out>.profile.txt",
+        note="cold-pass profiles written to {out}.profile.txt",
+    ),
+    grid.timeline_param(
+        "wall clock, one sample per repetition", clock="wall clock"
+    ),
+    Param(None, "workdir", None, header=False),
+)
 
 #: Counter families worth reporting next to the timings.
 _REPORTED_PREFIXES = (
@@ -49,54 +77,10 @@ _REPORTED_PREFIXES = (
     "netsim.cache",
 )
 
-#: ``ClosureCell.mode`` values derived from the backend's ``pushdown``
+#: Cell ``mode`` values derived from the backend's ``pushdown``
 #: attribute: the clientserver pair reports which closure strategy it
 #: ran, every other backend is simply "native".
 _MODES = {True: "pushdown", False: "bfs"}
-
-
-@dataclasses.dataclass
-class ClosureCell:
-    """One (backend, operation) measurement.
-
-    ``p50_ms``/``p90_ms``/``p99_ms``/``max_ms`` summarize the
-    per-repetition latency through a log-bucketed histogram (see
-    :class:`~repro.obs.LatencyHistogram`); ``histogram`` carries the
-    full bucket form so downstream tooling (bench-diff, plots) can
-    recompute any quantile.
-
-    ``level`` is the tree level the cell's database was generated at
-    (cells from ``extra_levels`` runs carry theirs, so a mixed-level
-    document stays self-describing).
-
-    ``mode`` tags which closure strategy produced the cell
-    (``"pushdown"`` / ``"bfs"`` on the clientserver pair, ``"native"``
-    elsewhere); ``sim_ms`` / ``sim_ms_per_node`` are the *simulated*
-    network time of the cold repetition — deterministic, so this is
-    the column the pushdown-vs-BFS comparison reads (wall time on a
-    loaded CI worker is not).
-    """
-
-    backend: str
-    op_id: str
-    op_name: str
-    nodes: int
-    repetitions: int
-    median_ms: float
-    median_ms_per_node: float
-    counters: Dict[str, float]
-    p50_ms: float = 0.0
-    p90_ms: float = 0.0
-    p99_ms: float = 0.0
-    max_ms: float = 0.0
-    histogram: Dict[str, object] = dataclasses.field(default_factory=dict)
-    mode: str = "native"
-    sim_ms: float = 0.0
-    sim_ms_per_node: float = 0.0
-    level: int = 4
-
-    def to_json(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
 
 
 def _reported(delta: Dict[str, float]) -> Dict[str, float]:
@@ -135,25 +119,26 @@ def _cell_key(backend: str, bench_level: int, base_level: int) -> str:
     return f"{backend}-L{bench_level}"
 
 
-def run_closure_bench(
-    backends: Sequence[str] = DEFAULT_BACKENDS,
-    level: int = 4,
-    repetitions: int = 5,
-    seed: int = 19880301,
-    workdir: Optional[str] = None,
-    compare_pushdown: bool = False,
-    extra_levels: Sequence[int] = (),
-    profile: bool = False,
-    timeline: Optional[str] = None,
-) -> Dict[str, object]:
+def run_closure_bench(**overrides: Any) -> Dict[str, Any]:
     """Measure ops 10-12 on every backend; return the JSON document.
 
-    Every backend gets a freshly generated level-``level`` database.
-    Each operation runs from the structure root (the deepest closure
-    the database offers) ``repetitions`` times; the median wall-clock
-    time is normalized by the operation's node count.  Counter deltas
-    cover the *first* repetition — the cold pass, where the batch
-    layer's round-trip and fault behaviour shows.
+    Keywords are the :data:`PARAMS` names.  Every backend gets a
+    freshly generated level-``level`` database.  Each operation runs
+    from the structure root (the deepest closure the database offers)
+    ``repetitions`` times; the median wall-clock time is normalized by
+    the operation's node count.  Counter deltas cover the *first*
+    repetition — the cold pass, where the batch layer's round-trip and
+    fault behaviour shows.
+
+    Each ``cells[<backend>][<op>]`` leaf summarizes the per-repetition
+    latency through a log-bucketed histogram (``p50_ms`` … ``max_ms``,
+    full bucket form under ``histogram``), carries the tree ``level``
+    its database was generated at and a ``mode`` tag for the closure
+    strategy (``"pushdown"`` / ``"bfs"`` on the clientserver pair,
+    ``"native"`` elsewhere).  ``sim_ms`` / ``sim_ms_per_node`` are the
+    *simulated* network time of the cold repetition — deterministic,
+    so this is the column the pushdown-vs-BFS comparison reads (wall
+    time on a loaded CI worker is not).
 
     ``compare_pushdown=True`` adds the ``clientserver-bfs`` ablation
     next to every ``clientserver`` entry, so the document carries a
@@ -162,10 +147,9 @@ def run_closure_bench(
     paths to gate).
 
     ``extra_levels`` re-runs every backend at each additional tree
-    level; those cells land under ``<backend>-L<level>`` keys (each
-    cell also carries its ``level``), so one document can hold, say,
-    the level-4 grid *and* the level-6 big-database column the scaling
-    gate reads.
+    level; those cells land under ``<backend>-L<level>`` keys, so one
+    document can hold, say, the level-4 grid *and* the level-6
+    big-database column the scaling gate reads.
 
     ``profile=True`` wraps each operation's **cold** repetition in
     :mod:`cProfile`; the per-cell top-25 cumulative reports collect
@@ -181,32 +165,31 @@ def run_closure_bench(
     """
     from repro.backends import create_backend
 
-    if compare_pushdown:
-        expanded: List[str] = []
-        for backend in backends:
-            expanded.append(backend)
-            if backend == "clientserver" and (
-                "clientserver-bfs" not in backends
-            ):
-                expanded.append("clientserver-bfs")
-        backends = expanded
+    p = grid.resolve(PARAMS, overrides)
+    backends: List[str] = []
+    for backend in p["backends"]:
+        backends.append(backend)
+        if (
+            p["compare_pushdown"]
+            and backend == "clientserver"
+            and "clientserver-bfs" not in p["backends"]
+        ):
+            backends.append("clientserver-bfs")
+    p["backends"] = backends
+    level, repetitions = p["level"], p["repetitions"]
+    extra_levels = p["extra_levels"] = list(p["extra_levels"] or ())
     levels = [level] + [extra for extra in extra_levels if extra != level]
-    own_tmp = None
-    if workdir is None:
-        own_tmp = tempfile.TemporaryDirectory(prefix="hypermodel-bench-")
-        workdir = own_tmp.name
-    cells: List[ClosureCell] = []
-    cell_keys: List[str] = []
+    cells: Dict[str, Dict[str, Any]] = {}
     profiles: Dict[str, str] = {}
-    recorder = None
     bench_start = time.perf_counter()
-    if timeline is not None:
-        recorder = FlightRecorder(None, capacity=65536, clock="wall")
-    try:
+    with tempfile.TemporaryDirectory(
+        prefix="hypermodel-bench-"
+    ) as scratch, grid.timeline(p["timeline"], clock="wall") as recorder:
+        workdir = p["workdir"] or scratch
         for bench_level in levels:
             for backend in backends:
                 key = _cell_key(backend, bench_level, level)
-                cell_keys.append(key)
+                per_op = cells[key] = {}
                 instr = Instrumentation()
                 if recorder is not None:
                     recorder.rebind(instr)
@@ -217,7 +200,7 @@ def run_closure_bench(
                 db.open()
                 try:
                     gen = DatabaseGenerator(
-                        HyperModelConfig(levels=bench_level, seed=seed)
+                        HyperModelConfig(levels=bench_level, seed=p["seed"])
                     ).generate(db)
                     db.commit()
                     subtree_nodes = 0
@@ -240,7 +223,7 @@ def run_closure_bench(
                                 clock.now if clock is not None else 0.0
                             )
                             profiler = None
-                            if profile and rep == 0:
+                            if p["profile"] and rep == 0:
                                 profiler = cProfile.Profile()
                                 profiler.enable()
                             start = time.perf_counter()
@@ -273,64 +256,31 @@ def run_closure_bench(
                                     label=f"{key}/op{op_id}",
                                 )
                         median_ms = statistics.median(timings_ms)
-                        hist = LatencyHistogram.from_samples(timings_ms)
-                        cells.append(
-                            ClosureCell(
-                                backend=key,
-                                op_id=op_id,
-                                op_name=spec.name,
-                                nodes=nodes,
-                                repetitions=repetitions,
-                                median_ms=round(median_ms, 4),
-                                median_ms_per_node=round(
-                                    median_ms / nodes, 6
-                                ),
-                                counters=_reported(first_delta),
-                                p50_ms=round(hist.percentile(0.50), 4),
-                                p90_ms=round(hist.percentile(0.90), 4),
-                                p99_ms=round(hist.percentile(0.99), 4),
-                                max_ms=round(hist.maximum, 4),
-                                histogram=hist.to_dict(),
-                                mode=mode,
-                                sim_ms=round(sim_ms, 4),
-                                sim_ms_per_node=round(sim_ms / nodes, 6),
-                                level=bench_level,
-                            )
-                        )
+                        per_op[op_id] = {
+                            "backend": key,
+                            "op_id": op_id,
+                            "op_name": spec.name,
+                            "nodes": nodes,
+                            "repetitions": repetitions,
+                            "median_ms": round(median_ms, 4),
+                            "median_ms_per_node": round(median_ms / nodes, 6),
+                            "counters": _reported(first_delta),
+                            **grid.percentiles(
+                                LatencyHistogram.from_samples(timings_ms),
+                                histogram=True,
+                            ),
+                            "mode": mode,
+                            "sim_ms": round(sim_ms, 4),
+                            "sim_ms_per_node": round(sim_ms / nodes, 6),
+                            "level": bench_level,
+                        }
                 finally:
                     db.close()
-    finally:
-        if own_tmp is not None:
-            own_tmp.cleanup()
-    if recorder is not None and timeline is not None:
-        recorder.write_jsonl(timeline)
-    document: Dict[str, object] = {
-        "benchmark": "closure-batch-traversal",
-        "level": level,
-        "repetitions": repetitions,
-        "seed": seed,
-        "operations": list(CLOSURE_OPS),
-        "provenance": provenance(
-            backends=list(backends),
-            level=level,
-            extra_levels=list(extra_levels),
-            repetitions=repetitions,
-            seed=seed,
-        ),
-        "cells": {
-            key: {
-                cell.op_id: cell.to_json()
-                for cell in cells
-                if cell.backend == key
-            }
-            for key in cell_keys
-        },
-    }
-    if extra_levels:
-        document["extra_levels"] = list(extra_levels)
-    if profiles:
-        document["profiles"] = profiles
-    return document
+    extra: Dict[str, Any] = {"profiles": profiles} if profiles else {}
+    return grid.document(
+        "closure-batch-traversal", PARAMS, p, cells,
+        operations=list(CLOSURE_OPS), **extra,
+    )
 
 
 def _profile_report(profiler: "cProfile.Profile", limit: int = 25) -> str:
@@ -341,33 +291,10 @@ def _profile_report(profiler: "cProfile.Profile", limit: int = 25) -> str:
     return buffer.getvalue()
 
 
-def write_closure_bench(
-    out_path: str,
-    backends: Sequence[str] = DEFAULT_BACKENDS,
-    level: int = 4,
-    repetitions: int = 5,
-    seed: int = 19880301,
-    compare_pushdown: bool = False,
-    extra_levels: Sequence[int] = (),
-    profile: bool = False,
-    timeline: Optional[str] = None,
-) -> Dict[str, object]:
-    """Run :func:`run_closure_bench` and write ``out_path`` as JSON.
-
-    With ``profile=True`` the per-cell cProfile reports are written to
-    ``<out_path>.profile.txt`` next to the JSON (and stripped from the
-    document itself, so baselines stay diffable).
-    """
-    document = run_closure_bench(
-        backends=backends,
-        level=level,
-        repetitions=repetitions,
-        seed=seed,
-        compare_pushdown=compare_pushdown,
-        extra_levels=extra_levels,
-        profile=profile,
-        timeline=timeline,
-    )
+def _write_with_profiles(out_path: str, document: Dict[str, Any]) -> None:
+    """Write the JSON; per-cell cProfile reports go to
+    ``<out_path>.profile.txt`` next to it (stripped from the document
+    itself, so baselines stay diffable)."""
     profiles = document.pop("profiles", None)
     if profiles:
         profile_path = out_path + ".profile.txt"
@@ -375,10 +302,7 @@ def write_closure_bench(
             for section, report in profiles.items():
                 handle.write(f"=== {section} ===\n{report}\n")
         document["profile_report"] = os.path.basename(profile_path)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
+    grid.write_document(out_path, document)
 
 
 def format_summary(document: Dict[str, object]) -> str:
@@ -403,3 +327,12 @@ def format_summary(document: Dict[str, object]) -> str:
                 f"{cell.get('sim_ms_per_node', 0.0):>10.4f}{int(rpc):>8}"
             )
     return "\n".join(lines)
+
+
+BENCH = Bench(
+    PARAMS,
+    grid.out_param("BENCH_closure.json"),
+    run_closure_bench,
+    format_summary,
+    write=_write_with_profiles,
+)

@@ -106,10 +106,12 @@ def _closure_cells(document: Dict[str, Any]) -> Dict[Tuple[str, str, str], Dict[
                 values["ms_per_node"] = float(cell["median_ms_per_node"])
             if values:
                 # Mode-tagged cells (pushdown / bfs / native) gate each
-                # closure strategy separately; documents written before
-                # the tag existed collapse to the legacy "closure" mode.
-                mode = str(cell.get("mode") or "closure")
-                out[(backend, str(op_id), mode)] = values
+                # closure strategy separately.
+                if not cell.get("mode"):
+                    raise ValueError(
+                        f"cell {backend}/{op_id} carries no 'mode' tag"
+                    )
+                out[(backend, str(op_id), str(cell["mode"]))] = values
     return out
 
 
@@ -318,13 +320,6 @@ def load_document(path: str) -> Dict[str, Any]:
     """Read one benchmark JSON document."""
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def write_document(path: str, document: Dict[str, Any]) -> None:
-    """Write one benchmark JSON document (sorted keys, trailing \\n)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def diff_files(

@@ -28,47 +28,49 @@ fails the build on any invariant violation.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import tempfile
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.catalog import FieldDefinition
 from repro.engine.store import ObjectStore
 from repro.engine.vfs import FaultInjectingVFS, RealVFS, SimulatedCrash, VFS
 from repro.errors import StorageError
-from repro.harness.provenance import provenance
+from repro.harness import grid
+from repro.harness.crashpoints import (
+    SEED,
+    crash_document,
+    crash_points,
+    format_crash_summary,
+)
+from repro.harness.grid import Bench, Param
 
-__all__ = [
-    "CrashWorkload",
-    "CrashPointResult",
-    "run_crash_matrix",
-    "write_crash_bench",
-    "format_summary",
-]
+#: The scripted workload the matrix crashes over and over.  ``seed``
+#: drives the operation mix and the torn-write prefixes; one seed
+#: replays the whole matrix byte-identically.
+PARAMS = (
+    Param(
+        "--transactions", "transactions", 16, int,
+        "committed transactions in the scripted workload",
+    ),
+    Param(
+        "--ops-per-txn", "ops_per_txn", 6, int,
+        "object operations per transaction",
+    ),
+    Param(
+        "--payload-bytes", "payload_bytes", 512, int,
+        "object body size (bigger = more I/O ops per commit)",
+    ),
+    SEED,
+    Param(
+        "--stride", "stride", 1, int,
+        "test every Nth crash point (1 = exhaustive)",
+    ),
+    Param(None, "base_dir", None, header=False),
+)
 
 #: Objects created by the workload belong to this class.
 _CLASS = "Doc"
-
-
-@dataclasses.dataclass(frozen=True)
-class CrashWorkload:
-    """The scripted workload the matrix crashes over and over.
-
-    Attributes:
-        transactions: committed transactions after the schema setup.
-        ops_per_txn: object operations per transaction.
-        payload_bytes: size of each object's ``body`` field (bigger
-            payloads mean more page writes per commit, hence more
-            crash points).
-        seed: drives the operation mix and the torn-write prefixes;
-            one seed replays the whole matrix byte-identically.
-    """
-
-    transactions: int = 16
-    ops_per_txn: int = 6
-    payload_bytes: int = 512
-    seed: int = 7
 
 
 @dataclasses.dataclass
@@ -113,7 +115,7 @@ class CrashPointResult:
 def _run_workload(
     path: str,
     vfs: VFS,
-    spec: CrashWorkload,
+    spec: Dict[str, Any],
     snapshots: List[Dict[int, Dict[str, Any]]],
 ) -> None:
     """Run the scripted workload against ``path`` through ``vfs``.
@@ -130,7 +132,7 @@ def _run_workload(
     """
     import random
 
-    rng = random.Random(spec.seed)
+    rng = random.Random(spec["seed"])
     store = ObjectStore(path, sync_commits=True, vfs=vfs)
     try:
         store.open()
@@ -146,15 +148,15 @@ def _run_workload(
         shadow: Dict[int, Dict[str, Any]] = {}
         live: List[int] = []
         serial = 0
-        for _txn in range(spec.transactions):
-            for _op in range(spec.ops_per_txn):
+        for _txn in range(spec["transactions"]):
+            for _op in range(spec["ops_per_txn"]):
                 choice = rng.random()
                 if not live or choice < 0.5:
                     serial += 1
                     state = {
                         "title": f"doc-{serial}",
                         "rank": rng.randrange(1000),
-                        "body": "x" * spec.payload_bytes,
+                        "body": "x" * spec["payload_bytes"],
                     }
                     oid = store.new(_CLASS, state)
                     shadow[oid] = dict(state)
@@ -233,24 +235,20 @@ def _verify_cell(
     recovered: Dict[int, Dict[str, Any]],
     reference: List[Dict[int, Dict[str, Any]]],
     commits_returned: int,
-) -> CrashPointResult:
-    """Check the atomicity and durability invariants for one cell."""
+) -> Tuple[Optional[int], Optional[str]]:
+    """Check the atomicity and durability invariants for one cell.
+
+    Returns ``(recovered_snapshot, violation)``.
+    """
     matches = [
         index
         for index, snapshot in enumerate(reference)
         if recovered == snapshot
     ]
     if not matches:
-        return CrashPointResult(
-            op=0,
-            torn=False,
-            crashed=True,
-            commits_returned=commits_returned,
-            recovered_snapshot=None,
-            violation=(
-                "atomicity: recovered state matches no post-commit"
-                f" snapshot ({len(recovered)} objects recovered)"
-            ),
+        return None, (
+            "atomicity: recovered state matches no post-commit"
+            f" snapshot ({len(recovered)} objects recovered)"
         )
     # The crash can only lose the one transaction that was in flight,
     # so the recovered snapshot must lie in a two-snapshot window.
@@ -261,99 +259,68 @@ def _verify_cell(
     ]
     if not window:
         best = max(matches)
-        return CrashPointResult(
-            op=0,
-            torn=False,
-            crashed=True,
-            commits_returned=commits_returned,
-            recovered_snapshot=best,
-            violation=(
-                f"durability: recovered snapshot {best} outside"
-                f" [{commits_returned}, {commits_returned + 1}]"
-                f" ({commits_returned} commits had returned)"
-            ),
+        return best, (
+            f"durability: recovered snapshot {best} outside"
+            f" [{commits_returned}, {commits_returned + 1}]"
+            f" ({commits_returned} commits had returned)"
         )
-    return CrashPointResult(
-        op=0,
-        torn=False,
-        crashed=True,
-        commits_returned=commits_returned,
-        recovered_snapshot=min(window),
-        violation=None,
-    )
+    return min(window), None
 
 
-def run_crash_matrix(
-    workload: Optional[CrashWorkload] = None,
-    stride: int = 1,
-    base_dir: Optional[str] = None,
-) -> Dict[str, Any]:
+def run_crash_matrix(**overrides: Any) -> Dict[str, Any]:
     """Run the full crash matrix and return the JSON-ready document.
 
-    Args:
-        workload: the scripted workload (defaults sized so the matrix
-            covers a few hundred crash points).
-        stride: test every ``stride``-th crash point (1 = exhaustive;
-            CI uses a coarser stride on the larger workloads).
-        base_dir: parent for the per-cell scratch directories (a
-            temporary directory by default).
+    Keywords are the :data:`PARAMS` names; the defaults are sized so
+    the matrix covers a few hundred crash points.  ``stride`` tests
+    every ``stride``-th crash point (1 = exhaustive; CI uses a coarser
+    stride on the larger workloads); ``base_dir`` is the parent of the
+    per-cell scratch directories (a temporary directory by default).
 
-    Returns:
-        A document with per-cell results, the violation list and a
-        histogram of recovered snapshot indices.
+    Returns a document with per-cell results, the violation list and a
+    histogram of recovered snapshot indices.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    spec = workload or CrashWorkload()
-    with tempfile.TemporaryDirectory(dir=base_dir) as scratch:
-        # -- counting pre-pass: how many crash points are there? ------
+    spec = grid.resolve(PARAMS, overrides)
+    with tempfile.TemporaryDirectory(dir=spec["base_dir"]) as scratch:
         reference: List[Dict[int, Dict[str, Any]]] = []
-        counter = FaultInjectingVFS(seed=spec.seed)
-        pre_path = os.path.join(scratch, "pre.hmdb")
-        _run_workload(pre_path, counter, spec, reference)
-        total_ops = counter.mutation_ops
-
-        # -- one cell per (strided) mutating I/O operation ------------
+        total_ops, points = crash_points(
+            lambda op: FaultInjectingVFS(seed=spec["seed"] + op),
+            lambda counter: _run_workload(
+                os.path.join(scratch, "pre.hmdb"), counter, spec, reference
+            ),
+            spec["stride"],
+        )
         cells: List[CrashPointResult] = []
-        for op in range(1, total_ops + 1, stride):
-            torn = (op % 2) == 0
+        for op, torn, vfs in points:
             cell_dir = os.path.join(scratch, f"cell-{op}")
             os.mkdir(cell_dir)
             path = os.path.join(cell_dir, "crash.hmdb")
-            vfs = FaultInjectingVFS(seed=spec.seed + op).crash_at(
-                op, torn=torn
-            )
             snapshots: List[Dict[int, Dict[str, Any]]] = []
             crashed = False
+            snapshot, violation = None, None
             try:
                 _run_workload(path, vfs, spec, snapshots)
             except SimulatedCrash:
                 crashed = True
             except StorageError as error:  # pragma: no cover - defensive
-                cells.append(
-                    CrashPointResult(
-                        op=op,
-                        torn=torn,
-                        crashed=True,
-                        commits_returned=max(0, len(snapshots) - 1),
-                        recovered_snapshot=None,
-                        violation=f"workload died with {error!r}",
-                    )
+                crashed = True
+                violation = f"workload died with {error!r}"
+            # A schedule that never fired (op beyond the run's I/O) let
+            # the run complete normally; it must match its end.
+            commits_returned = (
+                max(0, len(snapshots) - 1)
+                if crashed
+                else spec["transactions"]
+            )
+            if violation is None:
+                snapshot, violation = _verify_cell(
+                    _recovered_state(path), reference, commits_returned
                 )
-                continue
-            commits_returned = max(0, len(snapshots) - 1)
-            if not crashed:
-                # The schedule never fired (op beyond the run's I/O);
-                # the run completed normally and must match its end.
-                commits_returned = spec.transactions
-            recovered = _recovered_state(path)
-            cell = _verify_cell(recovered, reference, commits_returned)
-            cell.op = op
-            cell.torn = torn
-            cell.crashed = crashed
-            cells.append(cell)
+            cells.append(
+                CrashPointResult(
+                    op, torn, crashed, commits_returned, snapshot, violation
+                )
+            )
 
-    violations = [cell for cell in cells if cell.violation]
     histogram: Dict[str, int] = {}
     for cell in cells:
         key = (
@@ -362,64 +329,39 @@ def run_crash_matrix(
             else str(cell.recovered_snapshot)
         )
         histogram[key] = histogram.get(key, 0) + 1
-    return {
-        "benchmark": "crash-recovery-matrix",
-        "provenance": provenance(
-            stride=stride, **dataclasses.asdict(spec)
-        ),
-        "workload": dataclasses.asdict(spec),
-        "io_ops_total": total_ops,
-        "stride": stride,
-        "crash_points_tested": len(cells),
-        "commits": spec.transactions,
-        "violation_count": len(violations),
-        "violations": [cell.to_dict() for cell in violations],
-        "recovered_histogram": histogram,
-        "cells": [cell.to_dict() for cell in cells],
-    }
-
-
-def write_crash_bench(
-    out_path: str,
-    workload: Optional[CrashWorkload] = None,
-    stride: int = 1,
-    base_dir: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Run the matrix and write the document to ``out_path``."""
-    document = run_crash_matrix(
-        workload=workload, stride=stride, base_dir=base_dir
+    return crash_document(
+        "crash-recovery-matrix",
+        PARAMS,
+        spec,
+        [cell.to_dict() for cell in cells],
+        io_ops_total=total_ops,
+        stride=spec["stride"],
+        commits=spec["transactions"],
+        recovered_histogram=histogram,
     )
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
 
 
 def format_summary(document: Dict[str, Any]) -> str:
     """A terminal summary of a crash-matrix document."""
-    lines = [
+    histogram = document["recovered_histogram"]
+    snapshots = sorted((k for k in histogram if k != "violation"), key=int)
+    return format_crash_summary(
         "crash-recovery matrix "
         f"({document['workload']['transactions']} txns, "
         f"{document['io_ops_total']} mutating I/O ops, "
         f"stride {document['stride']})",
-        f"  crash points tested : {document['crash_points_tested']}",
-        f"  invariant violations: {document['violation_count']}",
-    ]
-    histogram = document["recovered_histogram"]
+        document,
+        [
+            f"recovered at snapshot {key:>3}: {histogram[key]}"
+            for key in snapshots
+        ],
+        lambda cell: f"at op {cell['op']} (torn={cell['torn']})",
+    )
 
-    def _order(key: str) -> float:
-        return float("inf") if key == "violation" else int(key)
 
-    for key in sorted(histogram, key=_order):
-        label = (
-            "violations"
-            if key == "violation"
-            else f"recovered at snapshot {key:>3}"
-        )
-        lines.append(f"    {label}: {histogram[key]}")
-    for cell in document["violations"][:10]:
-        lines.append(
-            f"  VIOLATION at op {cell['op']}"
-            f" (torn={cell['torn']}): {cell['violation']}"
-        )
-    return "\n".join(lines)
+BENCH = Bench(
+    PARAMS,
+    grid.out_param("BENCH_crash.json"),
+    run_crash_matrix,
+    format_summary,
+)

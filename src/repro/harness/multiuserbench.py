@@ -29,29 +29,77 @@ closure benchmark).
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import os
 import tempfile
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
-from repro.core.config import HyperModelConfig
-from repro.core.generator import DatabaseGenerator, GeneratedDatabase
+from repro.core.generator import GeneratedDatabase
 from repro.engine.wal import WriteAheadLog
-from repro.harness.provenance import provenance
+from repro.harness import grid
+from repro.harness.grid import Bench, Param
 from repro.netsim.config import NetworkConfig, SimConfig
 from repro.netsim.latency import LatencyModel
 from repro.netsim.server import ObjectServer
 from repro.obs import FlightRecorder, Instrumentation, LatencyHistogram
 
-#: Default grid: client counts × conflict probabilities.
-DEFAULT_CLIENTS = (1, 2, 4, 8)
-DEFAULT_CONFLICT_RATES = (0.0, 0.2)
+PARAMS = (
+    Param(
+        "--clients", "clients", "1,2,4,8", grid.ints,
+        "comma-separated client counts (default: 1,2,4,8)",
+    ),
+    Param(
+        "--conflict", "conflict_rates", "0.0,0.2", grid.floats,
+        "comma-separated conflict rates in [0,1] (default: 0.0,0.2)",
+    ),
+    Param("--level", "level", 3, int, "leaf level (default: 3)"),
+    Param(
+        "--transactions", "transactions_per_client", 8, int,
+        "transactions per client (default: 8)",
+    ),
+    Param(
+        "--reads-per-txn", "reads_per_txn", 4, int,
+        "Zipf-skewed reads per transaction (default: 4)",
+    ),
+    Param(
+        "--hot-set", "hot_set_size", 8, int,
+        "size of the shared hot write set (default: 8)",
+    ),
+    Param("--seed", "seed", 1989, int),
+    Param(
+        "--group-commit-size", "group_commit_size", 8, int,
+        "WAL commits per fsync in group-commit mode (default: 8)",
+    ),
+    Param(
+        "--trace", "trace", None, metavar="TRACE_JSON", header=False,
+        help="export a Chrome trace-event JSON of the run's tail, one"
+        " lane per client (see docs/observability.md)",
+        note="trace written to {} (one lane per client)",
+    ),
+    grid.timeline_param(
+        "virtual clock, deterministic, byte-identical across runs"
+    ),
+    Param(
+        "--timeline-cadence", "timeline_cadence_seconds", 0.02, float,
+        "virtual-time sampling cadence for --timeline (default: 0.02)",
+        metavar="SECONDS", header=False,
+    ),
+    Param(None, "workdir", None, header=False),
+)
 
 
-@dataclasses.dataclass
-class MultiUserCell:
-    """One (clients, conflict-rate) grid cell.
+def _run_cell(
+    gen: GeneratedDatabase,
+    records: Dict[int, Dict[str, Any]],
+    wal: WriteAheadLog,
+    clients: int,
+    conflict_rate: float,
+    p: Dict[str, Any],
+    sim: SimConfig,
+    instrumentation: Optional[Instrumentation],
+    recorder: Optional[FlightRecorder],
+    sample_label: str,
+) -> Dict[str, Any]:
+    """One (clients, conflict-rate) cell.
 
     ``p50_ms``/``p90_ms``/``p99_ms`` summarize per-transaction virtual
     latency (begin to successful commit, retries included) through a
@@ -60,57 +108,8 @@ class MultiUserCell:
     ``repro bench-diff`` gates these cells separately from the closure
     benchmark's.
     """
+    from repro.concurrency.multiuser import MultiUserHarness
 
-    clients: int
-    conflict_rate: float
-    transactions: int
-    committed: int
-    aborted: int
-    giveups: int
-    retries: int
-    abort_rate: float
-    throughput_per_s: float
-    makespan_s: float
-    p50_ms: float = 0.0
-    p90_ms: float = 0.0
-    p99_ms: float = 0.0
-    max_ms: float = 0.0
-    histogram: Dict[str, object] = dataclasses.field(default_factory=dict)
-    queue_s: float = 0.0
-    busy_s: float = 0.0
-    server_commits: int = 0
-    server_conflicts: int = 0
-    wal_syncs: int = 0
-    fsyncs_per_commit: float = 0.0
-    mode: str = "multiuser"
-
-    def to_json(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
-
-
-def _generate_structure(
-    level: int, seed: int
-) -> "tuple[GeneratedDatabase, Dict[int, Dict[str, Any]]]":
-    """Generate the shared structure once; return (gen, record dump)."""
-    from repro.backends.clientserver import ClientServerDatabase
-
-    server = ObjectServer(latency=LatencyModel())
-    loader = ClientServerDatabase(server=server)
-    loader.open()
-    gen = DatabaseGenerator(
-        HyperModelConfig(levels=level, seed=seed)
-    ).generate(loader)
-    loader.commit()
-    loader.close()
-    return gen, server.export_records()
-
-
-def _fresh_server(
-    records: Dict[int, Dict[str, Any]],
-    wal: Optional[WriteAheadLog],
-    sim: SimConfig,
-    instrumentation: Optional[Instrumentation] = None,
-) -> ObjectServer:
     server = ObjectServer(
         latency=LatencyModel(),
         instrumentation=instrumentation,
@@ -118,246 +117,156 @@ def _fresh_server(
         fsync_seconds=sim.fsync_seconds,
     )
     server.load_records(records)
-    return server
-
-
-def _run_cell(
-    gen: GeneratedDatabase,
-    records: Dict[int, Dict[str, Any]],
-    wal: Optional[WriteAheadLog],
-    clients: int,
-    conflict_rate: float,
-    transactions_per_client: int,
-    reads_per_txn: int,
-    hot_set_size: int,
-    seed: int,
-    sim: SimConfig,
-    instrumentation: Optional[Instrumentation] = None,
-    recorder: Optional[FlightRecorder] = None,
-    sample_cadence_seconds: float = 0.0,
-    sample_label: Optional[str] = None,
-) -> MultiUserCell:
-    from repro.concurrency.multiuser import MultiUserHarness
-
-    server = _fresh_server(records, wal, sim, instrumentation)
     harness = MultiUserHarness(
         server,
         gen,
         users=clients,
-        seed=seed,
+        seed=p["seed"],
         network=NetworkConfig(concurrency="optimistic"),
         sim=sim,
         instrumentation=instrumentation,
         recorder=recorder,
-        sample_cadence_seconds=sample_cadence_seconds,
+        sample_cadence_seconds=(
+            p["timeline_cadence_seconds"] if recorder is not None else 0.0
+        ),
         sample_label=sample_label,
     )
     result = harness.run_transactions(
-        transactions_per_user=transactions_per_client,
-        reads_per_txn=reads_per_txn,
+        transactions_per_user=p["transactions_per_client"],
+        reads_per_txn=p["reads_per_txn"],
         conflict_rate=conflict_rate,
-        hot_set_size=hot_set_size,
+        hot_set_size=p["hot_set_size"],
     )
     # Fleet distribution by *merging* per-client histograms — the
     # aggregation path a sharded fleet would use.  Bucket addition is
-    # exact, so this equals from_samples(pooled) bit for bit (pinned
-    # by tests/test_histograms.py) and the baseline-gated cells are
-    # unchanged.
+    # exact, so the quantiles equal from_samples(pooled) bit for bit
+    # (pinned by tests/test_properties.py).
     hist = LatencyHistogram()
     for client_latencies in result.per_user_latencies_ms:
         hist.merge(LatencyHistogram.from_samples(client_latencies))
-    return MultiUserCell(
-        clients=clients,
-        conflict_rate=conflict_rate,
-        transactions=clients * transactions_per_client,
-        committed=result.committed,
-        aborted=result.aborted,
-        giveups=result.giveups,
-        retries=result.retries,
-        abort_rate=round(result.abort_rate, 6),
-        throughput_per_s=round(result.throughput_per_second, 4),
-        makespan_s=round(result.makespan_seconds, 6),
-        p50_ms=round(hist.percentile(0.50), 4),
-        p90_ms=round(hist.percentile(0.90), 4),
-        p99_ms=round(hist.percentile(0.99), 4),
-        max_ms=round(hist.maximum, 4),
-        histogram=hist.to_dict(),
-        queue_s=round(result.queue_seconds, 6),
-        busy_s=round(result.busy_seconds, 6),
-        server_commits=result.server_commits,
-        server_conflicts=result.server_conflicts,
-        wal_syncs=result.wal_syncs,
-        fsyncs_per_commit=round(result.fsyncs_per_commit, 6),
-    )
+    return {
+        "mode": "multiuser",
+        "clients": clients,
+        "conflict_rate": conflict_rate,
+        "transactions": clients * p["transactions_per_client"],
+        "committed": result.committed,
+        "aborted": result.aborted,
+        "giveups": result.giveups,
+        "retries": result.retries,
+        "abort_rate": round(result.abort_rate, 6),
+        "throughput_per_s": round(result.throughput_per_second, 4),
+        "makespan_s": round(result.makespan_seconds, 6),
+        **grid.percentiles(hist, histogram=True),
+        "queue_s": round(result.queue_seconds, 6),
+        "busy_s": round(result.busy_seconds, 6),
+        "server_commits": result.server_commits,
+        "server_conflicts": result.server_conflicts,
+        "wal_syncs": result.wal_syncs,
+        "fsyncs_per_commit": round(result.fsyncs_per_commit, 6),
+    }
 
 
-def run_multiuser_bench(
-    clients: Sequence[int] = DEFAULT_CLIENTS,
-    conflict_rates: Sequence[float] = DEFAULT_CONFLICT_RATES,
-    level: int = 3,
-    transactions_per_client: int = 8,
-    reads_per_txn: int = 4,
-    hot_set_size: int = 8,
-    seed: int = 1989,
-    group_commit_size: int = 8,
-    workdir: Optional[str] = None,
-    instrumentation: Optional[Instrumentation] = None,
-    timeline: Optional[str] = None,
-    timeline_cadence_seconds: float = 0.02,
-) -> Dict[str, object]:
+def run_multiuser_bench(**overrides: Any) -> Dict[str, Any]:
     """Run the clients × conflict grid; return the JSON document.
 
-    The structure is generated once (level ``level``, seed ``seed``)
-    and replayed into a fresh server per cell, so cells are
-    independent and the grid order does not matter.  Every grid cell
-    runs with a group-commit WAL; the extra ``wal`` section re-runs
-    the largest client count at conflict 0.0 with per-commit fsyncs
-    versus group commit, which is the "group commit measurably reduces
-    fsyncs per commit" evidence.
+    Keywords are the :data:`PARAMS` names.  The structure is generated
+    once (level ``level``, seed ``seed``) and replayed into a fresh
+    server per cell, so cells are independent and the grid order does
+    not matter.  Every grid cell runs with a group-commit WAL; the
+    extra ``wal`` section re-runs the largest client count at conflict
+    0.0 with per-commit fsyncs versus group commit, which is the
+    "group commit measurably reduces fsyncs per commit" evidence.
 
     ``timeline`` writes a flight-recorder JSONL to that path: every
     cell is sampled on the virtual clock each
     ``timeline_cadence_seconds``, with the cell's grid coordinates as
     the sample label.  The samples are a pure function of the seed
     (byte-identical across runs) and strictly additive — the returned
-    document is unchanged.  When no instrumentation handle was passed,
-    a private one is created so the timeline works against an
-    otherwise-disabled run.
+    document is unchanged.  ``trace`` exports the run's span tail as a
+    Chrome trace, one lane per client.  ``workdir`` holds the WAL
+    files (a temporary directory by default).
     """
-    clients = sorted(set(int(n) for n in clients))
+    p = grid.resolve(PARAMS, overrides)
+    clients = p["clients"] = sorted(set(int(n) for n in p["clients"]))
     if not clients or clients[0] < 1:
         raise ValueError("client counts must be positive")
-    conflict_rates = sorted(set(float(r) for r in conflict_rates))
-    sim = SimConfig(seed=seed)
-    recorder = None
-    cadence = 0.0
-    if timeline is not None:
-        if instrumentation is None:
-            instrumentation = Instrumentation()
-        recorder = FlightRecorder(
-            instrumentation, capacity=65536, clock="virtual"
-        )
-        cadence = timeline_cadence_seconds
-    own_tmp = None
-    if workdir is None:
-        own_tmp = tempfile.TemporaryDirectory(prefix="hypermodel-mp-")
-        workdir = own_tmp.name
-    try:
-        gen, records = _generate_structure(level, seed)
-        cells: Dict[str, Dict[str, Dict[str, object]]] = {}
-        for n in clients:
-            row: Dict[str, Dict[str, object]] = {}
-            for rate in conflict_rates:
-                wal = WriteAheadLog(
-                    os.path.join(workdir, f"mp-{n}-{rate}.wal"),
-                    sync_on_commit=False,
-                    group_commit=True,
-                    group_commit_size=group_commit_size,
-                )
-                try:
-                    cell = _run_cell(
-                        gen,
-                        records,
-                        wal,
-                        n,
-                        rate,
-                        transactions_per_client,
-                        reads_per_txn,
-                        hot_set_size,
-                        seed,
-                        sim,
-                        instrumentation,
-                        recorder=recorder,
-                        sample_cadence_seconds=cadence,
-                        sample_label=f"clients-{n}/conflict-{rate:g}",
-                    )
-                finally:
-                    wal.close()
-                row[f"conflict-{rate:g}"] = cell.to_json()
-            cells[f"clients-{n}"] = row
+    rates = p["conflict_rates"] = sorted(
+        set(float(r) for r in p["conflict_rates"])
+    )
+    group_commit_size = p["group_commit_size"]
+    sim = SimConfig(seed=p["seed"])
+    instrumentation = None
+    if p["trace"] is not None:
+        instrumentation = Instrumentation(span_capacity=65536)
+    elif p["timeline"] is not None:
+        instrumentation = Instrumentation()
+    gen, records = grid.generate_structure(p["level"], p["seed"])
 
+    grouped = {"group_commit": True, "group_commit_size": group_commit_size}
+    with tempfile.TemporaryDirectory(
+        prefix="hypermodel-mp-"
+    ) as scratch, grid.timeline(
+        p["timeline"], instrumentation=instrumentation
+    ) as recorder:
+        workdir = p["workdir"] or scratch
+
+        def cell(name, label, n, rate, **wal_kwargs) -> Dict[str, Any]:
+            wal = WriteAheadLog(
+                os.path.join(workdir, f"{name}.wal"),
+                sync_on_commit=False,
+                **wal_kwargs,
+            )
+            try:
+                return _run_cell(
+                    gen, records, wal, n, rate, p, sim, instrumentation,
+                    recorder, label,
+                )
+            finally:
+                wal.close()
+
+        cells = {
+            f"clients-{n}": {
+                f"conflict-{rate:g}": cell(
+                    f"mp-{n}-{rate}",
+                    f"clients-{n}/conflict-{rate:g}",
+                    n,
+                    rate,
+                    **grouped,
+                )
+                for rate in rates
+            }
+            for n in clients
+        }
         # WAL ablation: per-commit fsync vs group commit at the
         # largest client count, conflict 0.0 (clean commit stream).
         top = clients[-1]
-        wal_section: Dict[str, object] = {
+        wal_section: Dict[str, Any] = {
             "clients": top,
             "conflict_rate": 0.0,
             "group_commit_size": group_commit_size,
         }
         for label, wal_kwargs in (
             ("per_commit", {}),
-            (
-                "group_commit",
-                {"group_commit": True, "group_commit_size": group_commit_size},
-            ),
+            ("group_commit", grouped),
         ):
-            wal = WriteAheadLog(
-                os.path.join(workdir, f"mp-wal-{label}.wal"),
-                sync_on_commit=False,
-                **wal_kwargs,
+            ablation = cell(
+                f"mp-wal-{label}", f"wal/{label}", top, 0.0, **wal_kwargs
             )
-            try:
-                cell = _run_cell(
-                    gen,
-                    records,
-                    wal,
-                    top,
-                    0.0,
-                    transactions_per_client,
-                    reads_per_txn,
-                    hot_set_size,
-                    seed,
-                    sim,
-                    instrumentation,
-                    recorder=recorder,
-                    sample_cadence_seconds=cadence,
-                    sample_label=f"wal/{label}",
-                )
-            finally:
-                wal.close()
             wal_section[label] = {
-                "fsyncs_per_commit": cell.fsyncs_per_commit,
-                "wal_syncs": cell.wal_syncs,
-                "server_commits": cell.server_commits,
-                "throughput_per_s": cell.throughput_per_s,
-                "makespan_s": cell.makespan_s,
+                key: ablation[key]
+                for key in (
+                    "fsyncs_per_commit",
+                    "wal_syncs",
+                    "server_commits",
+                    "throughput_per_s",
+                    "makespan_s",
+                )
             }
-    finally:
-        if own_tmp is not None:
-            own_tmp.cleanup()
+    if p["trace"] is not None:
+        from repro.obs.traceexport import write_chrome_trace
 
-    if recorder is not None and timeline is not None:
-        recorder.write_jsonl(timeline)
-
-    return {
-        "benchmark": "multiuser",
-        "level": level,
-        "seed": seed,
-        "clients": clients,
-        "conflict_rates": conflict_rates,
-        "transactions_per_client": transactions_per_client,
-        "reads_per_txn": reads_per_txn,
-        "hot_set_size": hot_set_size,
-        "group_commit_size": group_commit_size,
-        "provenance": provenance(
-            clients=clients,
-            conflict_rates=conflict_rates,
-            level=level,
-            transactions_per_client=transactions_per_client,
-            seed=seed,
-        ),
-        "cells": cells,
-        "wal": wal_section,
-    }
-
-
-def write_multiuser_bench(out_path: str, **kwargs: Any) -> Dict[str, object]:
-    """Run :func:`run_multiuser_bench` and write ``out_path`` as JSON."""
-    document = run_multiuser_bench(**kwargs)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
+        write_chrome_trace(instrumentation, p["trace"])
+    return grid.document("multiuser", PARAMS, p, cells, wal=wal_section)
 
 
 def format_summary(document: Dict[str, object]) -> str:
@@ -397,3 +306,11 @@ def format_summary(document: Dict[str, object]) -> str:
             f" grouped (size {wal['group_commit_size']})"
         )
     return "\n".join(lines)
+
+
+BENCH = Bench(
+    PARAMS,
+    grid.out_param("BENCH_multiuser.json"),
+    run_multiuser_bench,
+    format_summary,
+)

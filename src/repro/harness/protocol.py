@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import zlib
 from typing import Any, Dict, List, Optional
 
 from repro.core.config import HyperModelConfig
@@ -190,7 +191,11 @@ def run_operation_sequence(
         A :class:`ColdWarmResult` with ms-per-node statistics.
     """
     config = config or gen.config
-    rng = random.Random((seed * 1_000_003) ^ hash(spec.op_id))
+    # crc32, not hash(): str hashes are salted per process, and the
+    # same --seed must draw the same inputs in every process.
+    rng = random.Random(
+        (seed * 1_000_003) ^ zlib.crc32(spec.op_id.encode("ascii"))
+    )
     clock = getattr(db, "simulated_clock", None)
     instr: Instrumentation = getattr(db, "instrumentation", NO_OP) or NO_OP
 

@@ -17,38 +17,22 @@ import os
 import platform
 import subprocess
 from datetime import datetime, timezone
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 
-def _git_sha() -> str:
-    """The current checkout's commit SHA, or ``"unknown"``."""
+def _git(*args: str) -> Optional[str]:
+    """A git command's stdout in this checkout, or ``None`` on failure."""
     try:
         proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True,
             text=True,
             timeout=5,
         )
     except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    sha = proc.stdout.strip()
-    return sha if proc.returncode == 0 and sha else "unknown"
-
-
-def _git_dirty() -> bool:
-    """Whether the checkout has uncommitted changes (False when unknown)."""
-    try:
-        proc = subprocess.run(
-            ["git", "status", "--porcelain"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return False
-    return proc.returncode == 0 and bool(proc.stdout.strip())
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def provenance(**options: Any) -> Dict[str, Any]:
@@ -59,8 +43,8 @@ def provenance(**options: Any) -> Dict[str, Any]:
     document records not just *when* but *what configuration*.
     """
     return {
-        "git_sha": _git_sha(),
-        "git_dirty": _git_dirty(),
+        "git_sha": _git("rev-parse", "HEAD") or "unknown",
+        "git_dirty": bool(_git("status", "--porcelain")),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),

@@ -33,13 +33,13 @@ shape the other benchmarks use, under
 
 from __future__ import annotations
 
-import json
 import random
-from typing import Any, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Any, Dict, List, Optional
 
-from repro.core.config import HyperModelConfig
-from repro.core.generator import DatabaseGenerator, GeneratedDatabase
-from repro.harness.provenance import provenance
+from repro.core.generator import GeneratedDatabase
+from repro.harness import grid
+from repro.harness.grid import Bench, Param
 from repro.netsim.config import ReplicationConfig
 from repro.netsim.latency import LatencyModel, SimulatedClock
 from repro.netsim.sim import (
@@ -48,14 +48,35 @@ from repro.netsim.sim import (
     Workstation,
     replica_lanes,
 )
-from repro.obs import FlightRecorder, Instrumentation, LatencyHistogram
+from repro.obs import FlightRecorder, Instrumentation
 from repro.replication.group import ReplicationGroup
 
-#: Default grid: replica counts × writer rates (writes per virtual
-#: second) × apply lags (seconds).
-DEFAULT_REPLICAS = (1, 2, 4)
-DEFAULT_WRITE_RATES = (0.0, 40.0)
-DEFAULT_LAGS = (0.0, 0.02)
+PARAMS = (
+    Param(
+        "--replicas", "replica_counts", "1,2,4", grid.ints,
+        "comma-separated replica counts (default: 1,2,4)",
+    ),
+    Param(
+        "--write-rates", "write_rates", "0,40", grid.floats,
+        "comma-separated writer rates in writes/s of virtual time;"
+        " 0 = read-only (default: 0,40)",
+    ),
+    Param(
+        "--lags", "lags", "0,0.02", grid.floats,
+        "comma-separated replica apply lags in seconds (default: 0,0.02)",
+    ),
+    Param("--level", "level", 4, int, "leaf level (default: 4)"),
+    Param(
+        "--reads-per-reader", "reads_per_reader", 8, int,
+        "closure reads per reader station (default: 8)",
+    ),
+    Param(
+        "--routing-closures", "routing_closures", 6, int,
+        "closures in the replica-warm vs primary-warm cell (default: 6)",
+    ),
+    Param("--seed", "seed", 1989, int),
+    grid.timeline_param("virtual clock, deterministic"),
+)
 
 #: Workload shape per cell.  Read scaling needs the *station pool* to
 #: out-offer a single lane by more than the replica-count spread:
@@ -67,36 +88,6 @@ _WRITER_WRITES = 12
 _ROOT_LEVEL = 1
 _SERVICE_SECONDS = 0.0002
 _THINK_SECONDS = 0.002
-
-
-def _generate_structure(level: int, seed: int):
-    """Generate the shared structure once; return (gen, record dump)."""
-    from repro.backends.clientserver import ClientServerDatabase
-    from repro.netsim.server import ObjectServer
-
-    server = ObjectServer(latency=LatencyModel())
-    loader = ClientServerDatabase(server=server)
-    loader.open()
-    gen = DatabaseGenerator(
-        HyperModelConfig(levels=level, seed=seed)
-    ).generate(loader)
-    loader.commit()
-    loader.close()
-    return gen, server.export_records()
-
-
-def _leaf(samples_ms: List[float], mode: str, **extra: Any) -> Dict[str, Any]:
-    hist = LatencyHistogram.from_samples(samples_ms)
-    leaf: Dict[str, Any] = {
-        "mode": mode,
-        "samples": len(samples_ms),
-        "p50_ms": round(hist.percentile(0.50), 4),
-        "p90_ms": round(hist.percentile(0.90), 4),
-        "p99_ms": round(hist.percentile(0.99), 4),
-        "max_ms": round(hist.maximum, 4),
-    }
-    leaf.update(extra)
-    return leaf
 
 
 def _cell_key(replicas: int, write_rate: float, lag: float) -> str:
@@ -140,18 +131,41 @@ def _run_cell(
 
     read_samples: List[float] = []
     write_samples: List[float] = []
-    jobs = []
-    total_reads = 0
-    for index in range(_READERS):
+
+    def station(index: int, client_id: str, rng_seed: int) -> Workstation:
         client = ClientServerDatabase(
             server=group,
             clock=SimulatedClock(),
             instrumentation=instr,
-            client_id=f"w{index:02d}",
+            client_id=client_id,
         )
         client.open()
-        rng = random.Random(seed * 6151 + index * 97 + replicas)
-        station = Workstation(index, client, rng)
+        return Workstation(index, client, random.Random(rng_seed))
+
+    def timed_read(reader: Workstation) -> None:
+        root = gen.random_uid_at_level(reader.rng, _ROOT_LEVEL)
+        read_samples.append(grid.closure_ms(reader.client, root))
+
+    def timed_write(station: Workstation, step: int) -> None:
+        client = station.client
+        uid = gen.random_uid(station.rng)
+        start = client.simulated_clock.now
+        client.set_attribute(uid, "ten", step % 10)
+        client.commit()
+        write_samples.append((client.simulated_clock.now - start) * 1000.0)
+
+    def paced_write(writer: Workstation, step: int) -> None:
+        # Self-paced: the writer advances its own clock to the next
+        # beat, so its commit rate is the grid's write rate regardless
+        # of the global think time.
+        writer.client.simulated_clock.advance(1.0 / write_rate)
+        timed_write(writer, step)
+
+    jobs = []
+    for index in range(_READERS):
+        reader = station(
+            index, f"w{index:02d}", seed * 6151 + index * 97 + replicas
+        )
         tasks = []
         for step in range(reads_per_reader):
             if step == reads_per_reader // 2:
@@ -159,61 +173,20 @@ def _run_cell(
                 # the session token now outruns every replica, so the
                 # next reads fall back to the primary until a replica
                 # applies this commit — read-your-writes, measured.
-                def write_once(client=client, rng=rng, step=step):
-                    uid = gen.random_uid(rng)
-                    start = client.simulated_clock.now
-                    client.set_attribute(uid, "ten", step % 10)
-                    client.commit()
-                    write_samples.append(
-                        (client.simulated_clock.now - start) * 1000.0
-                    )
-
-                tasks.append(write_once)
-
-            def read_closure(client=client, rng=rng):
-                root = gen.random_uid_at_level(rng, _ROOT_LEVEL)
-                client.cache.clear()  # every closure starts cold
-                start = client.simulated_clock.now
-                if not client.prefetch_closure(root, "children", None):
-                    raise RuntimeError("push-down unexpectedly disabled")
-                read_samples.append(
-                    (client.simulated_clock.now - start) * 1000.0
-                )
-
-            tasks.append(read_closure)
-            total_reads += 1
-        jobs.append((station, tasks))
-
+                tasks.append(partial(timed_write, reader, step))
+            tasks.append(partial(timed_read, reader))
+        jobs.append((reader, tasks))
+    total_reads = _READERS * reads_per_reader
     if write_rate > 0:
-        writer = ClientServerDatabase(
-            server=group,
-            clock=SimulatedClock(),
-            instrumentation=instr,
-            client_id="wr",
-        )
-        writer.open()
-        wrng = random.Random(seed * 7583 + replicas * 11)
-        station = Workstation(_READERS, writer, wrng)
-        interval = 1.0 / write_rate
-
-        def make_write(step: int):
-            def paced_write(writer=writer, wrng=wrng, step=step):
-                # Self-paced: the writer advances its own clock to the
-                # next beat, so its commit rate is the grid's write
-                # rate regardless of the global think time.
-                writer.simulated_clock.advance(interval)
-                uid = gen.random_uid(wrng)
-                start = writer.simulated_clock.now
-                writer.set_attribute(uid, "ten", step % 10)
-                writer.commit()
-                write_samples.append(
-                    (writer.simulated_clock.now - start) * 1000.0
-                )
-
-            return paced_write
-
+        writer = station(_READERS, "wr", seed * 7583 + replicas * 11)
         jobs.append(
-            (station, [make_write(step) for step in range(_WRITER_WRITES)])
+            (
+                writer,
+                [
+                    partial(paced_write, writer, step)
+                    for step in range(_WRITER_WRITES)
+                ],
+            )
         )
 
     before = instr.snapshot()
@@ -227,13 +200,13 @@ def _run_cell(
     )
     makespan = scheduler.run(jobs)
     delta = instr.delta_since(before)
-    for station, _tasks in jobs:
-        station.client.close()
+    for worker, _tasks in jobs:
+        worker.client.close()
 
     replica_reads = int(delta.get("backend.replica.reads", 0))
     fallbacks = int(delta.get("backend.replica.fallbacks", 0))
     cell: Dict[str, Any] = {
-        "reads": _leaf(
+        "reads": grid.latency_leaf(
             read_samples,
             "replica-read",
             throughput_per_s=round(total_reads / makespan, 4)
@@ -245,7 +218,7 @@ def _run_cell(
         )
     }
     if write_samples:
-        cell["writes"] = _leaf(
+        cell["writes"] = grid.latency_leaf(
             write_samples,
             "replica-write",
             writes=len(write_samples),
@@ -269,19 +242,12 @@ def _run_routing_cell(
     group.load_records(records)
     client = ClientServerDatabase(server=group, instrumentation=instr)
     client.open()
-    clock = client.simulated_clock
     rng = random.Random(seed * 9377)
     roots = [gen.random_internal_uid(rng) for _ in range(closures)]
 
     def timed_closures(force_primary: bool, cold: bool) -> List[float]:
         client.server.force_primary = force_primary
-        samples = []
-        for root in roots:
-            if cold:
-                client.cache.clear()
-            start = clock.now
-            client.prefetch_closure(root, "children", None)
-            samples.append((clock.now - start) * 1000.0)
+        samples = [grid.closure_ms(client, root, cold) for root in roots]
         client.server.force_primary = False
         return samples
 
@@ -290,57 +256,52 @@ def _run_routing_cell(
     warm = timed_closures(force_primary=False, cold=False)
     client.close()
     return {
-        "replica_cold": _leaf(replica_cold, "replica-routed"),
-        "primary_cold": _leaf(primary_cold, "primary-forced"),
-        "warm": _leaf(warm, "workstation-warm"),
+        "replica_cold": grid.latency_leaf(replica_cold, "replica-routed"),
+        "primary_cold": grid.latency_leaf(primary_cold, "primary-forced"),
+        "warm": grid.latency_leaf(warm, "workstation-warm"),
     }
 
 
-def run_replica_bench(
-    replica_counts: Sequence[int] = DEFAULT_REPLICAS,
-    write_rates: Sequence[float] = DEFAULT_WRITE_RATES,
-    lags: Sequence[float] = DEFAULT_LAGS,
-    level: int = 4,
-    reads_per_reader: int = 8,
-    routing_closures: int = 6,
-    seed: int = 1989,
-    timeline: Optional[str] = None,
-) -> Dict[str, Any]:
+def run_replica_bench(**overrides: Any) -> Dict[str, Any]:
     """Run the replica grid; return the JSON document.
 
-    The structure is generated once (level ``level``, seed ``seed``)
-    and loaded into a fresh replication group per cell, so cells are
-    independent and grid order does not matter.  ``timeline`` writes a
-    flight-recorder JSONL (cadence samples of the lane backlogs and
-    the ``backend.replica.<i>.applied_lsn``/``lag`` gauges, stamped at
-    the virtual clock with the cell key as label).
+    Keywords are the :data:`PARAMS` names.  The structure is generated
+    once (level ``level``, seed ``seed``) and loaded into a fresh
+    replication group per cell, so cells are independent and grid
+    order does not matter.  ``timeline`` writes a flight-recorder JSONL
+    (cadence samples of the lane backlogs and the
+    ``backend.replica.<i>.applied_lsn``/``lag`` gauges, stamped at the
+    virtual clock with the cell key as label).
     """
-    replica_counts = sorted(set(int(n) for n in replica_counts))
+    p = grid.resolve(PARAMS, overrides)
+    replica_counts = p["replica_counts"] = sorted(
+        set(int(n) for n in p["replica_counts"])
+    )
     if not replica_counts or replica_counts[0] < 1:
         raise ValueError("replica counts must be positive")
+    write_rates = p["write_rates"] = [float(r) for r in p["write_rates"]]
+    lags = p["lags"] = [float(lag) for lag in p["lags"]]
     for lag in lags:
         ReplicationConfig(replicas=max(replica_counts), apply_lag_seconds=lag)
-    gen, records = _generate_structure(level, seed)
-    recorder = None
-    if timeline is not None:
-        recorder = FlightRecorder(None, capacity=65536, clock="virtual")
+    gen, records = grid.generate_structure(p["level"], p["seed"])
     cells: Dict[str, Dict[str, Any]] = {}
-    for replicas in replica_counts:
-        for write_rate in write_rates:
-            for lag in lags:
-                cells[_cell_key(replicas, write_rate, lag)] = _run_cell(
-                    gen,
-                    records,
-                    replicas,
-                    write_rate,
-                    lag,
-                    reads_per_reader,
-                    seed,
-                    recorder=recorder,
-                )
-    cells["routing"] = _run_routing_cell(gen, records, routing_closures, seed)
-    if recorder is not None and timeline is not None:
-        recorder.write_jsonl(timeline)
+    with grid.timeline(p["timeline"]) as recorder:
+        for replicas in replica_counts:
+            for write_rate in write_rates:
+                for lag in lags:
+                    cells[_cell_key(replicas, write_rate, lag)] = _run_cell(
+                        gen,
+                        records,
+                        replicas,
+                        write_rate,
+                        lag,
+                        p["reads_per_reader"],
+                        p["seed"],
+                        recorder=recorder,
+                    )
+        cells["routing"] = _run_routing_cell(
+            gen, records, p["routing_closures"], p["seed"]
+        )
     scaling: Dict[str, float] = {}
     low, high = replica_counts[0], replica_counts[-1]
     if high > low:
@@ -356,35 +317,9 @@ def run_replica_bench(
                         top["throughput_per_s"] / base["throughput_per_s"],
                         4,
                     )
-    return {
-        "benchmark": "replica",
-        "level": level,
-        "seed": seed,
-        "replica_counts": list(replica_counts),
-        "write_rates": [float(rate) for rate in write_rates],
-        "lags": [float(lag) for lag in lags],
-        "readers": _READERS,
-        "reads_per_reader": reads_per_reader,
-        "scaling": scaling,
-        "provenance": provenance(
-            replica_counts=list(replica_counts),
-            write_rates=[float(rate) for rate in write_rates],
-            lags=[float(lag) for lag in lags],
-            level=level,
-            reads_per_reader=reads_per_reader,
-            seed=seed,
-        ),
-        "cells": cells,
-    }
-
-
-def write_replica_bench(out_path: str, **kwargs: Any) -> Dict[str, Any]:
-    """Run :func:`run_replica_bench` and write ``out_path`` as JSON."""
-    document = run_replica_bench(**kwargs)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
+    return grid.document(
+        "replica", PARAMS, p, cells, readers=_READERS, scaling=scaling
+    )
 
 
 def format_summary(document: Dict[str, Any]) -> str:
@@ -420,3 +355,9 @@ def format_summary(document: Dict[str, Any]) -> str:
             f" {document['scaling'][combo]:.2f}x"
         )
     return "\n".join(lines)
+
+
+BENCH = Bench(
+    PARAMS, grid.out_param("BENCH_replica.json"), run_replica_bench,
+    format_summary,
+)

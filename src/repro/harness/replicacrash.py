@@ -34,23 +34,52 @@ gates on ``violation_count == 0``.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.vfs import FaultInjectingVFS, MemoryVFS, SimulatedCrash
-from repro.harness.provenance import provenance
+from repro.harness import grid
+from repro.harness.crashpoints import (
+    SEED,
+    armed_vfs,
+    crash_document,
+    crash_points,
+    format_crash_summary,
+)
+from repro.harness.grid import Bench, Param
 from repro.netsim.config import ReplicationConfig
 from repro.obs import Instrumentation
 from repro.replication.group import ReplicationGroup
 from repro.replication.router import ReplicaRouter
 
-__all__ = [
-    "FailoverWorkload",
-    "run_failover_drill",
-    "write_failover_bench",
-    "format_summary",
-]
+#: Shape of the scripted workload the drill crashes.  Each transaction
+#: touches two distinct uids (so atomicity is observable) and the
+#: matrix crashes once per mutating I/O operation across all of them.
+#: ``level`` is the HyperModel level of the base structure; ``seed``
+#: drives uid choice and the torn-write prefixes; the drill keeps the
+#: default ``apply_lag_seconds`` of 0 so acked work is shipped when the
+#: primary dies (promotion drains the log either way).
+PARAMS = (
+    Param(
+        "--failover-replicas", "replicas", 2, int,
+        "replicas behind the crashed primary (default: 2)",
+    ),
+    Param(
+        "--failover-transactions", "transactions", 5, int,
+        "acked transactions scripted before the crash window closes"
+        " (default: 5)",
+    ),
+    Param(None, "level", 2, int),
+    SEED,
+    Param(None, "apply_lag_seconds", 0.0, float),
+    Param(
+        "--failover-trace", "trace_path", None, metavar="TRACE_JSON",
+        header=False,
+        help="export a Chrome trace of one instrumented failover cell"
+        " (the replication.failover span is the failover gap)",
+        note="trace written to {} (replication.failover = the failover"
+        " gap)",
+    ),
+)
 
 #: The attribute each transaction stamps; post-promotion checks read it.
 _MARK = "million"
@@ -59,69 +88,21 @@ _MARK = "million"
 _PROBE_VALUE = 7_777_777
 
 
-@dataclasses.dataclass(frozen=True)
-class FailoverWorkload:
-    """Shape of the scripted workload the drill crashes.
-
-    Attributes:
-        replicas: replica count behind the primary.
-        transactions: acknowledged-write transactions scripted before
-            the crash window closes; each touches two distinct uids
-            (so atomicity is observable) and the matrix crashes once
-            per mutating I/O operation across all of them.
-        level: HyperModel level of the base structure.
-        seed: drives uid choice and the torn-write prefixes.
-        apply_lag_seconds: replica apply lag; the drill keeps the
-            default 0 so acked work is shipped when the primary dies
-            (promotion drains the log either way).
-    """
-
-    replicas: int = 2
-    transactions: int = 5
-    level: int = 2
-    seed: int = 11
-    apply_lag_seconds: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.replicas < 1:
-            raise ValueError("a failover drill needs at least 1 replica")
-        if self.transactions < 1:
-            raise ValueError("transactions must be >= 1")
-
-
-def _base_records(level: int, seed: int) -> Dict[int, Dict[str, Any]]:
-    """Generate the structure once; every cell reloads this snapshot."""
-    from repro.backends.clientserver import ClientServerDatabase
-    from repro.core.config import HyperModelConfig
-    from repro.core.generator import DatabaseGenerator
-    from repro.netsim.server import ObjectServer
-
-    server = ObjectServer()
-    loader = ClientServerDatabase(server=server)
-    loader.open()
-    DatabaseGenerator(HyperModelConfig(levels=level, seed=seed)).generate(
-        loader
-    )
-    loader.commit()
-    loader.close()
-    return server.export_records()
-
-
 def _script_writes(
     records: Dict[int, Dict[str, Any]],
-    spec: FailoverWorkload,
+    spec: Dict[str, Any],
 ) -> List[Dict[int, Dict[str, Any]]]:
     """One two-record write set per transaction, uids disjoint across
     transactions so every uid has exactly one expected final value."""
     uids = sorted(records)
-    if len(uids) < 2 * spec.transactions + 1:
+    if len(uids) < 2 * spec["transactions"] + 1:
         raise ValueError(
-            f"level {spec.level} holds {len(uids)} records; "
-            f"{spec.transactions} transactions need "
-            f"{2 * spec.transactions + 1}"
+            f"level {spec['level']} holds {len(uids)} records; "
+            f"{spec['transactions']} transactions need "
+            f"{2 * spec['transactions'] + 1}"
         )
     script: List[Dict[int, Dict[str, Any]]] = []
-    for txn in range(spec.transactions):
+    for txn in range(spec["transactions"]):
         writes: Dict[int, Dict[str, Any]] = {}
         for uid in (uids[2 * txn], uids[2 * txn + 1]):
             record = dict(records[uid])
@@ -138,14 +119,14 @@ def _probe_uid(records: Dict[int, Dict[str, Any]]) -> int:
 
 def _deployment(
     records: Dict[int, Dict[str, Any]],
-    spec: FailoverWorkload,
+    spec: Dict[str, Any],
     vfs: FaultInjectingVFS,
     instrumentation: Optional[Instrumentation] = None,
 ) -> Tuple[ReplicationGroup, ReplicaRouter]:
     group = ReplicationGroup(
         ReplicationConfig(
-            replicas=spec.replicas,
-            apply_lag_seconds=spec.apply_lag_seconds,
+            replicas=spec["replicas"],
+            apply_lag_seconds=spec["apply_lag_seconds"],
         ),
         instrumentation=instrumentation,
         vfs=vfs,
@@ -153,22 +134,6 @@ def _deployment(
     group.load_records(records)
     router = ReplicaRouter(group, instrumentation=instrumentation)
     return group, router
-
-
-@dataclasses.dataclass
-class _Cell:
-    """One crash point's outcome."""
-
-    op: int
-    torn: bool
-    acked_txns: int
-    inflight_logged: bool
-    applied_lsns: List[int]
-    promoted_index: Optional[int]
-    violation: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
 
 
 def _drive(
@@ -263,13 +228,13 @@ def _check_promotion(
 
 def _run_cell(
     records: Dict[int, Dict[str, Any]],
-    spec: FailoverWorkload,
+    spec: Dict[str, Any],
     op: int,
     torn: bool,
+    vfs: FaultInjectingVFS,
     instrumentation: Optional[Instrumentation] = None,
-) -> _Cell:
-    vfs = FaultInjectingVFS(MemoryVFS(), seed=spec.seed)
-    vfs.crash_at(op, torn=torn)
+) -> Dict[str, Any]:
+    """One crash point's outcome (``vfs`` is armed to die at ``op``)."""
     group, router = _deployment(records, spec, vfs, instrumentation)
     script = _script_writes(records, spec)
     violation: Optional[str] = None
@@ -288,15 +253,15 @@ def _run_cell(
         inflight_logged, violation = _check_promotion(
             group, router, records, acked, inflight
         )
-    return _Cell(
-        op=op,
-        torn=torn,
-        acked_txns=len(acked) // 2,
-        inflight_logged=inflight_logged,
-        applied_lsns=group.applied_lsns,
-        promoted_index=group.promoted_index,
-        violation=violation,
-    )
+    return {
+        "op": op,
+        "torn": torn,
+        "acked_txns": len(acked) // 2,
+        "inflight_logged": inflight_logged,
+        "applied_lsns": group.applied_lsns,
+        "promoted_index": group.promoted_index,
+        "violation": violation,
+    }
 
 
 def _partial_progress(
@@ -324,59 +289,60 @@ def _partial_progress(
     return acked, inflight
 
 
-def run_failover_drill(
-    workload: Optional[FailoverWorkload] = None,
-    trace_path: Optional[str] = None,
-) -> Dict[str, Any]:
+def run_failover_drill(**overrides: Any) -> Dict[str, Any]:
     """Run the full crash matrix; return the results document.
 
-    A counting pre-pass sizes the matrix: it drives the scripted
-    transactions with no fault scheduled and records which mutating
-    I/O operations belong to the commit window, then one cell crashes
-    at each (clean and torn alternating).  With ``trace_path`` the
-    last cell re-runs under live instrumentation and its span timeline
-    — including the ``replication.failover`` election span — is
-    exported as a Chrome trace.
+    Keywords are the :data:`PARAMS` names.  A counting pre-pass sizes
+    the matrix: it drives the scripted transactions with no fault
+    scheduled and records which mutating I/O operations belong to the
+    commit window, then one cell crashes at each (clean and torn
+    alternating).  With ``trace_path`` the last cell re-runs under
+    live instrumentation and its span timeline — including the
+    ``replication.failover`` election span — is exported as a Chrome
+    trace.
     """
-    spec = workload or FailoverWorkload()
-    records = _base_records(spec.level, spec.seed)
-    script = _script_writes(records, spec)
+    spec = grid.resolve(PARAMS, overrides)
+    if spec["replicas"] < 1:
+        raise ValueError("a failover drill needs at least 1 replica")
+    if spec["transactions"] < 1:
+        raise ValueError("transactions must be >= 1")
+    _gen, records = grid.generate_structure(spec["level"], spec["seed"])
 
-    counter = FaultInjectingVFS(MemoryVFS(), seed=spec.seed)
-    group, router = _deployment(records, spec, counter)
-    first_op = counter.mutation_ops + 1
-    _drive(router, script)
-    last_op = counter.mutation_ops
+    def make_vfs(_op: int) -> FaultInjectingVFS:
+        return FaultInjectingVFS(MemoryVFS(), seed=spec["seed"])
 
-    cells: List[_Cell] = []
-    for op in range(first_op, last_op + 1):
-        cells.append(_run_cell(records, spec, op, torn=(op % 2 == 0)))
+    def commit_window(counter: FaultInjectingVFS) -> int:
+        _group, router = _deployment(records, spec, counter)
+        first_op = counter.mutation_ops + 1
+        _drive(router, _script_writes(records, spec))
+        return first_op
 
-    trace_violation = _export_trace(records, spec, last_op, trace_path)
-    violations = [
-        f"op {cell.op} ({'torn' if cell.torn else 'clean'}): "
-        f"{cell.violation}"
-        for cell in cells
-        if cell.violation
+    last_op, points = crash_points(make_vfs, commit_window)
+    cells = [
+        _run_cell(records, spec, op, torn, vfs) for op, torn, vfs in points
     ]
-    if trace_violation:
-        violations.append(trace_violation)
-    return {
-        "benchmark": "replica-failover",
-        "workload": dataclasses.asdict(spec),
-        "crash_points_tested": len(cells),
-        "violation_count": len(violations),
-        "violations": violations,
-        "cells": [cell.to_dict() for cell in cells],
-        "provenance": provenance(**dataclasses.asdict(spec)),
-    }
+    violations = [
+        f"op {cell['op']} ({'torn' if cell['torn'] else 'clean'}): "
+        f"{cell['violation']}"
+        for cell in cells
+        if cell["violation"]
+    ]
+    if spec["trace_path"] is not None:
+        trace_violation = _export_trace(
+            records, spec, last_op, armed_vfs(make_vfs, last_op, torn=False)
+        )
+        if trace_violation:
+            violations.append(trace_violation)
+    return crash_document(
+        "replica-failover", PARAMS, spec, cells, violations=violations
+    )
 
 
 def _export_trace(
     records: Dict[int, Dict[str, Any]],
-    spec: FailoverWorkload,
+    spec: Dict[str, Any],
     op: int,
-    trace_path: Optional[str],
+    vfs: FaultInjectingVFS,
 ) -> Optional[str]:
     """Re-run one cell instrumented; write its Chrome trace.
 
@@ -384,74 +350,65 @@ def _export_trace(
     from the recorded timeline (the trace is the acceptance artifact:
     the election must be visible as a named span).
     """
-    if trace_path is None:
-        return None
     from repro.obs.traceexport import write_chrome_trace
 
     instr = Instrumentation()
-    cell = _run_cell(records, spec, op, torn=False, instrumentation=instr)
+    cell = _run_cell(records, spec, op, False, vfs, instrumentation=instr)
     spans = [record.name for record in instr.spans.records()]
     lane_metadata = {
-        "primary": {"role": "primary", "replicas": spec.replicas},
+        "primary": {"role": "primary", "replicas": spec["replicas"]},
     }
-    for index in range(spec.replicas):
+    for index in range(spec["replicas"]):
         lane_metadata[f"replica{index}"] = {
             "role": "replica",
-            "replicas": spec.replicas,
+            "replicas": spec["replicas"],
         }
     write_chrome_trace(
         instr,
-        trace_path,
+        spec["trace_path"],
         process_name="failover drill",
         server_name="replication group",
         lane_metadata=lane_metadata,
     )
     if "replication.failover" not in spans:
         return "trace: no replication.failover span recorded"
-    if cell.violation:
-        return f"trace cell: {cell.violation}"
+    if cell["violation"]:
+        return f"trace cell: {cell['violation']}"
     return None
-
-
-def write_failover_bench(
-    out_path: str,
-    workload: Optional[FailoverWorkload] = None,
-    trace_path: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Run the drill and write the document as JSON."""
-    document = run_failover_drill(workload, trace_path=trace_path)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
 
 
 def format_summary(document: Dict[str, Any]) -> str:
     """Human-readable drill summary (the CLI prints this)."""
-    lines = [
-        "replica failover drill: "
-        f"{document['crash_points_tested']} crash points, "
-        f"{document['workload']['replicas']} replicas, "
-        f"{document['workload']['transactions']} transactions",
-    ]
     logged = sum(1 for c in document["cells"] if c["inflight_logged"])
     torn = sum(1 for c in document["cells"] if c["torn"])
-    lines.append(
-        f"  {torn} torn-write cells; in-flight transaction survived "
-        f"complete in {logged} cells (crash at/after its durability "
-        "point), fully absent in the rest"
+    return format_crash_summary(
+        "replica failover drill "
+        f"({document['workload']['replicas']} replicas, "
+        f"{document['workload']['transactions']} transactions)",
+        document,
+        [
+            f"{torn} torn-write cells; in-flight transaction survived"
+            f" complete in {logged} cells (crash at/after its durability"
+            " point), fully absent in the rest"
+        ],
+        lambda cell: (
+            f"op {cell['op']} ({'torn' if cell['torn'] else 'clean'})"
+        ),
     )
-    for cell in document["cells"]:
-        if cell["violation"]:
-            mode = "torn" if cell["torn"] else "clean"
-            lines.append(
-                f"  VIOLATION op {cell['op']} ({mode}): {cell['violation']}"
-            )
-    if document["violation_count"] == 0:
-        lines.append(
-            "  all invariants held: election, durability, atomicity, "
-            "re-route"
-        )
-    else:
-        lines.append(f"  {document['violation_count']} VIOLATION(S)")
-    return "\n".join(lines)
+
+
+BENCH = Bench(
+    PARAMS,
+    grid.out_param(
+        "BENCH_failover.json", "--failover-out", "failover drill output"
+    ),
+    run_failover_drill,
+    format_summary,
+    switch=Param(
+        "--failover", "failover", False, bool,
+        "also run the promote-on-primary-crash failover drill (crash"
+        " the replication primary at every commit-path I/O op, elect a"
+        " replica, verify durability/atomicity/re-route) and fold its"
+        " violations into the exit code",
+    ),
+)

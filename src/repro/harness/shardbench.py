@@ -23,58 +23,70 @@ benchmarks use, under ``cells[shards<N>-<placement>][closure|update]``.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import random
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
-from repro.core.config import HyperModelConfig
-from repro.core.generator import DatabaseGenerator, GeneratedDatabase
-from repro.harness.provenance import provenance
+from repro.core.generator import GeneratedDatabase
+from repro.harness import grid
+from repro.harness.grid import Bench, Param
 from repro.netsim.config import NetworkConfig, ShardConfig
-from repro.netsim.latency import LatencyModel
-from repro.obs import FlightRecorder, Instrumentation, LatencyHistogram
+from repro.obs import FlightRecorder, Instrumentation
 
-#: Default grid: shard counts × placement policies.
-DEFAULT_SHARDS = (1, 2, 4)
-DEFAULT_PLACEMENTS = ("hash", "affine")
+PARAMS = (
+    Param(
+        "--shards", "shard_counts", "1,2,4", grid.ints,
+        "comma-separated shard counts (default: 1,2,4)",
+    ),
+    Param(
+        "--placements", "placements", "hash,affine", grid.strs,
+        "comma-separated placement policies (default: hash,affine)",
+    ),
+    Param("--level", "level", 4, int, "leaf level (default: 4)"),
+    Param(
+        "--closures", "closures", 12, int,
+        "cold closure traversals per cell (default: 12)",
+    ),
+    Param(
+        "--updates", "updates", 24, int,
+        "optimistic update transactions per cell (default: 24)",
+    ),
+    Param("--seed", "seed", 1989, int),
+    grid.timeline_param("virtual clock, one sample per closure/update"),
+    Param(
+        "--deep-level", "deep_level", None, int,
+        "add one whole-structure closure cell per placement at this"
+        " level (7 = 97 656 nodes) over the largest shard count;"
+        " informational until the baseline carries a budget",
+        metavar="LEVEL",
+    ),
+    Param(
+        "--deep-closures", "deep_closures", 2, int,
+        "closures in the deep scale cell (default: 2)",
+    ),
+)
 
 
-def _generate_structure(level: int, seed: int):
-    """Generate the shared structure once; return (gen, record dump)."""
+def _deployment(
+    records: Dict[int, Dict[str, Any]],
+    shards: int,
+    placement: str,
+    **network: Any,
+):
+    """A fresh optimistic sharded deployment loaded with ``records``."""
     from repro.backends.clientserver import ClientServerDatabase
-    from repro.netsim.server import ObjectServer
 
-    server = ObjectServer(latency=LatencyModel())
-    loader = ClientServerDatabase(server=server)
-    loader.open()
-    gen = DatabaseGenerator(
-        HyperModelConfig(levels=level, seed=seed)
-    ).generate(loader)
-    loader.commit()
-    loader.close()
-    return gen, server.export_records()
-
-
-@dataclasses.dataclass
-class _Phase:
-    """Latency samples + counter deltas of one measured phase."""
-
-    samples_ms: List[float]
-    counters: Dict[str, float]
-
-    def leaf(self, mode: str, **extra: Any) -> Dict[str, Any]:
-        hist = LatencyHistogram.from_samples(self.samples_ms)
-        leaf: Dict[str, Any] = {
-            "mode": mode,
-            "samples": len(self.samples_ms),
-            "p50_ms": round(hist.percentile(0.50), 4),
-            "p90_ms": round(hist.percentile(0.90), 4),
-            "p99_ms": round(hist.percentile(0.99), 4),
-            "max_ms": round(hist.maximum, 4),
-        }
-        leaf.update(extra)
-        return leaf
+    instr = Instrumentation()
+    db = ClientServerDatabase(
+        network=NetworkConfig(
+            concurrency="optimistic",
+            sharding=ShardConfig(shards=shards, placement=placement),
+            **network,
+        ),
+        instrumentation=instr,
+    )
+    db.open()
+    db.server.load_records(records)
+    return db, instr
 
 
 def _run_cell(
@@ -87,16 +99,7 @@ def _run_cell(
     seed: int,
     recorder: Optional[FlightRecorder] = None,
 ) -> Dict[str, Any]:
-    from repro.backends.clientserver import ClientServerDatabase
-
-    instr = Instrumentation()
-    network = NetworkConfig(
-        concurrency="optimistic",
-        sharding=ShardConfig(shards=shards, placement=placement),
-    )
-    db = ClientServerDatabase(network=network, instrumentation=instr)
-    db.open()
-    db.server.load_records(records)
+    db, instr = _deployment(records, shards, placement)
     clock = db.simulated_clock
     rng = random.Random(
         seed * 7919 + shards * 101 + (13 if placement == "hash" else 29)
@@ -112,16 +115,12 @@ def _run_cell(
     closure_samples: List[float] = []
     for _ in range(closures):
         root = gen.random_internal_uid(rng)
-        db.cache.clear()  # every closure starts cold
-        start = clock.now
-        pushed = db.prefetch_closure(root, "children", None)
-        if not pushed:  # pragma: no cover - pushdown is on in this grid
-            raise RuntimeError("closure push-down unexpectedly disabled")
-        closure_samples.append((clock.now - start) * 1000.0)
+        closure_samples.append(grid.closure_ms(db, root))
         if recorder is not None:
             recorder.sample(clock.now, label=f"{cell_key}/closure")
     closure_delta = instr.delta_since(before)
-    closure = _Phase(closure_samples, closure_delta).leaf(
+    closure = grid.latency_leaf(
+        closure_samples,
         "sharded-closure",
         round_trips=int(closure_delta.get("backend.rpc.round_trips", 0)),
         scatter_rounds=int(
@@ -149,7 +148,8 @@ def _run_cell(
             recorder.sample(clock.now, label=f"{cell_key}/update")
     update_span = clock.now - update_start
     update_delta = instr.delta_since(before)
-    update = _Phase(update_samples, update_delta).leaf(
+    update = grid.latency_leaf(
+        update_samples,
         "sharded-update",
         round_trips=int(update_delta.get("backend.rpc.round_trips", 0)),
         two_phase_commits=int(update_delta.get("backend.2pc.commits", 0)),
@@ -178,32 +178,19 @@ def _run_deep_cell(
     ``budget_ms_per_node`` ceiling later — until then the cell is
     informational only (bench-diff skips cells the baseline lacks).
     """
-    from repro.backends.clientserver import ClientServerDatabase
-
-    instr = Instrumentation()
-    network = NetworkConfig(
-        concurrency="optimistic",
-        cache_capacity=131072,
-        sharding=ShardConfig(shards=shards, placement=placement),
+    db, instr = _deployment(
+        records, shards, placement, cache_capacity=131072
     )
-    db = ClientServerDatabase(network=network, instrumentation=instr)
-    db.open()
-    db.server.load_records(records)
-    clock = db.simulated_clock
     before = instr.snapshot()
-    samples_ms: List[float] = []
-    nodes = 0
-    for _ in range(closures):
-        db.cache.clear()
-        start = clock.now
-        if not db.prefetch_closure(gen.root_uid, "children", None):
-            raise RuntimeError("closure push-down unexpectedly disabled")
-        samples_ms.append((clock.now - start) * 1000.0)
+    samples_ms = [
+        grid.closure_ms(db, gen.root_uid) for _ in range(closures)
+    ]
     delta = instr.delta_since(before)
     nodes = int(delta.get("backend.rpc.pushdown.objects", 0)) // max(
         closures, 1
     )
-    leaf = _Phase(samples_ms, delta).leaf(
+    leaf = grid.latency_leaf(
+        samples_ms,
         "sharded-deep-closure",
         level=level,
         nodes=nodes,
@@ -218,22 +205,13 @@ def _run_deep_cell(
     return {"closure": leaf}
 
 
-def run_sharded_bench(
-    shard_counts: Sequence[int] = DEFAULT_SHARDS,
-    placements: Sequence[str] = DEFAULT_PLACEMENTS,
-    level: int = 4,
-    closures: int = 12,
-    updates: int = 24,
-    seed: int = 1989,
-    timeline: Optional[str] = None,
-    deep_level: Optional[int] = None,
-    deep_closures: int = 2,
-) -> Dict[str, Any]:
+def run_sharded_bench(**overrides: Any) -> Dict[str, Any]:
     """Run the shard-count × placement grid; return the JSON document.
 
-    The structure is generated once (level ``level``, seed ``seed``)
-    and loaded into a fresh sharded deployment per cell, so cells are
-    independent and the grid order does not matter.
+    Keywords are the :data:`PARAMS` names.  The structure is generated
+    once (level ``level``, seed ``seed``) and loaded into a fresh
+    sharded deployment per cell, so cells are independent and the grid
+    order does not matter.
 
     ``timeline`` writes a flight-recorder JSONL to that path: one
     sample per closure and per update iteration, stamped at the
@@ -246,75 +224,48 @@ def run_sharded_bench(
     is 97 656 nodes).  It is additive and soft: bench-diff skips cells
     the committed baseline does not carry.
     """
-    shard_counts = sorted(set(int(n) for n in shard_counts))
+    p = grid.resolve(PARAMS, overrides)
+    shard_counts = p["shard_counts"] = sorted(
+        set(int(n) for n in p["shard_counts"])
+    )
     if not shard_counts or shard_counts[0] < 1:
         raise ValueError("shard counts must be positive")
+    placements = p["placements"] = list(p["placements"])
     for placement in placements:
         ShardConfig(shards=max(shard_counts), placement=placement)
-    gen, records = _generate_structure(level, seed)
-    recorder = None
-    if timeline is not None:
-        recorder = FlightRecorder(None, capacity=65536, clock="virtual")
+    gen, records = grid.generate_structure(p["level"], p["seed"])
     cells: Dict[str, Dict[str, Any]] = {}
-    for shards in shard_counts:
-        for placement in placements:
-            cells[f"shards{shards}-{placement}"] = _run_cell(
-                gen,
-                records,
-                shards,
-                placement,
-                closures,
-                updates,
-                seed,
-                recorder=recorder,
-            )
-    if deep_level is not None:
-        deep_gen, deep_records = _generate_structure(deep_level, seed)
-        deep_shards = shard_counts[-1]
-        for placement in placements:
-            cells[f"deep{deep_level}-shards{deep_shards}-{placement}"] = (
-                _run_deep_cell(
-                    deep_gen,
-                    deep_records,
-                    deep_shards,
+    with grid.timeline(p["timeline"]) as recorder:
+        for shards in shard_counts:
+            for placement in placements:
+                cells[f"shards{shards}-{placement}"] = _run_cell(
+                    gen,
+                    records,
+                    shards,
                     placement,
-                    deep_closures,
-                    deep_level,
+                    p["closures"],
+                    p["updates"],
+                    p["seed"],
+                    recorder=recorder,
                 )
+        deep_level = p["deep_level"]
+        if deep_level is not None:
+            deep_gen, deep_records = grid.generate_structure(
+                deep_level, p["seed"]
             )
-    if recorder is not None and timeline is not None:
-        recorder.write_jsonl(timeline)
-    document = {
-        "benchmark": "sharded",
-        "level": level,
-        "seed": seed,
-        "shard_counts": list(shard_counts),
-        "placements": list(placements),
-        "closures": closures,
-        "updates": updates,
-        "provenance": provenance(
-            shard_counts=list(shard_counts),
-            placements=list(placements),
-            level=level,
-            closures=closures,
-            updates=updates,
-            seed=seed,
-        ),
-        "cells": cells,
-    }
-    if deep_level is not None:
-        document["deep_level"] = deep_level
-        document["deep_closures"] = deep_closures
-    return document
-
-
-def write_sharded_bench(out_path: str, **kwargs: Any) -> Dict[str, Any]:
-    """Run :func:`run_sharded_bench` and write ``out_path`` as JSON."""
-    document = run_sharded_bench(**kwargs)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
+            deep_shards = shard_counts[-1]
+            for placement in placements:
+                cells[f"deep{deep_level}-shards{deep_shards}-{placement}"] = (
+                    _run_deep_cell(
+                        deep_gen,
+                        deep_records,
+                        deep_shards,
+                        placement,
+                        p["deep_closures"],
+                        deep_level,
+                    )
+                )
+    return grid.document("sharded", PARAMS, p, cells)
 
 
 def format_summary(document: Dict[str, Any]) -> str:
@@ -345,3 +296,11 @@ def format_summary(document: Dict[str, Any]) -> str:
             f"{update['throughput_per_s']:>9.1f}"
         )
     return "\n".join(lines)
+
+
+BENCH = Bench(
+    PARAMS,
+    grid.out_param("BENCH_sharded.json"),
+    run_sharded_bench,
+    format_summary,
+)

@@ -41,27 +41,49 @@ follow-up transaction through a fresh router).
 from __future__ import annotations
 
 import copy
-import dataclasses
-import json
 import os
 import tempfile
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.engine.vfs import FaultInjectingVFS, SimulatedCrash
 from repro.engine.wal import WriteAheadLog
-from repro.harness.provenance import provenance
+from repro.harness import grid
+from repro.harness.crashpoints import (
+    SEED,
+    crash_document,
+    crash_points,
+    format_crash_summary,
+)
+from repro.harness.grid import Bench, Param
 from repro.netsim.config import ShardConfig
 from repro.netsim.latency import SimulatedClock
 from repro.netsim.server import ObjectServer
 from repro.sharding.placement import make_placement
 from repro.sharding.router import ShardRouter
 
-__all__ = [
-    "TwoPhaseWorkload",
-    "run_two_phase_crash_matrix",
-    "write_two_phase_crash_bench",
-    "format_summary",
-]
+#: Shape of the scripted cross-shard transactions: each crosses *all*
+#: shards (one owned uid per shard) and is crashed once per scenario.
+#: ``level`` is the HyperModel level of the base structure the
+#: deployment is loaded with; ``seed`` drives uid choice and the
+#: torn-write prefixes.
+PARAMS = (
+    Param(
+        "--two-phase-shards", "shards", 3, int,
+        "shard servers in the 2PC matrix (default: 3)",
+    ),
+    Param(
+        "--two-phase-placement", "placement", "hash",
+        help="placement policy in the 2PC matrix (default: hash)",
+        choices=("hash", "affine"),
+    ),
+    Param(
+        "--two-phase-transactions", "transactions", 4, int,
+        "cross-shard transactions crashed per scenario (default: 4)",
+    ),
+    Param(None, "level", 2, int),
+    SEED,
+    Param(None, "base_dir", None, header=False),
+)
 
 #: The protocol seams the matrix crashes at (see module docstring).
 SCENARIOS = (
@@ -76,55 +98,9 @@ SCENARIOS = (
 _MARK = "million"
 
 
-@dataclasses.dataclass(frozen=True)
-class TwoPhaseWorkload:
-    """Shape of the scripted cross-shard transactions.
-
-    Attributes:
-        shards: shard servers in each cell's deployment.
-        placement: OID→shard policy under test.
-        transactions: scripted transactions; each crosses *all*
-            shards (one owned uid per shard) and is crashed once per
-            scenario.
-        level: HyperModel level of the base structure the deployment
-            is loaded with.
-        seed: drives uid choice and the torn-write prefixes.
-    """
-
-    shards: int = 3
-    placement: str = "hash"
-    transactions: int = 4
-    level: int = 2
-    seed: int = 11
-
-    def __post_init__(self) -> None:
-        if self.shards < 2:
-            raise ValueError("a 2PC matrix needs at least 2 shards")
-        if self.transactions < 1:
-            raise ValueError("transactions must be >= 1")
-
-
-def _base_records(level: int, seed: int) -> Dict[int, Dict[str, Any]]:
-    """Generate the structure once; every cell reloads this snapshot."""
-    from repro.backends.clientserver import ClientServerDatabase
-
-    server = ObjectServer()
-    loader = ClientServerDatabase(server=server)
-    loader.open()
-    from repro.core.config import HyperModelConfig
-    from repro.core.generator import DatabaseGenerator
-
-    DatabaseGenerator(HyperModelConfig(levels=level, seed=seed)).generate(
-        loader
-    )
-    loader.commit()
-    loader.close()
-    return server.export_records()
-
-
 def _script_writes(
     records: Dict[int, Dict[str, Any]],
-    spec: TwoPhaseWorkload,
+    spec: Dict[str, Any],
 ) -> List[Dict[int, Dict[str, Any]]]:
     """One write set per transaction, each touching every shard.
 
@@ -133,26 +109,26 @@ def _script_writes(
     with a transaction-unique ``million`` marker.
     """
     placement = make_placement(
-        ShardConfig(shards=spec.shards, placement=spec.placement)
+        ShardConfig(shards=spec["shards"], placement=spec["placement"])
     )
     pools: Dict[int, List[int]] = {
-        index: [] for index in range(spec.shards)
+        index: [] for index in range(spec["shards"])
     }
     for uid in sorted(records):
         pools[placement.shard_of(uid)].append(uid)
     for index, pool in pools.items():
         if not pool:
             raise ValueError(
-                f"shard {index} owns no uids at level {spec.level};"
+                f"shard {index} owns no uids at level {spec['level']};"
                 " grow the structure or the placement is degenerate"
             )
     script: List[Dict[int, Dict[str, Any]]] = []
-    for txn in range(spec.transactions):
+    for txn in range(spec["transactions"]):
         writes: Dict[int, Dict[str, Any]] = {}
-        for index in range(spec.shards):
+        for index in range(spec["shards"]):
             uid = pools[index][txn % len(pools[index])]
             record = copy.deepcopy(records[uid])
-            record[_MARK] = 1_000_000 + txn * spec.shards + index
+            record[_MARK] = 1_000_000 + txn * spec["shards"] + index
             writes[uid] = record
         script.append(writes)
     return script
@@ -164,40 +140,51 @@ class _Deployment:
     def __init__(
         self,
         scratch: str,
-        spec: TwoPhaseWorkload,
+        spec: Dict[str, Any],
         records: Dict[int, Dict[str, Any]],
         wal_vfs: Optional[Dict[int, Any]] = None,
     ) -> None:
         self.spec = spec
         self.clock = SimulatedClock()
         self.config = ShardConfig(
-            shards=spec.shards, placement=spec.placement
+            shards=spec["shards"], placement=spec["placement"]
         )
         self.placement = make_placement(self.config)
         self.wal_paths = [
             os.path.join(scratch, f"shard{index}.wal")
-            for index in range(spec.shards)
+            for index in range(spec["shards"])
         ]
         self.decision_path = os.path.join(scratch, "decision.wal")
-        vfs_map = wal_vfs or {}
-        self.servers = [
-            ObjectServer(
-                self.clock,
-                wal=WriteAheadLog(path, vfs=vfs_map.get(index)),
-                shard_id=index,
-            )
-            for index, path in enumerate(self.wal_paths)
-        ]
+        self.servers = self._open_servers(wal_vfs or {})
         self.decision_log = WriteAheadLog(self.decision_path)
         self.slices = {
             index: {
                 uid: records[uid]
                 for uid in self.placement.partition(records).get(index, ())
             }
-            for index in range(spec.shards)
+            for index in range(spec["shards"])
         }
         for index, server in enumerate(self.servers):
             server.load_records(self.slices[index])
+
+    def _open_servers(self, wal_vfs: Dict[int, Any]) -> List[ObjectServer]:
+        return [
+            ObjectServer(
+                self.clock,
+                wal=WriteAheadLog(path, vfs=wal_vfs.get(index)),
+                shard_id=index,
+            )
+            for index, path in enumerate(self.wal_paths)
+        ]
+
+    def prepare(
+        self, txid: int, writes: Dict[int, Dict[str, Any]], index: int
+    ) -> None:
+        """Phase one on shard ``index``: prepare its slice of ``writes``."""
+        owned = self.placement.partition(writes)[index]
+        self.servers[index].prepare_batch(
+            txid, {uid: writes[uid] for uid in owned}, {}
+        )
 
     def recover(self) -> ShardRouter:
         """Crash the site: discard every server, rebuild from the WALs.
@@ -205,18 +192,8 @@ class _Deployment:
         Returns a fresh router over the recovered servers, sharing the
         reopened decision log — the caller runs ``resolve_in_doubt``.
         """
-        for server in self.servers:
-            if server.wal is not None:
-                server.wal.close()
-        self.decision_log.close()
-        self.servers = [
-            ObjectServer(
-                self.clock,
-                wal=WriteAheadLog(path),
-                shard_id=index,
-            )
-            for index, path in enumerate(self.wal_paths)
-        ]
+        self.close()
+        self.servers = self._open_servers({})
         for index, server in enumerate(self.servers):
             server.recover_from_wal(self.slices[index])
         self.decision_log = WriteAheadLog(self.decision_path)
@@ -308,12 +285,9 @@ def _drive(
     (``"committed"`` or ``"aborted"``).  ``participant-torn-prepare``
     is driven elsewhere (the crash happens *inside* a prepare).
     """
-    groups = deployment.placement.partition(writes)
-    participants = sorted(groups)
+    participants = sorted(deployment.placement.partition(writes))
     for index in participants:
-        deployment.servers[index].prepare_batch(
-            txid, {uid: writes[uid] for uid in groups[index]}, {}
-        )
+        deployment.prepare(txid, writes, index)
     if scenario == "coordinator-before-decision":
         return "aborted"
     deployment.decision_log.log_commit(txid, [])
@@ -327,59 +301,98 @@ def _drive(
     return "committed"
 
 
-def _count_prepare_ops(
-    scratch: str,
-    spec: TwoPhaseWorkload,
-    records: Dict[int, Dict[str, Any]],
-    txid: int,
-    writes: Dict[int, Dict[str, Any]],
-    victim: int,
-) -> int:
-    """Counting pre-pass: mutating WAL I/O ops in the victim's prepare."""
-    counter = FaultInjectingVFS(seed=spec.seed)
-    pre_dir = os.path.join(scratch, "pre")
-    os.mkdir(pre_dir)
-    deployment = _Deployment(
-        pre_dir, spec, records, wal_vfs={victim: counter}
-    )
-    try:
-        groups = deployment.placement.partition(writes)
-        deployment.servers[victim].prepare_batch(
-            txid, {uid: writes[uid] for uid in groups[victim]}, {}
-        )
-    finally:
-        deployment.close()
-    return counter.mutation_ops
-
-
-@dataclasses.dataclass
-class _Cell:
-    scenario: str
-    txn: int
-    op: int
-    torn: bool
-    expected: str
-    violation: Optional[str]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-
-def run_two_phase_crash_matrix(
-    workload: Optional[TwoPhaseWorkload] = None,
-    base_dir: Optional[str] = None,
+def _cell(
+    scenario: str,
+    txn: int,
+    op: int,
+    torn: bool,
+    expected: str,
+    violation: Optional[str],
 ) -> Dict[str, Any]:
+    return {
+        "scenario": scenario,
+        "txn": txn,
+        "op": op,
+        "torn": torn,
+        "expected": expected,
+        "violation": violation,
+    }
+
+
+def _torn_prepare_cells(
+    torn_dir: str,
+    spec: Dict[str, Any],
+    records: Dict[int, Dict[str, Any]],
+    txn: int,
+    writes: Dict[int, Dict[str, Any]],
+) -> Iterator[Dict[str, Any]]:
+    """Crash inside the victim's prepare: one cell per WAL I/O op."""
+    txid = txn + 1
+    victim = spec["shards"] - 1
+
+    def count_prepare_ops(counter: FaultInjectingVFS) -> None:
+        pre_dir = os.path.join(torn_dir, "pre")
+        os.mkdir(pre_dir)
+        deployment = _Deployment(
+            pre_dir, spec, records, wal_vfs={victim: counter}
+        )
+        try:
+            deployment.prepare(txid, writes, victim)
+        finally:
+            deployment.close()
+
+    total_ops, points = crash_points(
+        lambda op: FaultInjectingVFS(seed=spec["seed"] + txn * 1000 + op),
+        count_prepare_ops,
+    )
+    for op, torn, vfs in points:
+        cell_dir = os.path.join(torn_dir, f"op-{op}")
+        os.mkdir(cell_dir)
+        deployment = _Deployment(
+            cell_dir, spec, records, wal_vfs={victim: vfs}
+        )
+        prepared: List[int] = []
+        try:
+            for index in sorted(deployment.placement.partition(writes)):
+                deployment.prepare(txid, writes, index)
+                prepared.append(index)
+            violation: Optional[str] = (
+                f"torn-prepare cell at op {op} never crashed"
+                f" ({total_ops} ops counted)"
+            )
+        except SimulatedCrash:
+            # Presumed abort: the coordinator saw the prepare fail,
+            # aborts the survivors, logs nothing … and then the whole
+            # site goes down too.
+            for index in prepared:
+                deployment.servers[index].abort_prepared(txid)
+            router = deployment.recover()
+            outcomes = router.resolve_in_doubt()
+            violation = _verify_cell(
+                deployment, router, outcomes, txid, writes, "aborted"
+            )
+        deployment.close()
+        yield _cell(
+            "participant-torn-prepare", txn, op, torn, "aborted", violation
+        )
+
+
+def run_two_phase_crash_matrix(**overrides: Any) -> Dict[str, Any]:
     """Run the full scenario × transaction matrix; return the document.
 
-    Deterministic end to end: the structure, the scripted write sets,
-    the torn-write prefixes and the cell order are all seed-derived.
+    Keywords are the :data:`PARAMS` names.  Deterministic end to end:
+    the structure, the scripted write sets, the torn-write prefixes
+    and the cell order are all seed-derived.
     """
-    spec = workload or TwoPhaseWorkload()
-    records = _base_records(spec.level, spec.seed)
-    script = _script_writes(records, spec)
-    cells: List[_Cell] = []
-    with tempfile.TemporaryDirectory(dir=base_dir) as scratch:
-        for txn, writes in enumerate(script):
+    spec = grid.resolve(PARAMS, overrides)
+    if spec["shards"] < 2:
+        raise ValueError("a 2PC matrix needs at least 2 shards")
+    if spec["transactions"] < 1:
+        raise ValueError("transactions must be >= 1")
+    _gen, records = grid.generate_structure(spec["level"], spec["seed"])
+    cells: List[Dict[str, Any]] = []
+    with tempfile.TemporaryDirectory(dir=spec["base_dir"]) as scratch:
+        for txn, writes in enumerate(_script_writes(records, spec)):
             txid = txn + 1
             for scenario in SCENARIOS:
                 if scenario == "participant-torn-prepare":
@@ -395,112 +408,55 @@ def run_two_phase_crash_matrix(
                 )
                 deployment.close()
                 cells.append(
-                    _Cell(scenario, txn, 0, False, expected, violation)
+                    _cell(scenario, txn, 0, False, expected, violation)
                 )
-            # -- torn prepare: crash inside the victim's WAL write ----
-            victim = spec.shards - 1
             torn_dir = os.path.join(scratch, f"torn-{txn}")
             os.mkdir(torn_dir)
-            total_ops = _count_prepare_ops(
-                torn_dir, spec, records, txid, writes, victim
+            cells.extend(
+                _torn_prepare_cells(torn_dir, spec, records, txn, writes)
             )
-            for op in range(1, total_ops + 1):
-                torn = (op % 2) == 0
-                cell_dir = os.path.join(torn_dir, f"op-{op}")
-                os.mkdir(cell_dir)
-                vfs = FaultInjectingVFS(
-                    seed=spec.seed + txn * 1000 + op
-                ).crash_at(op, torn=torn)
-                deployment = _Deployment(
-                    cell_dir, spec, records, wal_vfs={victim: vfs}
-                )
-                groups = deployment.placement.partition(writes)
-                participants = sorted(groups)
-                prepared: List[int] = []
-                violation: Optional[str] = None
-                crashed = False
-                for index in participants:
-                    try:
-                        deployment.servers[index].prepare_batch(
-                            txid,
-                            {uid: writes[uid] for uid in groups[index]},
-                            {},
-                        )
-                        prepared.append(index)
-                    except SimulatedCrash:
-                        crashed = True
-                        break
-                if not crashed:
-                    violation = (
-                        f"torn-prepare cell at op {op} never crashed"
-                        f" ({total_ops} ops counted)"
-                    )
-                else:
-                    # Presumed abort: the coordinator saw the prepare
-                    # fail, aborts the survivors, logs nothing … and
-                    # then the whole site goes down too.
-                    for index in prepared:
-                        deployment.servers[index].abort_prepared(txid)
-                    router = deployment.recover()
-                    outcomes = router.resolve_in_doubt()
-                    violation = _verify_cell(
-                        deployment, router, outcomes, txid, writes,
-                        "aborted",
-                    )
-                deployment.close()
-                cells.append(
-                    _Cell(
-                        "participant-torn-prepare", txn, op, torn,
-                        "aborted", violation,
-                    )
-                )
-    violations = [cell for cell in cells if cell.violation]
     by_scenario: Dict[str, int] = {}
     for cell in cells:
-        by_scenario[cell.scenario] = by_scenario.get(cell.scenario, 0) + 1
-    return {
-        "benchmark": "two-phase-crash-matrix",
-        "provenance": provenance(**dataclasses.asdict(spec)),
-        "workload": dataclasses.asdict(spec),
-        "crash_points_tested": len(cells),
-        "cells_by_scenario": by_scenario,
-        "violation_count": len(violations),
-        "violations": [cell.to_dict() for cell in violations],
-        "cells": [cell.to_dict() for cell in cells],
-    }
-
-
-def write_two_phase_crash_bench(
-    out_path: str,
-    workload: Optional[TwoPhaseWorkload] = None,
-    base_dir: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Run the matrix and write the document to ``out_path``."""
-    document = run_two_phase_crash_matrix(
-        workload=workload, base_dir=base_dir
+        scenario = cell["scenario"]
+        by_scenario[scenario] = by_scenario.get(scenario, 0) + 1
+    return crash_document(
+        "two-phase-crash-matrix",
+        PARAMS,
+        spec,
+        cells,
+        cells_by_scenario=by_scenario,
     )
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
 
 
 def format_summary(document: Dict[str, Any]) -> str:
     """A terminal summary of a two-phase crash-matrix document."""
     workload = document["workload"]
-    lines = [
+    return format_crash_summary(
         "two-phase-commit crash matrix "
         f"({workload['shards']} shards, {workload['placement']}"
         f" placement, {workload['transactions']} txns)",
-        f"  crash points tested : {document['crash_points_tested']}",
-        f"  invariant violations: {document['violation_count']}",
-    ]
-    for scenario in SCENARIOS:
-        count = document["cells_by_scenario"].get(scenario, 0)
-        lines.append(f"    {scenario:<28}: {count}")
-    for cell in document["violations"][:10]:
-        lines.append(
-            f"  VIOLATION [{cell['scenario']} txn {cell['txn']}"
-            f" op {cell['op']}]: {cell['violation']}"
-        )
-    return "\n".join(lines)
+        document,
+        [
+            f"{scenario:<28}: {document['cells_by_scenario'].get(scenario, 0)}"
+            for scenario in SCENARIOS
+        ],
+        lambda cell: (
+            f"[{cell['scenario']} txn {cell['txn']} op {cell['op']}]"
+        ),
+    )
+
+
+BENCH = Bench(
+    PARAMS,
+    grid.out_param(
+        "BENCH_crash2pc.json", "--two-phase-out", "2PC matrix output"
+    ),
+    run_two_phase_crash_matrix,
+    format_summary,
+    switch=Param(
+        "--two-phase", "two_phase", False, bool,
+        "also run the two-phase-commit crash matrix (coordinator/"
+        "participant crashes, torn prepares) and fold its violations"
+        " into the exit code",
+    ),
+)

@@ -31,6 +31,7 @@ def closure_doc(p50=1.0, p90=2.0, p99=3.0):
                     "p90_ms": p90,
                     "p99_ms": p99,
                     "median_ms": p50,
+                    "mode": "native",
                 }
             }
         },
@@ -56,8 +57,8 @@ def resultset_doc(cold_p90=2.0):
 class TestExtractCells:
     def test_closure_documents_yield_closure_mode_cells(self):
         cells = extract_cells(closure_doc())
-        assert ("memory", "10", "closure") in cells
-        assert cells[("memory", "10", "closure")]["p90"] == 2.0
+        assert ("memory", "10", "native") in cells
+        assert cells[("memory", "10", "native")]["p90"] == 2.0
 
     def test_resultset_documents_yield_cold_and_warm_modes(self):
         cells = extract_cells(resultset_doc())
@@ -65,9 +66,11 @@ class TestExtractCells:
         assert ("memory-L4", "01", "warm") in cells
 
     def test_pre_histogram_closure_documents_fall_back_to_median(self):
-        doc = {"cells": {"memory": {"10": {"median_ms": 1.5}}}}
+        doc = {
+            "cells": {"memory": {"10": {"median_ms": 1.5, "mode": "native"}}}
+        }
         cells = extract_cells(doc)
-        assert cells[("memory", "10", "closure")] == {"p50": 1.5}
+        assert cells[("memory", "10", "native")] == {"p50": 1.5}
 
     def test_pre_histogram_resultset_falls_back_to_the_mean(self):
         doc = resultset_doc()
@@ -128,7 +131,9 @@ class TestThresholds:
     def test_cells_on_one_side_only_are_skipped(self):
         base = closure_doc()
         cand = copy.deepcopy(base)
-        cand["cells"]["sqlite"] = {"10": {"p50_ms": 99.0, "p90_ms": 99.0}}
+        cand["cells"]["sqlite"] = {
+            "10": {"p50_ms": 99.0, "p90_ms": 99.0, "mode": "native"}
+        }
         rows = diff_documents(base, cand)
         assert {r.backend for r in rows} == {"memory"}
 
@@ -165,7 +170,7 @@ class TestCliContract:
         rows = diff_documents(closure_doc(), closure_doc(p90=5.0))
         table = format_diff(rows, only_regressions=True)
         assert "REGRESSED" in table
-        assert "memory/10/closure/p90" in table
+        assert "memory/10/native/p90" in table
         assert "1 regression" in table
 
     def test_baseline_document_self_diffs_clean(self):

@@ -205,6 +205,162 @@ class TestBenchMultiuser:
         assert any("w01" in name for name in lane_names)
 
 
+#: The flag surface of the table-generated commands, captured from
+#: the hand-written argparse blocks they replaced (PR 12's parser):
+#: flag -> (dest, default).
+BENCH_COMMAND_SURFACE = {
+    "bench-closure": {
+        "--backends": ("backends", "memory,sqlite,oodb,clientserver"),
+        "--level": ("level", 4),
+        "--repetitions": ("repetitions", 5),
+        "--seed": ("seed", 19880301),
+        "--out": ("out", "BENCH_closure.json"),
+        "--compare-pushdown": ("compare_pushdown", False),
+        "--levels": ("levels", None),
+        "--profile": ("profile", False),
+        "--timeline": ("timeline", None),
+    },
+    "bench-multiuser": {
+        "--clients": ("clients", "1,2,4,8"),
+        "--conflict": ("conflict", "0.0,0.2"),
+        "--level": ("level", 3),
+        "--transactions": ("transactions", 8),
+        "--reads-per-txn": ("reads_per_txn", 4),
+        "--hot-set": ("hot_set", 8),
+        "--seed": ("seed", 1989),
+        "--group-commit-size": ("group_commit_size", 8),
+        "--out": ("out", "BENCH_multiuser.json"),
+        "--trace": ("trace", None),
+        "--timeline": ("timeline", None),
+        "--timeline-cadence": ("timeline_cadence", 0.02),
+    },
+    "bench-sharded": {
+        "--shards": ("shards", "1,2,4"),
+        "--placements": ("placements", "hash,affine"),
+        "--level": ("level", 4),
+        "--closures": ("closures", 12),
+        "--updates": ("updates", 24),
+        "--seed": ("seed", 1989),
+        "--out": ("out", "BENCH_sharded.json"),
+        "--timeline": ("timeline", None),
+        "--deep-level": ("deep_level", None),
+        "--deep-closures": ("deep_closures", 2),
+    },
+    "bench-replica": {
+        "--replicas": ("replicas", "1,2,4"),
+        "--write-rates": ("write_rates", "0,40"),
+        "--lags": ("lags", "0,0.02"),
+        "--level": ("level", 4),
+        "--reads-per-reader": ("reads_per_reader", 8),
+        "--routing-closures": ("routing_closures", 6),
+        "--seed": ("seed", 1989),
+        "--out": ("out", "BENCH_replica.json"),
+        "--timeline": ("timeline", None),
+    },
+    "crashtest": {
+        "--transactions": ("transactions", 16),
+        "--ops-per-txn": ("ops_per_txn", 6),
+        "--payload-bytes": ("payload_bytes", 512),
+        "--seed": ("seed", 7),
+        "--stride": ("stride", 1),
+        "--out": ("out", "BENCH_crash.json"),
+        "--two-phase": ("two_phase", False),
+        "--two-phase-shards": ("two_phase_shards", 3),
+        "--two-phase-placement": ("two_phase_placement", "hash"),
+        "--two-phase-transactions": ("two_phase_transactions", 4),
+        "--two-phase-out": ("two_phase_out", "BENCH_crash2pc.json"),
+        "--failover": ("failover", False),
+        "--failover-replicas": ("failover_replicas", 2),
+        "--failover-transactions": ("failover_transactions", 5),
+        "--failover-out": ("failover_out", "BENCH_failover.json"),
+        "--failover-trace": ("failover_trace", None),
+    },
+}
+
+#: Tiny-parameter invocations of the five commands: argv (outputs are
+#: appended per test) and output flag -> expected ``benchmark`` key.
+BENCH_COMMAND_SMOKES = {
+    "bench-closure": (
+        ["--level", "2", "--repetitions", "1", "--backends", "memory"],
+        {"--out": "closure-batch-traversal"},
+    ),
+    "bench-multiuser": (
+        ["--clients", "2", "--conflict", "0.0", "--transactions", "2"],
+        {"--out": "multiuser"},
+    ),
+    "bench-sharded": (
+        ["--shards", "2", "--placements", "hash", "--level", "2",
+         "--closures", "2", "--updates", "2"],
+        {"--out": "sharded"},
+    ),
+    "bench-replica": (
+        ["--replicas", "1,2", "--write-rates", "0", "--lags", "0",
+         "--level", "2", "--reads-per-reader", "2",
+         "--routing-closures", "1"],
+        {"--out": "replica"},
+    ),
+    "crashtest": (
+        ["--transactions", "1", "--ops-per-txn", "1", "--stride", "16",
+         "--two-phase", "--two-phase-shards", "2",
+         "--two-phase-transactions", "1",
+         "--failover", "--failover-transactions", "1"],
+        {
+            "--out": "crash-recovery-matrix",
+            "--two-phase-out": "two-phase-crash-matrix",
+            "--failover-out": "replica-failover",
+        },
+    ),
+}
+
+
+class TestBenchCommands:
+    """The five commands generated from the harness parameter tables."""
+
+    @pytest.mark.parametrize("command", sorted(BENCH_COMMAND_SURFACE))
+    def test_flag_surface_matches_the_pinned_table(self, command):
+        import argparse
+
+        from repro.cli import _build_parser
+
+        commands = next(
+            action
+            for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        surface = {
+            action.option_strings[0]: (action.dest, action.default)
+            for action in commands.choices[command]._actions
+            if action.dest != "help"
+        }
+        assert surface == BENCH_COMMAND_SURFACE[command]
+
+    @pytest.mark.parametrize("command", sorted(BENCH_COMMAND_SMOKES))
+    def test_smoke_writes_self_describing_documents(
+        self, command, tmp_path, capsys
+    ):
+        import json
+
+        argv, outputs = BENCH_COMMAND_SMOKES[command]
+        paths = {
+            flag: str(tmp_path / f"{flag.strip('-')}.json")
+            for flag in outputs
+        }
+        for flag, path in paths.items():
+            argv = argv + [flag, path]
+        assert main([command] + argv) == 0
+        printed = capsys.readouterr().out
+        for flag, benchmark in outputs.items():
+            assert f"results written to {paths[flag]}" in printed
+            with open(paths[flag], encoding="utf-8") as handle:
+                document = json.load(handle)
+            assert document["benchmark"] == benchmark
+            # One parameter dict feeds both the header and provenance.
+            options = document["provenance"]["options"]
+            assert options
+            header = document.get("workload", document)
+            assert {key: header[key] for key in options} == options
+
+
 class TestRubenstein:
     def test_baseline_runs(self, capsys):
         code = main(

@@ -6,21 +6,22 @@ import pytest
 
 from repro.harness.crashtest import (
     CrashPointResult,
-    CrashWorkload,
     _verify_cell,
     format_summary,
     run_crash_matrix,
-    write_crash_bench,
 )
+from repro.harness.grid import write_document
 
 #: Small but real: ~40-60 crash points, runs in well under a second.
-SMALL = CrashWorkload(transactions=3, ops_per_txn=3, payload_bytes=32, seed=7)
+SMALL = dict(transactions=3, ops_per_txn=3, payload_bytes=32, seed=7)
 
 
 @pytest.fixture(scope="module")
 def document(tmp_path_factory):
     out = tmp_path_factory.mktemp("crash") / "BENCH_crash.json"
-    return write_crash_bench(str(out), workload=SMALL), str(out)
+    doc = run_crash_matrix(**SMALL)
+    write_document(str(out), doc)
+    return doc, str(out)
 
 
 class TestMatrix:
@@ -42,7 +43,7 @@ class TestMatrix:
         survivors = [c for c in doc["cells"] if not c["crashed"]]
         assert len(survivors) <= 2
         for cell in survivors:
-            assert cell["recovered_snapshot"] == SMALL.transactions
+            assert cell["recovered_snapshot"] == SMALL["transactions"]
 
     def test_alternates_clean_and_torn_crashes(self, document):
         doc, _path = document
@@ -52,7 +53,7 @@ class TestMatrix:
     def test_late_crashes_recover_late_snapshots(self, document):
         doc, _path = document
         last = doc["cells"][-1]
-        assert last["recovered_snapshot"] == SMALL.transactions
+        assert last["recovered_snapshot"] == SMALL["transactions"]
 
     def test_durability_lower_bound_holds_per_cell(self, document):
         doc, _path = document
@@ -66,13 +67,13 @@ class TestMatrix:
             assert json.load(handle) == doc
 
     def test_stride_thins_the_matrix(self):
-        doc = run_crash_matrix(workload=SMALL, stride=7)
+        doc = run_crash_matrix(**SMALL, stride=7)
         assert doc["crash_points_tested"] < doc["io_ops_total"]
         assert doc["violation_count"] == 0
 
     def test_invalid_stride_rejected(self):
         with pytest.raises(ValueError):
-            run_crash_matrix(workload=SMALL, stride=0)
+            run_crash_matrix(**SMALL, stride=0)
 
     def test_summary_mentions_counts(self, document):
         doc, _path = document
@@ -92,34 +93,36 @@ class TestVerifyCell:
 
     def test_atomicity_violation_detected(self):
         torn_mix = {1: {"value": 1}, 2: {"value": 999}}
-        cell = _verify_cell(torn_mix, self.REFERENCE, commits_returned=1)
-        assert cell.violation is not None
-        assert "atomicity" in cell.violation
-        assert cell.recovered_snapshot is None
+        snapshot, violation = _verify_cell(
+            torn_mix, self.REFERENCE, commits_returned=1
+        )
+        assert violation is not None
+        assert "atomicity" in violation
+        assert snapshot is None
 
     def test_durability_violation_detected(self):
         # Two commits returned, but recovery only found snapshot 1.
-        cell = _verify_cell(
+        _snapshot, violation = _verify_cell(
             {1: {"value": 1}}, self.REFERENCE, commits_returned=2
         )
-        assert cell.violation is not None
-        assert "durability" in cell.violation
+        assert violation is not None
+        assert "durability" in violation
 
     def test_in_flight_commit_may_round_up(self):
-        cell = _verify_cell(
+        snapshot, violation = _verify_cell(
             {1: {"value": 1}, 2: {"value": 2}},
             self.REFERENCE,
             commits_returned=1,
         )
-        assert cell.violation is None
-        assert cell.recovered_snapshot == 2
+        assert violation is None
+        assert snapshot == 2
 
     def test_exact_match_passes(self):
-        cell = _verify_cell(
+        snapshot, violation = _verify_cell(
             {1: {"value": 1}}, self.REFERENCE, commits_returned=1
         )
-        assert cell.violation is None
-        assert cell.recovered_snapshot == 1
+        assert violation is None
+        assert snapshot == 1
 
     def test_result_serializes(self):
         cell = CrashPointResult(

@@ -133,6 +133,63 @@ class TestProtocol:
         assert result.warm.mean < result.cold.mean
 
 
+#: Runs one cold/warm sequence of op 10 at level 3 and prints each
+#: repetition's (input uniqueId, result size) as JSON.
+_INPUT_DRAW_SCRIPT = """
+import dataclasses, json
+from repro.backends import create_backend
+from repro.core.config import HyperModelConfig
+from repro.core.generator import DatabaseGenerator
+from repro.core.operations import CATALOG
+from repro.harness.protocol import run_operation_sequence
+
+db = create_backend("memory")
+db.open()
+gen = DatabaseGenerator(HyperModelConfig(levels=3, seed=17)).generate(db)
+db.commit()
+spec = CATALOG.get("10")
+draws = []
+
+def recording_run(ops, args):
+    result = spec.run(ops, args)
+    uid = db.get_attribute(args[0], "uniqueId")
+    draws.append([uid, spec.result_size(result, gen)])
+    return result
+
+run_operation_sequence(
+    db, dataclasses.replace(spec, run=recording_run), gen,
+    repetitions=6, seed=42,
+)
+print(json.dumps(draws))
+"""
+
+
+class TestInputSelectionIsProcessIndependent:
+    def test_same_seed_draws_same_inputs_under_any_hash_seed(self):
+        """``repro run --seed N`` must draw identical inputs in every
+        process; ``hash(op_id)`` is salted by PYTHONHASHSEED, crc32 is
+        not."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        draws = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", _INPUT_DRAW_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            draws.append(json.loads(proc.stdout))
+        assert len(draws[0]) == 12  # 6 cold + 6 warm repetitions
+        assert len({uid for uid, _size in draws[0]}) > 1
+        assert draws[0] == draws[1]
+
+
 class TestCounterCapture:
     """ColdWarmResult carries per-run counter deltas when instrumented."""
 

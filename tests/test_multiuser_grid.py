@@ -210,15 +210,16 @@ class TestMultiUserBench:
         assert "clients" in text and "fsyncs/commit" in text
 
     def test_write_round_trips(self, tmp_path):
-        from repro.harness.multiuserbench import write_multiuser_bench
+        from repro.harness.grid import write_document
+        from repro.harness.multiuserbench import run_multiuser_bench
 
         out = tmp_path / "BENCH_multiuser.json"
-        document = write_multiuser_bench(
-            str(out),
+        document = run_multiuser_bench(
             clients=(2,),
             conflict_rates=(0.0,),
             transactions_per_client=2,
         )
+        write_document(str(out), document)
         loaded = json.loads(out.read_text())
         assert loaded["benchmark"] == "multiuser"
         assert loaded["cells"] == json.loads(

@@ -388,10 +388,6 @@ class TestPushdownFastPath:
 
         with pytest.raises(ConfigurationError):
             NetworkConfig(readahead_depth=-1)
-        # The deprecated keyword path validates through the same type.
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                ClientServerDatabase(readahead_depth=-1)
 
     def test_registry_ablation_disables_pushdown(self):
         with create_backend("clientserver-bfs", None) as db:
@@ -615,10 +611,11 @@ class TestBenchComparison:
         assert ("clientserver", "10", "pushdown") in keys
         assert ("clientserver-bfs", "10", "bfs") in keys
 
-    def test_legacy_documents_keep_the_closure_mode(self):
-        legacy = {
+    def test_untagged_cells_are_rejected(self):
+        untagged = {
             "cells": {
                 "memory": {"10": {"median_ms": 1.0, "p50_ms": 1.0}}
             }
         }
-        assert set(extract_cells(legacy)) == {("memory", "10", "closure")}
+        with pytest.raises(ValueError, match="mode"):
+            extract_cells(untagged)

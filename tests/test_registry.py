@@ -1,7 +1,6 @@
 """The backend registry and the shared exception hierarchy."""
 
 import os
-import warnings
 
 import pytest
 
@@ -146,34 +145,6 @@ class TestRegistration:
         instr = Instrumentation()
         db = create_backend("memory", instrumentation=instr)
         assert db.instrumentation is instr
-
-
-class TestDeprecatedFactories:
-    def test_dict_access_warns_but_still_builds(self):
-        from repro.backends.registry import _FACTORIES
-
-        with pytest.warns(DeprecationWarning, match="_FACTORIES"):
-            factory = _FACTORIES["memory"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the returned factory is clean
-            db = factory()
-        assert isinstance(db, HyperModelDatabase)
-
-    def test_iteration_and_len_warn(self):
-        from repro.backends.registry import _FACTORIES
-
-        with pytest.warns(DeprecationWarning):
-            names = list(_FACTORIES)
-        assert "memory" in names
-        with pytest.warns(DeprecationWarning):
-            assert len(_FACTORIES) == len(available_backends())
-
-    def test_unknown_name_raises_key_error(self):
-        from repro.backends.registry import _FACTORIES
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                _FACTORIES["dbase-iii"]
 
 
 class TestErrorHierarchy:

@@ -202,29 +202,20 @@ class TestFailover:
         assert instr.counters.snapshot()["backend.replica.promotions"] == 1
 
     def test_drill_passes_at_every_crash_point(self):
-        from repro.harness.replicacrash import (
-            FailoverWorkload,
-            run_failover_drill,
-        )
+        from repro.harness.replicacrash import run_failover_drill
 
-        document = run_failover_drill(
-            FailoverWorkload(transactions=2, seed=11)
-        )
+        document = run_failover_drill(transactions=2, seed=11)
         assert document["crash_points_tested"] > 0
         assert document["violation_count"] == 0
         for cell in document["cells"]:
             assert cell["promoted_index"] is not None
 
     def test_drill_trace_contains_failover_span(self, tmp_path):
-        from repro.harness.replicacrash import (
-            FailoverWorkload,
-            run_failover_drill,
-        )
+        from repro.harness.replicacrash import run_failover_drill
 
         trace_path = str(tmp_path / "failover.json")
         document = run_failover_drill(
-            FailoverWorkload(transactions=1, seed=11),
-            trace_path=trace_path,
+            transactions=1, seed=11, trace_path=trace_path
         )
         assert document["violation_count"] == 0
         import json

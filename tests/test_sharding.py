@@ -424,15 +424,12 @@ class TestTwoPhaseCrashRecovery:
 
     @pytest.mark.parametrize("placement", ["hash", "affine"])
     def test_matrix_has_zero_violations(self, placement, tmp_path):
-        from repro.harness.shardcrash import (
-            TwoPhaseWorkload,
-            run_two_phase_crash_matrix,
-        )
+        from repro.harness.shardcrash import run_two_phase_crash_matrix
 
         document = run_two_phase_crash_matrix(
-            TwoPhaseWorkload(
-                shards=2, placement=placement, transactions=2
-            ),
+            shards=2,
+            placement=placement,
+            transactions=2,
             base_dir=str(tmp_path),
         )
         assert document["violation_count"] == 0, document["violations"]
