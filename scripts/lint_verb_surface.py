@@ -1,0 +1,176 @@
+#!/usr/bin/env python
+"""Lint: the server verb surface and its invariants are stated once.
+
+Fails if
+
+* ``netsim/server.py`` assigns ``self._records[...]`` or
+  ``self._versions[...]`` outside ``_install``, appends to the WAL
+  (``.log_commit`` / ``.log_prepare`` / ``.log_decision``) outside
+  ``_commit`` / ``prepare_batch`` / ``abort_prepared``, walks a
+  ``frontier`` outside ``_scatter_bfs``, or stamps reply versions
+  outside ``fetch`` / ``_ship``;
+* a router or the replication group appends to a WAL at all (the shard
+  coordinator's own ``decision_log`` excepted);
+* ``accept_trace_context`` / ``take_reply_versions`` are defined
+  anywhere but ``netsim/server.py`` and ``netsim/verbs.py``, or a
+  router defines its own ``_call`` / ``stats`` / ``use_transport``;
+* a ``VerbRouter`` subclass defines a public method that is neither in
+  the ``netsim/verbs.py`` table nor one of its documented extras,
+  lists a verb in ``forwards`` that it also defines, or spells out a
+  passthrough (a body that is only ``return self._call(...)``).
+
+Exit status: 0 when clean, 1 otherwise.  Run from the repository root:
+``python scripts/lint_verb_surface.py``.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import pathlib
+import sys
+
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(_SRC))
+
+from repro.netsim import verbs  # noqa: E402
+
+_SERVER = "netsim/server.py"
+_VERBS = "netsim/verbs.py"
+#: server.py pattern -> the functions allowed to contain it.
+_SERVER_OWNERS = {
+    "self._records[...] =": {"_install"},
+    "self._versions[...] =": {"_install"},
+    ".log_commit": {"_commit"},
+    ".log_decision": {"_commit", "abort_prepared"},
+    ".log_prepare": {"prepare_batch"},
+    "while frontier": {"_scatter_bfs"},
+    "._stamp_reply_versions": {"fetch", "_ship"},
+}
+_WAL_APPENDS = (".log_commit", ".log_decision", ".log_prepare")
+#: Files that route or replicate and therefore never write a server WAL.
+_WAL_FREE = (
+    _VERBS,
+    "sharding/router.py",
+    "replication/router.py",
+    "replication/group.py",
+    "backends/clientserver.py",
+)
+#: Names only the server and the VerbRouter base may define.
+_ENVELOPE = ("accept_trace_context", "take_reply_versions")
+_BASE_ONLY = ("_call", "stats", "use_transport")
+#: Public router members beyond the verb table, by class.
+_EXTRAS = {
+    "ShardRouter": {"trace_lane_metadata", "resolve_in_doubt", "wal"},
+    "ReplicaRouter": {"trace_lane_metadata", "clock", "latency", "wal"},
+}
+_TABLE = set(verbs.SERVED_VERBS + verbs.ADMIN_VERBS + verbs.PLUMBING)
+
+
+def _patterns(node: ast.AST):
+    """The guarded patterns one AST node exhibits."""
+    if isinstance(node, (ast.Assign, ast.AugAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            value = getattr(target, "value", None)
+            if (
+                isinstance(target, ast.Subscript)
+                and isinstance(value, ast.Attribute)
+                and getattr(value.value, "id", "") == "self"
+                and value.attr in ("_records", "_versions")
+            ):
+                yield f"self.{value.attr}[...] ="
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        yield "." + node.func.attr
+    elif isinstance(node, ast.While) and "frontier" in ast.dump(node.test):
+        yield "while frontier"
+
+
+def _functions(tree: ast.AST):
+    """(function name, node inside it) for every node of a module."""
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                yield func, node
+
+
+def _is_passthrough(func: ast.FunctionDef) -> bool:
+    body = [
+        stmt
+        for stmt in func.body
+        if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
+    ]
+    return (
+        len(body) == 1
+        and isinstance(body[0], ast.Return)
+        and isinstance(body[0].value, ast.Call)
+        and ast.unparse(body[0].value.func) == "self._call"
+    )
+
+
+def _lint_router(rel: str, cls: ast.ClassDef, errors: list) -> None:
+    module = importlib.import_module("repro." + rel[:-3].replace("/", "."))
+    forwards = getattr(module, cls.name).forwards
+    defined = {
+        stmt.name: stmt
+        for stmt in cls.body
+        if isinstance(stmt, ast.FunctionDef)
+    }
+    for name, func in defined.items():
+        where = f"{rel}:{func.lineno}: {cls.name}.{name}"
+        if name in _BASE_ONLY:
+            errors.append(f"{where} belongs to VerbRouter alone")
+        if name in forwards:
+            errors.append(f"{where} is also listed in forwards")
+        public = not name.startswith("_")
+        if public and name not in _TABLE | _EXTRAS.get(cls.name, set()):
+            errors.append(
+                f"{where} is not in the netsim/verbs.py table (document"
+                f" it in _EXTRAS if it is a genuine extra)"
+            )
+        if public and _is_passthrough(func):
+            errors.append(f"{where} is a passthrough; list it in forwards")
+    for verb in forwards:
+        if verb not in _TABLE:
+            errors.append(f"{rel}: {cls.name}.forwards names unknown {verb!r}")
+
+
+def main() -> int:
+    errors: list = []
+    for path in sorted((_SRC / "repro").rglob("*.py")):
+        rel = path.relative_to(_SRC / "repro").as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func, node in _functions(tree):
+            if node is func and func.name in _ENVELOPE:
+                if rel not in (_SERVER, _VERBS):
+                    errors.append(
+                        f"{rel}:{func.lineno}: {func.name} is defined by"
+                        f" ObjectServer and VerbRouter only"
+                    )
+            for pattern in _patterns(node):
+                owners = _SERVER_OWNERS.get(pattern) if rel == _SERVER else None
+                if owners is not None and func.name not in owners:
+                    errors.append(
+                        f"{rel}:{node.lineno}: {pattern} in {func.name};"
+                        f" only {sorted(owners)} may"
+                    )
+                if (
+                    rel in _WAL_FREE
+                    and pattern in _WAL_APPENDS
+                    and "decision_log" not in ast.unparse(node.func.value)
+                ):
+                    errors.append(
+                        f"{rel}:{node.lineno}: {pattern}(...) outside the"
+                        f" server's commit kernels"
+                    )
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                getattr(base, "id", "") == "VerbRouter" for base in cls.bases
+            ):
+                _lint_router(rel, cls, errors)
+    print("\n".join(sorted(set(errors))) or "verb surface: clean")
+    return 1 if errors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,7 +26,7 @@ from repro.core.model import LinkAttributes, NodeData, NodeKind
 from repro.netsim.cache import WorkstationCache
 from repro.netsim.config import NetworkConfig
 from repro.netsim.latency import SimulatedClock
-from repro.netsim.server import ObjectServer
+from repro.netsim.server import ObjectServer, copy_record
 from repro.obs import Instrumentation, TraceContext, resolve
 from repro.replication.group import ReplicationGroup
 from repro.replication.router import ReplicaRouter
@@ -46,25 +46,6 @@ _KIND_NAMES = {
     NodeKind.FORM: "form",
 }
 _NAMES_KIND = {name: kind for kind, name in _KIND_NAMES.items()}
-
-
-def _copy_record(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Copy a record including its nested relationship lists.
-
-    A shallow ``dict()`` copy would share the children/parts/refTo
-    lists with the source; a private edit would then silently mutate
-    the cached (or even the server's) copy and survive an abort.
-    """
-    out: Dict[str, Any] = {}
-    for key, value in record.items():
-        if isinstance(value, list):
-            out[key] = [
-                list(item) if isinstance(item, list) else item
-                for item in value
-            ]
-        else:
-            out[key] = value
-    return out
 
 
 def _new_record(data: NodeData) -> Dict[str, Any]:
@@ -540,7 +521,7 @@ class ClientServerDatabase(HyperModelDatabase):
         record = self._local.get(uid)
         if record is not None:
             return record
-        record = _copy_record(self._fetch(uid))
+        record = copy_record(self._fetch(uid))
         self._local[uid] = record
         return record
 

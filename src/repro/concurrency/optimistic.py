@@ -22,37 +22,11 @@ validate-and-apply atomic with respect to other optimistic commits.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Mapping
+from typing import Any, Dict
 
 from repro.engine.store import ObjectStore
+from repro.engine.txn import stale_reads
 from repro.errors import ConflictError, TransactionError
-
-
-def stale_reads(
-    reads: Mapping[int, int], version_of: Callable[[int], int]
-) -> List[int]:
-    """The read-set entries whose pinned version is no longer current.
-
-    This is the first-committer-wins validation kernel, shared by the
-    engine-level :class:`OptimisticCoordinator` and the network
-    server's ``commit_batch``/``prepare_batch`` verbs.  Under sharding
-    each shard validates only the pins of the objects *it* owns (the
-    router partitions the read set by placement), so validation stays
-    a local comparison against that shard's own version counters — no
-    cross-shard version exchange is ever needed.
-
-    Args:
-        reads: ``{oid: pinned version}`` — the version each object was
-            first read at in this transaction.
-        version_of: the authority's current version for an oid.
-
-    Returns:
-        The oids that changed since they were pinned, in read-set
-        iteration order (deterministic for dict-backed read sets).
-    """
-    return [
-        oid for oid, pinned in reads.items() if version_of(oid) != pinned
-    ]
 
 
 class OptimisticTransaction:

@@ -1,11 +1,7 @@
 """Typed configuration for the simulated network and the event scheduler.
 
-The client/server backend historically grew one keyword argument per
-knob (``latency=``, ``fault_model=``, ``cache_capacity=``,
-``pushdown=``, ``readahead_depth=``, ``rpc_retries=``,
-``rpc_backoff_seconds=``) and every call site — registry defaults,
-benchmarks, tests — repeated the sprawl.  This module replaces that
-surface with two frozen dataclasses:
+The client/server backend takes its configuration as two frozen
+dataclasses instead of one keyword argument per knob:
 
 * :class:`NetworkConfig` — everything that shapes **one client's**
   view of the wire: the latency/fault models, the workstation cache
@@ -18,11 +14,11 @@ surface with two frozen dataclasses:
   access pattern, and the retry pause after an optimistic abort.
 
 Both are immutable (safe to share as registry ``default_options``) and
-validate in ``__post_init__`` with the same
-:class:`~repro.errors.ConfigurationError` the old keyword checks
-raised.  The old keywords still work for one release behind a
-``DeprecationWarning`` (see
-:class:`~repro.backends.clientserver.ClientServerDatabase`).
+validate in ``__post_init__`` with
+:class:`~repro.errors.ConfigurationError`.  The per-knob keywords they
+replaced are gone: passing one to
+:class:`~repro.backends.clientserver.ClientServerDatabase` is a plain
+``TypeError``.
 """
 
 from __future__ import annotations

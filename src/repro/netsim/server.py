@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine import serializer
-from repro.engine.wal import PUT, WriteAheadLog, put_record
+from repro.engine.txn import stale_reads
+from repro.engine.wal import PUT, LogRecord, WriteAheadLog, put_record
 from repro.netsim.faults import FaultModel
 from repro.netsim.latency import LatencyModel, SimulatedClock
 from repro.netsim.sim import DirectTransport
@@ -38,21 +39,69 @@ _UID_BYTES = 8
 #: Approximate bytes of a request/reply envelope beyond the round trip.
 _PROBE_BYTES = 16
 
-#: Relations the push-down verbs understand, with the record keys that
-#: hold their forward and reverse adjacency.
+#: Relations the push-down verbs understand.
 _RELATIONS = ("children", "parts", "refTo")
 
 
-def stale_reads(reads, version_of):
-    """First-committer-wins validation kernel (deferred import).
+def copy_record(record: Dict[str, Any]) -> Dict[str, Any]:
+    """Copy a record including its nested relationship lists.
 
-    Shared with the engine-level optimistic coordinator; imported
-    lazily because ``repro.concurrency`` transitively imports the
-    client/server backend, which imports this module.
+    A shallow ``dict()`` copy would share the children/parts/refTo
+    lists with the source: client and server (or a private edit and
+    the cached copy) would then silently mutate each other.
     """
-    from repro.concurrency.optimistic import stale_reads as _kernel
+    return {
+        key: [
+            list(item) if isinstance(item, list) else item
+            for item in value
+        ]
+        if isinstance(value, list)
+        else value
+        for key, value in record.items()
+    }
 
-    return _kernel(reads, version_of)
+
+def _edges(relation: str, direction: str) -> Callable[[Dict], List[int]]:
+    """The adjacency function of one (validated) relation/direction."""
+    if relation not in _RELATIONS:
+        raise InvalidOperationError(
+            f"traverse does not understand relation {relation!r}"
+        )
+    if direction not in ("forward", "reverse"):
+        raise InvalidOperationError(
+            f"traverse direction must be forward or reverse,"
+            f" got {direction!r}"
+        )
+    if direction == "forward":
+        if relation == "refTo":
+            return lambda record: [dst for dst, _f, _t in record["refTo"]]
+        return lambda record: record[relation]
+    if relation == "children":
+        return lambda record: [record["parent"]] if record["parent"] else []
+    inverse = "partOf" if relation == "parts" else "refFrom"
+    return lambda record: record[inverse]
+
+
+def _structural(record: Dict[str, Any]) -> List[int]:
+    """Readahead's neighbourhood: children *and* parts."""
+    return record["children"] + record["parts"]
+
+
+def _log_records(txid: int, writes: Dict[int, Dict]) -> List[LogRecord]:
+    """One transaction's PUT records, in uid order."""
+    return [
+        put_record(txid, uid, {"record": record})
+        for uid, record in sorted(writes.items())
+    ]
+
+
+def _logged_writes(operations: Iterable[LogRecord]) -> Dict[int, Dict]:
+    """The write set a transaction's log records carry."""
+    return {
+        op.oid: op.state["record"]
+        for op in operations
+        if op.kind == PUT and op.state is not None
+    }
 
 
 @dataclasses.dataclass
@@ -78,13 +127,19 @@ class ServerStats:
 
     def reset(self) -> None:
         """Zero all counters."""
-        self.fetches = self.stores = self.probes = 0
-        self.batch_fetches = self.batched_objects = 0
-        self.traversals = self.readaheads = self.pushdown_objects = 0
-        self.queries = self.scans = 0
-        self.commits = self.commit_conflicts = 0
-        self.prepares = self.decisions = 0
-        self.bytes_sent = self.bytes_received = 0
+        for field in dataclasses.fields(self):
+            setattr(self, field.name, 0)
+
+    @classmethod
+    def total(cls, parts: Iterable["ServerStats"]) -> "ServerStats":
+        """Field-wise sum (a router's aggregate over its servers)."""
+        parts = list(parts)
+        return cls(
+            **{
+                field.name: sum(getattr(part, field.name) for part in parts)
+                for field in dataclasses.fields(cls)
+            }
+        )
 
 
 class ObjectServer:
@@ -126,12 +181,16 @@ class ObjectServer:
         self.fault_model = fault_model
         self.instrumentation = resolve(instrumentation)
         self._instr = self.instrumentation
-        #: Optional durable commit log; ``commit_batch`` appends each
-        #: transaction's PUT records and charges ``fsync_seconds`` of
-        #: extra service time on the commits that take a real
-        #: durability point (group commit defers most of them).
+        #: Optional durable commit log.  Every write verb logs before
+        #: it applies (see :meth:`_commit`); transactional commits
+        #: charge ``fsync_seconds`` of extra service time when the log
+        #: takes a real durability point (group commit defers most).
         self.wal = wal
         self.fsync_seconds = fsync_seconds
+        #: Called (no args) after every applied-and-charged write; a
+        #: replication group wires this to its shipper's poll so ship
+        #: time == commit time.
+        self.on_commit: Optional[Callable[[], None]] = None
         #: The charge seam: every request's time lands here.  The
         #: default reproduces the single-client model exactly; the
         #: discrete-event scheduler swaps in a contended transport
@@ -273,10 +332,13 @@ class ObjectServer:
         self,
         payload_bytes: int,
         verb: Optional[str] = None,
-        extra_service_seconds: float = 0.0,
+        synced: bool = False,
     ) -> None:
+        """Charge one request; ``synced`` adds the log's real durability
+        point (``fsync_seconds`` of extra service) to it."""
         cost = self.transport.charge_request(
-            payload_bytes, extra_service_seconds=extra_service_seconds
+            payload_bytes,
+            extra_service_seconds=self.fsync_seconds if synced else 0.0,
         )
         self._instr.count("backend.rpc.round_trips")
         self._instr.count("netsim.latency.injected_ms", cost * 1000.0)
@@ -295,6 +357,39 @@ class ObjectServer:
     def _reply_payload(self, records) -> int:
         """Wire size of one record-carrying reply: envelope + records."""
         return _PROBE_BYTES + sum(self.record_size(r) for r in records)
+
+    def _ship(
+        self, verb: str, uids: List[int], handoff_bytes: int = 0
+    ) -> Dict[int, Dict[str, Any]]:
+        """The one record-carrying reply tail of the batch verbs.
+
+        Sizes the reply (``handoff_bytes`` = the border references a
+        shard-local walk hands back), copies the records out, counts,
+        charges and stamps the shipped versions.
+        """
+        payload = handoff_bytes + self._reply_payload(
+            self._records[uid] for uid in uids
+        )
+        out = {uid: copy_record(self._records[uid]) for uid in uids}
+        self.stats.bytes_sent += payload
+        self._instr.count("backend.rpc.bytes_sent", payload)
+        self._instr.count("backend.rpc.batched_objects", len(uids))
+        self._charge(payload, verb)
+        self._stamp_reply_versions(uids)
+        return out
+
+    def _reply_uids(self, count: int, verb: Optional[str] = None) -> None:
+        """Charge one reference-only reply: envelope + a uid each."""
+        payload = _PROBE_BYTES + _UID_BYTES * count
+        self.stats.bytes_sent += payload
+        self._instr.count("backend.rpc.bytes_sent", payload)
+        self._charge(payload, verb)
+
+    def _receive(self, upload: int) -> int:
+        """Account one request's uploaded bytes; returns them."""
+        self.stats.bytes_received += upload
+        self._instr.count("backend.rpc.bytes_received", upload)
+        return upload
 
     def _stamp_reply_versions(self, uids) -> None:
         """Record the versions the reply's records were shipped at."""
@@ -342,19 +437,6 @@ class ObjectServer:
         """Wire size of a record (its serialized length)."""
         return len(serializer.encode(record))
 
-    @staticmethod
-    def _isolate(record: Dict[str, Any]) -> Dict[str, Any]:
-        """Copy a record so client and server never share nested lists."""
-        return {
-            key: [
-                list(item) if isinstance(item, list) else item
-                for item in value
-            ]
-            if isinstance(value, list)
-            else value
-            for key, value in record.items()
-        }
-
     # ------------------------------------------------------------------
     # Object requests
     # ------------------------------------------------------------------
@@ -377,7 +459,7 @@ class ObjectServer:
             self._instr.count("backend.rpc.bytes_sent", payload)
             self._charge(payload, "fetch")
             self._stamp_reply_versions((uid,))
-            return self._isolate(record)
+            return copy_record(record)
 
     def fetch_many(self, uids: List[int]) -> Dict[int, Dict[str, Any]]:
         """Fetch a batch of records in **one** round trip.
@@ -395,310 +477,24 @@ class ObjectServer:
         """
         with self._serve("fetch_many"):
             self.stats.batch_fetches += 1
-            unique: List[int] = []
-            seen = set()
-            for uid in uids:
-                if uid not in seen:
-                    seen.add(uid)
-                    unique.append(uid)
+            unique = list(dict.fromkeys(uids))
             missing = next(
                 (uid for uid in unique if uid not in self._records), None
             )
             if missing is not None:
                 self._charge(_PROBE_BYTES, "fetch_many")
                 raise NodeNotFoundError(missing)
-            payload = self._reply_payload(
-                self._records[uid] for uid in unique
-            )
-            out: Dict[int, Dict[str, Any]] = {
-                uid: self._isolate(self._records[uid]) for uid in unique
-            }
             self.stats.batched_objects += len(unique)
-            self.stats.bytes_sent += payload
-            self._instr.count("backend.rpc.bytes_sent", payload)
-            self._instr.count("backend.rpc.batched_objects", len(unique))
-            self._charge(payload, "fetch_many")
-            self._stamp_reply_versions(unique)
-            return out
+            return self._ship("fetch_many", unique)
 
     # ------------------------------------------------------------------
     # Closure push-down (query shipping instead of data shipping)
-    # ------------------------------------------------------------------
-
-    def _neighbors(
-        self, record: Dict[str, Any], relation: str, direction: str
-    ) -> List[int]:
-        """Adjacent uids of one record along ``relation``/``direction``."""
-        if direction == "forward":
-            if relation == "refTo":
-                return [dst for dst, _f, _t in record["refTo"]]
-            return list(record[relation])
-        if relation == "children":
-            parent = record["parent"]
-            return [parent] if parent else []
-        if relation == "parts":
-            return list(record["partOf"])
-        return list(record["refFrom"])
-
-    def traverse(
-        self,
-        root: int,
-        relation: str,
-        direction: str = "forward",
-        depth: Optional[int] = None,
-        with_records: bool = True,
-        limit: Optional[int] = None,
-    ) -> Dict[int, Dict[str, Any]]:
-        """Run a closure BFS **at the server**; one size-charged reply.
-
-        This is the query-shipping verb: instead of the client walking
-        the structure level by level (one ``fetch_many`` round trip per
-        level), the whole traversal executes server-side and every
-        *distinct* visited record comes back in a single reply.  A
-        closure then costs ``round_trip + Σ transfer`` — the same
-        payload a frontier BFS ships in total, minus all but one of its
-        fixed round trips (and their envelopes).
-
-        Args:
-            root: start node; raises :class:`NodeNotFoundError` if
-                unknown (the request is still charged — it happened).
-            relation: ``"children"``, ``"parts"`` or ``"refTo"``.
-            direction: ``"forward"`` follows the relation,
-                ``"reverse"`` its inverse (parent / partOf / refFrom).
-            depth: maximum BFS depth (``None`` = unbounded; the
-                attributed-association closures pass their run-time
-                depth, 25 by default).
-            with_records: ship the visited records (the push-down fast
-                path) or just their uids (a reference-only closure,
-                charged like a range query).
-            limit: stop collecting after this many nodes — the client
-                passes its workstation-cache capacity so a reply never
-                ships records the cache could not hold; the BFS prefix
-                it does ship is still coherent (early levels complete),
-                and the client's frontier BFS fetches the remainder.
-
-        Returns:
-            ``{uid: record}`` in BFS visit order (insertion order of
-            the dict) when ``with_records``; ``{uid: None}`` in visit
-            order otherwise.  Dangling edge targets (uids the server
-            does not hold) are skipped silently — the client-side
-            replay resolves them through its own read path.
-        """
-        with self._serve("traverse"):
-            self.stats.traversals += 1
-            if relation not in _RELATIONS:
-                raise InvalidOperationError(
-                    f"traverse does not understand relation {relation!r}"
-                )
-            if direction not in ("forward", "reverse"):
-                raise InvalidOperationError(
-                    f"traverse direction must be forward or reverse,"
-                    f" got {direction!r}"
-                )
-            if root not in self._records:
-                self._charge(_PROBE_BYTES, "traverse")
-                raise NodeNotFoundError(root)
-            order: List[int] = [root]
-            seen = {root}
-            frontier: List[int] = [root]
-            level = 0
-            full = limit is not None and len(order) >= limit
-            while frontier and not full and (depth is None or level < depth):
-                next_frontier: List[int] = []
-                for uid in frontier:
-                    for adj in self._neighbors(
-                        self._records[uid], relation, direction
-                    ):
-                        if adj in seen or adj not in self._records:
-                            continue
-                        seen.add(adj)
-                        order.append(adj)
-                        next_frontier.append(adj)
-                        if limit is not None and len(order) >= limit:
-                            full = True
-                            break
-                    if full:
-                        break
-                frontier = next_frontier
-                level += 1
-            if not with_records:
-                payload = _PROBE_BYTES + _UID_BYTES * len(order)
-                self.stats.bytes_sent += payload
-                self._instr.count("backend.rpc.bytes_sent", payload)
-                self._charge(payload, "traverse")
-                return {uid: None for uid in order}
-            payload = self._reply_payload(
-                self._records[uid] for uid in order
-            )
-            out = {uid: self._isolate(self._records[uid]) for uid in order}
-            self.stats.pushdown_objects += len(order)
-            self.stats.bytes_sent += payload
-            self._instr.count("backend.rpc.bytes_sent", payload)
-            self._instr.count("backend.rpc.batched_objects", len(order))
-            self._charge(payload, "traverse")
-            self._stamp_reply_versions(order)
-            return out
-
-    def readahead(
-        self, uids: List[int], depth: int = 1, limit: Optional[int] = None
-    ) -> Dict[int, Dict[str, Any]]:
-        """Speculative structural readahead around a set of seed uids.
-
-        Expands each seed's structural neighbourhood — children *and*
-        parts, breadth-first to ``depth`` levels — and returns every
-        distinct record found, in one size-charged reply.  The verb is
-        **speculative by contract**: unknown seeds and dangling edges
-        are skipped silently (an empty reply is a valid answer), so the
-        client can ask optimistically on a cold first touch without a
-        second error round trip.  Raising is the caller's business if
-        a seed it *required* is absent from the reply.
-        """
-        with self._serve("readahead"):
-            self.stats.readaheads += 1
-            if depth < 0:
-                raise InvalidOperationError(
-                    f"readahead depth cannot be negative, got {depth}"
-                )
-            order: List[int] = []
-            seen = set()
-            frontier: List[int] = []
-            for uid in uids:
-                if uid in seen or uid not in self._records:
-                    continue
-                seen.add(uid)
-                order.append(uid)
-                frontier.append(uid)
-            level = 0
-            full = limit is not None and len(order) >= limit
-            while frontier and not full and level < depth:
-                next_frontier: List[int] = []
-                for uid in frontier:
-                    record = self._records[uid]
-                    for adj in list(record["children"]) + list(
-                        record["parts"]
-                    ):
-                        if adj in seen or adj not in self._records:
-                            continue
-                        seen.add(adj)
-                        order.append(adj)
-                        next_frontier.append(adj)
-                        if limit is not None and len(order) >= limit:
-                            full = True
-                            break
-                    if full:
-                        break
-                frontier = next_frontier
-                level += 1
-            payload = self._reply_payload(
-                self._records[uid] for uid in order
-            )
-            out = {uid: self._isolate(self._records[uid]) for uid in order}
-            self.stats.pushdown_objects += len(order)
-            self.stats.bytes_sent += payload
-            self._instr.count("backend.rpc.bytes_sent", payload)
-            self._instr.count("backend.rpc.batched_objects", len(order))
-            self._charge(payload, "readahead")
-            self._stamp_reply_versions(order)
-            return out
-
-    def store(
-        self, uid: int, record: Dict[str, Any], from_cache=None
-    ) -> None:
-        """Upload one record (insert or replace); charged for upload.
-
-        ``from_cache`` identifies the uploading client's cache so it is
-        excluded from the coherence invalidation broadcast.
-        """
-        with self._serve("store"):
-            self.stats.stores += 1
-            size = self.record_size(record)
-            self.stats.bytes_received += size
-            self._instr.count("backend.rpc.bytes_received", size)
-            self._charge(size)
-            self._commit_seq += 1
-            self._records[uid] = self._isolate(record)
-            self._versions[uid] = self._commit_seq
-            self._invalidate_subscribers(uid, except_cache=from_cache)
-
-    def commit_batch(
-        self,
-        writes: Dict[int, Dict[str, Any]],
-        reads: Dict[int, int],
-        lists: Optional[Dict[str, List[int]]] = None,
-        from_cache=None,
-    ) -> Dict[int, int]:
-        """Optimistically validate and apply one transaction atomically.
-
-        The optimistic client ships its whole write set plus the
-        versions of every record it read this transaction in **one**
-        request (charged for the uploaded records plus a uid+version
-        pair per read).  Validation is first-committer-wins: if any
-        read version no longer matches the server's current version —
-        another client committed that record meanwhile — nothing is
-        applied and :class:`~repro.errors.CommitConflictError` reports
-        the stale uids so the client can invalidate and retry.
-
-        A valid transaction is applied atomically under one new commit
-        sequence number: all writes land, versions bump, the optional
-        WAL logs the write set (charging ``fsync_seconds`` of extra
-        service only when the log takes a real durability point —
-        group commit defers most of them), and every *other*
-        subscribed cache is invalidated for each written uid.
-
-        Returns ``{uid: new version}`` for the write set.
-        """
-        with self._serve("commit"):
-            lists = lists or {}
-            upload = (
-                _PROBE_BYTES
-                + sum(self.record_size(r) for r in writes.values())
-                + (_UID_BYTES + _UID_BYTES) * len(reads)
-                + sum(
-                    _UID_BYTES * len(uids) for uids in lists.values()
-                )
-            )
-            self.stats.bytes_received += upload
-            self._instr.count("backend.rpc.bytes_received", upload)
-            conflicts = stale_reads(
-                reads, lambda uid: self._versions.get(uid, 0)
-            )
-            conflicts += self._pin_conflicts(writes, reads, txid=None)
-            if conflicts:
-                self.stats.commit_conflicts += 1
-                self._instr.count("backend.mp.commit.conflicts")
-                self._charge(upload, "commit")
-                raise CommitConflictError(sorted(set(conflicts)))
-            synced = False
-            if self.wal is not None and writes:
-                txid = self._commit_seq + 1
-                synced = self.wal.log_commit(
-                    txid,
-                    [
-                        put_record(txid, uid, {"record": record})
-                        for uid, record in sorted(writes.items())
-                    ],
-                )
-            self._commit_seq += 1
-            applied: Dict[int, int] = {}
-            for uid, record in writes.items():
-                self._records[uid] = self._isolate(record)
-                self._versions[uid] = self._commit_seq
-                applied[uid] = self._commit_seq
-            for name, uids in lists.items():
-                self._lists[name] = list(uids)
-            self.stats.commits += 1
-            self._instr.count("backend.mp.commits")
-            self._charge(
-                upload,
-                "commit",
-                extra_service_seconds=self.fsync_seconds if synced else 0.0,
-            )
-            for uid in writes:
-                self._invalidate_subscribers(uid, except_cache=from_cache)
-            return applied
-
-    # ------------------------------------------------------------------
-    # Sharded scatter-gather (border-OID hand-off)
+    #
+    # One walk (``_scatter_bfs``) and one reply (``_closure``) serve all
+    # four verbs: ``traverse``/``readahead`` are the lone-server calls,
+    # ``traverse_shard``/``readahead_shard`` the shard-local rounds a
+    # :class:`~repro.sharding.router.ShardRouter` scatters, which also
+    # hand the border OIDs back.
     # ------------------------------------------------------------------
 
     def _scatter_bfs(self, seeds, neighbors, limit):
@@ -712,7 +508,9 @@ class ObjectServer:
         reachable along several paths keeps the largest remaining
         budget and is re-expanded when a later path improves it, so
         the union of all shard-local walks equals the single-server
-        BFS closure.
+        BFS closure.  A lone server is the one-shard case: it owns
+        everything it can reach, single-seed walks never re-expand,
+        and its "borders" are dangling edges the caller drops.
         """
         inf = float("inf")
         order: List[int] = []
@@ -766,7 +564,111 @@ class ObjectServer:
             (uid, None if b == inf else int(b))
             for uid, b in borders.items()
         ]
-        return order, border_list, full
+        return order, border_list
+
+    def _closure(
+        self,
+        verb: str,
+        seeds: List[Tuple[int, Optional[int]]],
+        edges: Callable[[Dict], List[int]],
+        limit: Optional[int],
+        with_records: bool = True,
+        handoff: bool = False,
+    ):
+        """Walk, then ship: the shared body of the push-down verbs.
+
+        Returns ``({uid: record-or-None}, borders)`` in discovery
+        order.  Without ``handoff`` (the lone server) edges to uids
+        this server does not hold are dangling: skipped silently and
+        never charged.  With it each border costs one uid of reply —
+        the hand-off references are real payload.
+        """
+        order, borders = self._scatter_bfs(seeds, edges, limit)
+        if not handoff:
+            borders = []
+        if not with_records:
+            self._reply_uids(len(order) + len(borders), verb)
+            return dict.fromkeys(order), borders
+        self.stats.pushdown_objects += len(order)
+        return self._ship(verb, order, _UID_BYTES * len(borders)), borders
+
+    def traverse(
+        self,
+        root: int,
+        relation: str,
+        direction: str = "forward",
+        depth: Optional[int] = None,
+        with_records: bool = True,
+        limit: Optional[int] = None,
+    ) -> Dict[int, Dict[str, Any]]:
+        """Run a closure BFS **at the server**; one size-charged reply.
+
+        This is the query-shipping verb: instead of the client walking
+        the structure level by level (one ``fetch_many`` round trip per
+        level), the whole traversal executes server-side and every
+        *distinct* visited record comes back in a single reply.  A
+        closure then costs ``round_trip + Σ transfer`` — the same
+        payload a frontier BFS ships in total, minus all but one of its
+        fixed round trips (and their envelopes).
+
+        Args:
+            root: start node; raises :class:`NodeNotFoundError` if
+                unknown (the request is still charged — it happened).
+            relation: ``"children"``, ``"parts"`` or ``"refTo"``.
+            direction: ``"forward"`` follows the relation,
+                ``"reverse"`` its inverse (parent / partOf / refFrom).
+            depth: maximum BFS depth (``None`` = unbounded; the
+                attributed-association closures pass their run-time
+                depth, 25 by default).
+            with_records: ship the visited records (the push-down fast
+                path) or just their uids (a reference-only closure,
+                charged like a range query).
+            limit: stop collecting after this many nodes — the client
+                passes its workstation-cache capacity so a reply never
+                ships records the cache could not hold; the BFS prefix
+                it does ship is still coherent (early levels complete),
+                and the client's frontier BFS fetches the remainder.
+
+        Returns:
+            ``{uid: record}`` in BFS visit order (insertion order of
+            the dict) when ``with_records``; ``{uid: None}`` in visit
+            order otherwise.  Dangling edge targets (uids the server
+            does not hold) are skipped silently — the client-side
+            replay resolves them through its own read path.
+        """
+        with self._serve("traverse"):
+            self.stats.traversals += 1
+            edges = _edges(relation, direction)
+            if root not in self._records:
+                self._charge(_PROBE_BYTES, "traverse")
+                raise NodeNotFoundError(root)
+            return self._closure(
+                "traverse", [(root, depth)], edges, limit, with_records
+            )[0]
+
+    def readahead(
+        self, uids: List[int], depth: int = 1, limit: Optional[int] = None
+    ) -> Dict[int, Dict[str, Any]]:
+        """Speculative structural readahead around a set of seed uids.
+
+        Expands each seed's structural neighbourhood — children *and*
+        parts, breadth-first to ``depth`` levels — and returns every
+        distinct record found, in one size-charged reply.  The verb is
+        **speculative by contract**: unknown seeds and dangling edges
+        are skipped silently (an empty reply is a valid answer), so the
+        client can ask optimistically on a cold first touch without a
+        second error round trip.  Raising is the caller's business if
+        a seed it *required* is absent from the reply.
+        """
+        with self._serve("readahead"):
+            self.stats.readaheads += 1
+            if depth < 0:
+                raise InvalidOperationError(
+                    f"readahead depth cannot be negative, got {depth}"
+                )
+            return self._closure(
+                "readahead", [(uid, depth) for uid in uids], _structural, limit
+            )[0]
 
     def traverse_shard(
         self,
@@ -794,41 +696,14 @@ class ObjectServer:
         """
         with self._serve("traverse_shard"):
             self.stats.traversals += 1
-            if relation not in _RELATIONS:
-                raise InvalidOperationError(
-                    f"traverse does not understand relation {relation!r}"
-                )
-            if direction not in ("forward", "reverse"):
-                raise InvalidOperationError(
-                    f"traverse direction must be forward or reverse,"
-                    f" got {direction!r}"
-                )
-            order, borders, _full = self._scatter_bfs(
+            return self._closure(
+                "traverse_shard",
                 seeds,
-                lambda record: self._neighbors(record, relation, direction),
+                _edges(relation, direction),
                 limit,
+                with_records,
+                handoff=True,
             )
-            border_bytes = _UID_BYTES * len(borders)
-            if not with_records:
-                payload = (
-                    _PROBE_BYTES + _UID_BYTES * len(order) + border_bytes
-                )
-                self.stats.bytes_sent += payload
-                self._instr.count("backend.rpc.bytes_sent", payload)
-                self._charge(payload, "traverse_shard")
-                return {uid: None for uid in order}, borders
-            payload = (
-                self._reply_payload(self._records[uid] for uid in order)
-                + border_bytes
-            )
-            out = {uid: self._isolate(self._records[uid]) for uid in order}
-            self.stats.pushdown_objects += len(order)
-            self.stats.bytes_sent += payload
-            self._instr.count("backend.rpc.bytes_sent", payload)
-            self._instr.count("backend.rpc.batched_objects", len(order))
-            self._charge(payload, "traverse_shard")
-            self._stamp_reply_versions(order)
-            return out, borders
 
     def readahead_shard(
         self,
@@ -850,24 +725,167 @@ class ObjectServer:
                     raise InvalidOperationError(
                         f"readahead depth cannot be negative, got {budget}"
                     )
-            order, borders, _full = self._scatter_bfs(
-                seeds,
-                lambda record: list(record["children"])
-                + list(record["parts"]),
-                limit,
+            return self._closure(
+                "readahead_shard", seeds, _structural, limit, handoff=True
             )
-            payload = (
-                self._reply_payload(self._records[uid] for uid in order)
-                + _UID_BYTES * len(borders)
+
+    # ------------------------------------------------------------------
+    # Writes: one validation kernel, one log-before-apply kernel
+    # ------------------------------------------------------------------
+
+    def store(
+        self, uid: int, record: Dict[str, Any], from_cache=None
+    ) -> None:
+        """Upload one record (insert or replace); charged for upload.
+
+        ``from_cache`` identifies the uploading client's cache so it is
+        excluded from the coherence invalidation broadcast.  With a WAL
+        the record is logged before it is applied, like any commit,
+        but a plain last-writer-wins store never waits on the fsync
+        (no ``fsync_seconds`` charge).
+        """
+        with self._serve("store"):
+            self.stats.stores += 1
+            size = self._receive(self.record_size(record))
+            self._commit(
+                None, size, {uid: record}, from_cache=from_cache, fsync=False
             )
-            out = {uid: self._isolate(self._records[uid]) for uid in order}
-            self.stats.pushdown_objects += len(order)
-            self.stats.bytes_sent += payload
-            self._instr.count("backend.rpc.bytes_sent", payload)
-            self._instr.count("backend.rpc.batched_objects", len(order))
-            self._charge(payload, "readahead_shard")
-            self._stamp_reply_versions(order)
-            return out, borders
+
+    def commit_batch(
+        self,
+        writes: Dict[int, Dict[str, Any]],
+        reads: Dict[int, int],
+        lists: Optional[Dict[str, List[int]]] = None,
+        from_cache=None,
+    ) -> Dict[int, int]:
+        """Optimistically validate and apply one transaction atomically.
+
+        The optimistic client ships its whole write set plus the
+        versions of every record it read this transaction in **one**
+        request (charged for the uploaded records plus a uid+version
+        pair per read).  Validation is first-committer-wins: if any
+        read version no longer matches the server's current version —
+        another client committed that record meanwhile — nothing is
+        applied and :class:`~repro.errors.CommitConflictError` reports
+        the stale uids so the client can invalidate and retry.
+
+        A valid transaction is applied atomically under one new commit
+        txid (see :meth:`_commit`): the optional WAL logs the write
+        set first (charging ``fsync_seconds`` of extra service only
+        when the log takes a real durability point — group commit
+        defers most of them), then all writes land, versions bump, and
+        every *other* subscribed cache is invalidated per written uid.
+
+        Returns ``{uid: new version}`` for the write set.
+        """
+        with self._serve("commit"):
+            lists = lists or {}
+            upload = self._upload(writes, reads, lists)
+            self._validate("commit", upload, writes, reads)
+            self.stats.commits += 1
+            self._instr.count("backend.mp.commits")
+            return self._commit("commit", upload, writes, lists, from_cache)
+
+    def _upload(self, writes, reads, lists, txid=None) -> int:
+        """Size and account one uploaded transaction (slice).
+
+        The write set's records, a uid+version pair per read, a uid
+        per list member — plus the global txid riding in a prepare's
+        envelope.
+        """
+        return self._receive(
+            _PROBE_BYTES
+            + (0 if txid is None else _UID_BYTES)
+            + sum(self.record_size(r) for r in writes.values())
+            + (_UID_BYTES + _UID_BYTES) * len(reads)
+            + sum(_UID_BYTES * len(uids) for uids in lists.values())
+        )
+
+    def _validate(self, verb, upload, writes, reads, txid=None) -> None:
+        """The one validation kernel: first-committer-wins, then pins.
+
+        A read version that no longer matches the server's, or a uid
+        pinned by another in-doubt transaction, refuses the request —
+        charged, counted, nothing applied.
+        """
+        conflicts = stale_reads(reads, lambda uid: self._versions.get(uid, 0))
+        conflicts += self._pin_conflicts(writes, reads, txid)
+        if conflicts:
+            self.stats.commit_conflicts += 1
+            self._instr.count("backend.mp.commit.conflicts")
+            self._charge(upload, verb)
+            raise CommitConflictError(sorted(set(conflicts)))
+
+    def _next_txid(self) -> int:
+        """The one local txid allocator: ascending, never a parked txid.
+
+        A 2PC slice is logged under the *coordinator's* global txid.
+        A local commit logged under the same number while that slice
+        is in doubt would read, on recovery, as the slice's COMMIT —
+        dropping the in-doubt transaction.  Skipping parked txids
+        keeps the two namespaces apart where it matters; versions
+        only need to ascend, not to be dense.
+        """
+        txid = self._commit_seq + 1
+        while txid in self._prepared:
+            txid += 1
+        return txid
+
+    def _install(self, writes, version: int, from_cache=None):
+        """The one place records and versions are assigned.
+
+        Every writer ends here — client commits, recovery replay and
+        replica apply — so each also broadcasts its invalidations and
+        pulls the local commit sequence up to ``version`` (later
+        commits keep ascending even after applying a peer's txids).
+        """
+        self._commit_seq = max(self._commit_seq, version)
+        for uid, record in writes.items():
+            self._records[uid] = copy_record(record)
+            self._versions[uid] = version
+            self._invalidate_subscribers(uid, except_cache=from_cache)
+        return dict.fromkeys(writes, version)
+
+    def _commit(
+        self,
+        verb: Optional[str],
+        upload: int,
+        writes: Dict[int, Dict[str, Any]],
+        lists: Optional[Dict[str, List[int]]] = None,
+        from_cache=None,
+        prepared: Optional[int] = None,
+        fsync: bool = True,
+    ) -> Dict[int, int]:
+        """Log, apply, charge, notify: the one client write path.
+
+        **Log before apply** is the durability contract: a write is
+        acknowledged (and charged its reply) only after its records
+        are in the log, so an acked write survives any later crash,
+        and a crash *during* logging leaves a torn tail that shipper
+        and recovery both ignore — never acked, never applied.  A
+        parked 2PC slice (``prepared`` = its global txid) already
+        logged its records at prepare; its decision is what gets
+        logged here.  ``fsync=False`` is the plain ``store``: it never
+        waits on the log's durability point.  ``on_commit`` fires
+        last, so a shipper polling from it stamps the commit's own
+        (post-charge) virtual time.
+
+        Returns ``{uid: new version}`` for the write set.
+        """
+        txid = self._next_txid()
+        synced = False
+        if self.wal is not None:
+            if prepared is not None:
+                synced = self.wal.log_decision(prepared, committed=True)
+            elif writes:
+                synced = self.wal.log_commit(txid, _log_records(txid, writes))
+        applied = self._install(writes, txid, from_cache)
+        for name, uids in (lists or {}).items():
+            self._lists[name] = list(uids)
+        self._charge(upload, verb, synced and fsync)
+        if writes and self.on_commit is not None:
+            self.on_commit()
+        return applied
 
     # ------------------------------------------------------------------
     # Two-phase commit (participant side; the ShardRouter coordinates)
@@ -900,6 +918,30 @@ class ObjectServer:
         ]
         return blocked
 
+    def _park(self, txid, writes, reads=(), lists=None, from_cache=None):
+        """Hold a validated slice in doubt, its read∪write set pinned."""
+        self._prepared[txid] = {
+            "writes": {
+                uid: copy_record(record) for uid, record in writes.items()
+            },
+            "lists": {
+                name: list(uids) for name, uids in (lists or {}).items()
+            },
+            "from_cache": from_cache,
+        }
+        for uid in writes:
+            self._pins[uid] = txid
+            self._pin_writes.add(uid)
+        for uid in reads:
+            self._pins.setdefault(uid, txid)
+
+    def _release_pins(self, txid: int) -> None:
+        for uid in [
+            uid for uid, owner in self._pins.items() if owner == txid
+        ]:
+            del self._pins[uid]
+            self._pin_writes.discard(uid)
+
     def prepare_batch(
         self,
         txid: int,
@@ -920,16 +962,7 @@ class ObjectServer:
         arrives.  Nothing is applied and no cache is invalidated yet.
         """
         with self._serve("prepare"):
-            lists = lists or {}
-            upload = (
-                _PROBE_BYTES
-                + _UID_BYTES  # the global txid rides in the envelope
-                + sum(self.record_size(r) for r in writes.values())
-                + (_UID_BYTES + _UID_BYTES) * len(reads)
-                + sum(_UID_BYTES * len(uids) for uids in lists.values())
-            )
-            self.stats.bytes_received += upload
-            self._instr.count("backend.rpc.bytes_received", upload)
+            upload = self._upload(writes, reads, lists or {}, txid)
             if txid in self._decided:
                 self._charge(upload, "prepare")
                 raise InvalidOperationError(
@@ -940,46 +973,16 @@ class ObjectServer:
                 # is already parked and pinned — just re-acknowledge.
                 self._charge(upload, "prepare")
                 return True
-            conflicts = stale_reads(
-                reads, lambda uid: self._versions.get(uid, 0)
-            )
-            conflicts += self._pin_conflicts(writes, reads, txid)
-            if conflicts:
-                self.stats.commit_conflicts += 1
-                self._instr.count("backend.mp.commit.conflicts")
-                self._charge(upload, "prepare")
-                raise CommitConflictError(sorted(set(conflicts)))
+            self._validate("prepare", upload, writes, reads, txid)
             synced = False
             if self.wal is not None:
                 synced = self.wal.log_prepare(
-                    txid,
-                    [
-                        put_record(txid, uid, {"record": record})
-                        for uid, record in sorted(writes.items())
-                    ],
+                    txid, _log_records(txid, writes)
                 )
-            self._prepared[txid] = {
-                "writes": {
-                    uid: self._isolate(record)
-                    for uid, record in writes.items()
-                },
-                "lists": {
-                    name: list(uids) for name, uids in lists.items()
-                },
-                "from_cache": from_cache,
-            }
-            for uid in writes:
-                self._pins[uid] = txid
-                self._pin_writes.add(uid)
-            for uid in reads:
-                self._pins.setdefault(uid, txid)
+            self._park(txid, writes, reads, lists, from_cache)
             self.stats.prepares += 1
             self._instr.count("backend.mp.prepares")
-            self._charge(
-                upload,
-                "prepare",
-                extra_service_seconds=self.fsync_seconds if synced else 0.0,
-            )
+            self._charge(upload, "prepare", synced)
             return True
 
     def commit_prepared(self, txid: int) -> Dict[int, int]:
@@ -988,14 +991,12 @@ class ObjectServer:
         Idempotent — a retried decision (the first ack was lost)
         replays the memoized result without re-applying.  The decision
         is force-logged to the WAL before the writes land, then the
-        slice applies under one new commit sequence number and every
-        other subscribed cache is invalidated per written uid, exactly
-        like ``commit_batch``'s apply half.
+        slice applies under one new *local* commit txid and every
+        other subscribed cache is invalidated per written uid — the
+        same :meth:`_commit` kernel ``commit_batch`` ends in.
         """
         with self._serve("decide"):
-            upload = _PROBE_BYTES + _UID_BYTES
-            self.stats.bytes_received += upload
-            self._instr.count("backend.rpc.bytes_received", upload)
+            upload = self._receive(_PROBE_BYTES + _UID_BYTES)
             if txid in self._decided:
                 self._charge(upload, "decide")
                 memo = self._decided[txid]
@@ -1010,31 +1011,19 @@ class ObjectServer:
                 raise InvalidOperationError(
                     f"transaction {txid} is not prepared on this shard"
                 )
-            synced = False
-            if self.wal is not None:
-                synced = self.wal.log_decision(txid, committed=True)
-            self._commit_seq += 1
-            applied: Dict[int, int] = {}
-            for uid, record in entry["writes"].items():
-                self._records[uid] = record
-                self._versions[uid] = self._commit_seq
-                applied[uid] = self._commit_seq
-            for name, uids in entry["lists"].items():
-                self._lists[name] = list(uids)
             self._release_pins(txid)
-            self._decided[txid] = dict(applied)
             self.stats.commits += 1
             self.stats.decisions += 1
             self._instr.count("backend.mp.commits")
-            self._charge(
-                upload,
+            applied = self._commit(
                 "decide",
-                extra_service_seconds=self.fsync_seconds if synced else 0.0,
+                upload,
+                entry["writes"],
+                entry["lists"],
+                entry["from_cache"],
+                prepared=txid,
             )
-            for uid in entry["writes"]:
-                self._invalidate_subscribers(
-                    uid, except_cache=entry["from_cache"]
-                )
+            self._decided[txid] = dict(applied)
             return applied
 
     def abort_prepared(self, txid: int) -> None:
@@ -1047,9 +1036,7 @@ class ObjectServer:
         it is harmless: recovery presumes abort).
         """
         with self._serve("decide"):
-            upload = _PROBE_BYTES + _UID_BYTES
-            self.stats.bytes_received += upload
-            self._instr.count("backend.rpc.bytes_received", upload)
+            upload = self._receive(_PROBE_BYTES + _UID_BYTES)
             if txid in self._decided:
                 self._charge(upload, "decide")
                 return
@@ -1061,13 +1048,6 @@ class ObjectServer:
             self.stats.decisions += 1
             self._instr.count("backend.mp.2pc.aborts")
             self._charge(upload, "decide")
-
-    def _release_pins(self, txid: int) -> None:
-        for uid in [
-            uid for uid, owner in self._pins.items() if owner == txid
-        ]:
-            del self._pins[uid]
-            self._pin_writes.discard(uid)
 
     def in_doubt(self) -> List[int]:
         """Txids prepared but undecided (uncharged admin call)."""
@@ -1095,29 +1075,10 @@ class ObjectServer:
         self.load_records(base_records or {})
         committed, parked = self.wal.recover()
         for _txid, operations in committed:
-            self._commit_seq += 1
-            for op in operations:
-                if op.kind == PUT and op.state is not None:
-                    self._records[op.oid] = self._isolate(
-                        op.state["record"]
-                    )
-                    self._versions[op.oid] = self._commit_seq
-        recovered: List[int] = []
+            self._install(_logged_writes(operations), self._next_txid())
         for txid, operations in parked:
-            writes = {
-                op.oid: self._isolate(op.state["record"])
-                for op in operations
-                if op.kind == PUT and op.state is not None
-            }
-            self._prepared[txid] = {
-                "writes": writes,
-                "lists": {},
-                "from_cache": None,
-            }
-            for uid in writes:
-                self._pins[uid] = txid
-                self._pin_writes.add(uid)
-            recovered.append(txid)
+            self._park(txid, _logged_writes(operations))
+        recovered = [txid for txid, _operations in parked]
         if recovered:
             self._instr.count("netsim.recovery.in_doubt", len(recovered))
         return recovered
@@ -1134,13 +1095,9 @@ class ObjectServer:
         conflicts honestly.  The local commit sequence is pulled up to
         the applied txid so post-promotion commits keep ascending.
         """
-        for op in operations:
-            if op.kind == PUT and op.state is not None:
-                self._records[op.oid] = self._isolate(op.state["record"])
-                self._versions[op.oid] = op.txid
-                if op.txid > self._commit_seq:
-                    self._commit_seq = op.txid
-                self._invalidate_subscribers(op.oid)
+        writes = _logged_writes(operations)
+        if writes:
+            self._install(writes, operations[0].txid)
 
     def exists(self, uid: int) -> bool:
         """Key-existence probe (the server-side name-lookup index hit)."""
@@ -1167,10 +1124,7 @@ class ObjectServer:
                 for uid, record in self._records.items()
                 if low <= record[attribute] <= high
             ]
-            size = _PROBE_BYTES + _UID_BYTES * len(result)
-            self.stats.bytes_sent += size
-            self._instr.count("backend.rpc.bytes_sent", size)
-            self._charge(size)
+            self._reply_uids(len(result))
             return result
 
     def scan_structure(self, structure_id: int) -> List[int]:
@@ -1182,10 +1136,7 @@ class ObjectServer:
                 for uid, record in self._records.items()
                 if record["struct"] == structure_id
             )
-            size = _PROBE_BYTES + _UID_BYTES * len(result)
-            self.stats.bytes_sent += size
-            self._instr.count("backend.rpc.bytes_sent", size)
-            self._charge(size)
+            self._reply_uids(len(result))
             return result
 
     def referrers_of(self, uid: int) -> List[int]:
@@ -1243,7 +1194,7 @@ class ObjectServer:
         preloads a fresh server per grid cell from this snapshot.
         """
         return {
-            uid: self._isolate(record)
+            uid: copy_record(record)
             for uid, record in self._records.items()
         }
 
@@ -1255,7 +1206,7 @@ class ObjectServer:
         deterministic state.
         """
         self._records = {
-            uid: self._isolate(record) for uid, record in records.items()
+            uid: copy_record(record) for uid, record in records.items()
         }
         self._lists = {}
         self._versions = {}

@@ -12,15 +12,10 @@ primary, with read-your-writes enforced through session LSN tokens.
 See ``docs/replication.md`` for the architecture and contracts.
 """
 
-from repro.replication.group import (
-    ReplicatedPrimary,
-    ReplicationGroup,
-    WalShipper,
-)
+from repro.replication.group import ReplicationGroup, WalShipper
 from repro.replication.router import ReplicaRouter
 
 __all__ = [
-    "ReplicatedPrimary",
     "ReplicationGroup",
     "WalShipper",
     "ReplicaRouter",

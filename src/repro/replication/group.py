@@ -1,15 +1,11 @@
 """The server side of replication: WAL shipping onto replica stores.
 
-Three pieces, composed by :class:`ReplicationGroup`:
+Two pieces around a plain primary
+:class:`~repro.netsim.server.ObjectServer` — whose every write verb
+logs before it applies and then fires ``on_commit``, which the group
+wires to a synchronous shipper poll: ship time is the commit's virtual
+time, so staleness is deterministic.
 
-* :class:`ReplicatedPrimary` — an
-  :class:`~repro.netsim.server.ObjectServer` whose *every* write verb
-  reaches the WAL.  ``commit_batch`` already logs (the base server
-  does, when built with a WAL); plain ``store`` gains the same
-  log-before-apply framing so single-record writes ship too.  After a
-  successful write the primary fires an ``on_commit`` hook, which the
-  group uses to poll the shipper synchronously — ship time is the
-  commit's virtual time, so staleness is deterministic.
 * :class:`WalShipper` — tails the primary's log with the
   offset-resumable :meth:`~repro.engine.wal.WriteAheadLog.read_from`,
   never rescanning shipped bytes.  It frames BEGIN/PUT/COMMIT records
@@ -35,7 +31,6 @@ replies validate at the primary exactly as primary-served reads would.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.vfs import MemoryVFS
@@ -46,61 +41,14 @@ from repro.engine.wal import (
     LogRecord,
     PUT,
     WriteAheadLog,
-    put_record,
 )
 from repro.errors import InvalidOperationError
 from repro.netsim.config import ReplicationConfig
 from repro.netsim.faults import FaultModel
 from repro.netsim.latency import LatencyModel, SimulatedClock
 from repro.netsim.server import ObjectServer
+from repro.netsim.verbs import fan_out_transport
 from repro.obs import Instrumentation, resolve
-
-
-class ReplicatedPrimary(ObjectServer):
-    """An object server whose whole write surface reaches the WAL.
-
-    The base server logs ``commit_batch`` transactions when built with
-    a WAL; this subclass adds the same log-before-apply framing to
-    plain ``store`` (the last-writer-wins single-record write), so a
-    replication group ships *every* mutation.  Both paths fire the
-    ``on_commit`` hook after the write is applied.
-
-    Log-before-apply is the durability contract: a request is only
-    acknowledged (and only charged its reply) after its records are in
-    the log, so an acked write survives any later crash, and a crash
-    *during* logging leaves a torn tail the shipper and recovery both
-    ignore — the write was never acked, and it is never applied.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: Called (no args) after every applied write; the group wires
-        #: this to the shipper's poll so ship time == commit time.
-        self.on_commit = None
-
-    def store(self, uid: int, record: Dict[str, Any], from_cache=None) -> None:
-        if self.wal is not None:
-            txid = self._commit_seq + 1
-            self.wal.log_commit(
-                txid, [put_record(txid, uid, {"record": record})]
-            )
-        super().store(uid, record, from_cache=from_cache)
-        if self.on_commit is not None:
-            self.on_commit()
-
-    def commit_batch(
-        self,
-        writes: Dict[int, Dict[str, Any]],
-        reads: Dict[int, int],
-        lists: Optional[Dict[str, List[int]]] = None,
-        from_cache=None,
-    ) -> Dict[int, int]:
-        applied = super().commit_batch(
-            writes, reads, lists=lists, from_cache=from_cache
-        )
-        if writes and self.on_commit is not None:
-            self.on_commit()
-        return applied
 
 
 class WalShipper:
@@ -228,7 +176,7 @@ class ReplicationGroup:
             vfs=self.vfs,
             group_commit=group_commit,
         )
-        self.primary: ObjectServer = ReplicatedPrimary(
+        self.primary = ObjectServer(
             self.clock,
             latency,
             instrumentation=instrumentation,
@@ -411,37 +359,11 @@ class ReplicationGroup:
         self.shipper.rebase()
         self.generation += 1
 
-    def export_records(self) -> Dict[int, Dict[str, Any]]:
-        return self.primary.export_records()
-
-    def count(self, structure_id: int) -> int:
-        return self.primary.count(structure_id)
-
-    def __contains__(self, uid: int) -> bool:
-        return uid in self.primary
-
-    @contextlib.contextmanager
     def use_transport(self, transport):
         """Swap charge transports on the primary and every replica.
 
-        Accepts one transport (everything behind one NIC) or a
-        sequence of ``1 + replicas`` lanes — ``[primary, replica0,
-        replica1, …]``, see :func:`repro.netsim.sim.replica_lanes`.
+        Accepts one transport (everything behind one NIC) or
+        ``1 + replicas`` lanes — ``[primary, replica0, replica1, …]``,
+        see :func:`repro.netsim.sim.replica_lanes`.
         """
-        servers = [self.primary] + [
-            s.server for s in self._states if not s.promoted
-        ]
-        lanes = getattr(transport, "lanes", None)
-        if lanes is None:
-            if isinstance(transport, (list, tuple)):
-                lanes = list(transport)
-            else:
-                lanes = [transport] * len(servers)
-        if len(lanes) != len(servers):
-            raise InvalidOperationError(
-                f"{len(lanes)} transports for {len(servers)} servers"
-            )
-        with contextlib.ExitStack() as stack:
-            for server, lane in zip(servers, lanes):
-                stack.enter_context(server.use_transport(lane))
-            yield lanes
+        return fan_out_transport([self.primary] + self.replicas, transport)

@@ -14,9 +14,10 @@ as its ``server`` unchanged.  Behind the surface:
   holds unconditionally while everything else enjoys bounded-staleness
   reads off the primary's lane.
 * **Writes and everything non-read** (``store``, ``commit_batch``,
-  probes, queries, named lists, 2PC verbs, admin) go to the primary;
-  a successful write advances the session token to the LSN the commit
-  shipped at.
+  probes, queries, named lists, participant verbs, admin) go to the
+  primary; a successful write advances the session token to the LSN
+  the commit shipped at.  None of these is spelled out here: they are
+  forwarders generated from :mod:`repro.netsim.verbs`.
 * **Policies** — ``round_robin`` rotates the eligible set per client;
   ``least_queue`` picks the eligible replica whose transport lane has
   the smallest backlog (``server_free_at - virtual_now`` on the
@@ -38,12 +39,13 @@ from typing import Any, Dict, List, Optional
 from repro.engine.wal import WriteAheadLog
 from repro.errors import ConfigurationError
 from repro.netsim.config import REPLICA_POLICIES
-from repro.netsim.server import ObjectServer, ServerStats
-from repro.obs import Instrumentation, TraceContext, resolve
+from repro.netsim.server import ObjectServer
+from repro.netsim.verbs import READ_VERBS, SERVED_VERBS, VerbRouter
+from repro.obs import Instrumentation, resolve
 from repro.replication.group import ReplicationGroup
 
 
-class ReplicaRouter:
+class ReplicaRouter(VerbRouter):
     """Session-consistent read routing over a shared replication group.
 
     Args:
@@ -51,6 +53,16 @@ class ReplicaRouter:
         policy: ``"round_robin"`` or ``"least_queue"``.
         instrumentation: counter/span sink (defaults to the group's).
     """
+
+    #: The whole charged surface delegates (``_route`` picks a replica
+    #: for reads, the primary for everything else), as do the admin
+    #: calls that are the primary's alone to answer.
+    forwards = SERVED_VERBS + (
+        "in_doubt",
+        "recover_from_wal",
+        "count",
+        "export_records",
+    )
 
     def __init__(
         self,
@@ -63,14 +75,13 @@ class ReplicaRouter:
             raise ConfigurationError(
                 f"policy must be one of {REPLICA_POLICIES}, got {policy!r}"
             )
-        self.group = group
-        self.policy = policy
-        self.instrumentation = (
+        super().__init__(
             resolve(instrumentation)
             if instrumentation is not None
             else group.instrumentation
         )
-        self._instr = self.instrumentation
+        self.group = group
+        self.policy = policy
         #: LSN of this client's last acknowledged write; reads only
         #: route to replicas that have applied at least this much.
         self.session_lsn = 0
@@ -80,12 +91,6 @@ class ReplicaRouter:
         self.force_primary = False
         self._generation = group.generation
         self._rr = 0
-        self._pending_trace: Optional[TraceContext] = None
-        self._reply_versions: Dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # ObjectServer surface: plumbing
-    # ------------------------------------------------------------------
 
     @property
     def clock(self):
@@ -99,19 +104,8 @@ class ReplicaRouter:
     def wal(self) -> Optional[WriteAheadLog]:
         return self.group.wal
 
-    @property
-    def stats(self) -> ServerStats:
-        """Aggregated request counters across the whole group."""
-        total = ServerStats()
-        servers = [self.group.primary] + self.group.replicas
-        for server in servers:
-            for field in total.__dataclass_fields__:
-                setattr(
-                    total,
-                    field,
-                    getattr(total, field) + getattr(server.stats, field),
-                )
-        return total
+    def _servers(self) -> List[ObjectServer]:
+        return [self.group.primary] + self.group.replicas
 
     def trace_lane_metadata(self) -> Dict[str, Dict[str, object]]:
         """Per-lane metadata for the Chrome trace export (the servers
@@ -131,38 +125,33 @@ class ReplicaRouter:
             }
         return meta
 
-    def accept_trace_context(self, context: Optional[TraceContext]) -> None:
-        self._pending_trace = context
-
-    def take_reply_versions(self) -> Dict[int, int]:
-        """Version stamps from whichever server answered this verb.
-
-        Replica stamps are the origin commit txids (apply mirrors
-        them), so a read set mixing replica- and primary-served reads
-        validates consistently at the primary.
-        """
-        versions = self._reply_versions
-        self._reply_versions = {}
-        return versions
-
     def subscribe(self, cache) -> None:
         self.group.subscribe(cache)
 
     def unsubscribe(self, cache) -> None:
         self.group.unsubscribe(cache)
 
-    def use_transport(self, transport):
-        return self.group.use_transport(transport)
-
-    def _call(self, server: ObjectServer, verb: str, *args, **kwargs):
-        server.accept_trace_context(self._pending_trace)
-        result = getattr(server, verb)(*args, **kwargs)
-        self._reply_versions.update(server.take_reply_versions())
-        return result
-
     # ------------------------------------------------------------------
-    # Read routing
+    # Routing policy
     # ------------------------------------------------------------------
+
+    def _route(self, verb: str, args: tuple) -> ObjectServer:
+        """Reads go to a replica; every other verb to the primary."""
+        self._check_generation()
+        if verb in READ_VERBS:
+            return self._read_server()
+        return self.group.primary
+
+    def _acked(self, verb: str, result) -> None:
+        """A write ack advances the session token to the LSN it shipped
+        at: the primary's ``on_commit`` hook already polled the shipper,
+        so ``primary_lsn`` is exactly this write's.  A commit that
+        applied no record (lists only) shipped nothing and moves
+        nothing."""
+        if verb == "store" or (
+            verb in ("commit_batch", "commit_prepared") and result
+        ):
+            self.session_lsn = self.group.shipper.primary_lsn
 
     def _check_generation(self) -> None:
         if self._generation != self.group.generation:
@@ -184,7 +173,6 @@ class ReplicaRouter:
     def _read_server(self) -> ObjectServer:
         """Pick the server for one read: an eligible replica, or the
         primary when none is fresh enough for the session token."""
-        self._check_generation()
         if self.force_primary:
             self.group.catch_up()
             self._instr.count("backend.replica.forced_primary")
@@ -211,126 +199,13 @@ class ReplicaRouter:
         self._instr.count(f"backend.replica.{state.index}.reads")
         return state.server
 
-    def fetch(self, uid: int) -> Dict[str, Any]:
-        return self._call(self._read_server(), "fetch", uid)
-
-    def fetch_many(self, uids: List[int]) -> Dict[int, Dict[str, Any]]:
-        return self._call(self._read_server(), "fetch_many", uids)
-
-    def traverse(
-        self,
-        root: int,
-        relation: str,
-        direction: str = "forward",
-        depth: Optional[int] = None,
-        with_records: bool = True,
-        limit: Optional[int] = None,
-    ) -> Dict[int, Dict[str, Any]]:
-        return self._call(
-            self._read_server(),
-            "traverse",
-            root,
-            relation,
-            direction=direction,
-            depth=depth,
-            with_records=with_records,
-            limit=limit,
-        )
-
-    def readahead(
-        self, uids: List[int], depth: int = 1, limit: Optional[int] = None
-    ) -> Dict[int, Dict[str, Any]]:
-        return self._call(
-            self._read_server(), "readahead", uids, depth=depth, limit=limit
-        )
-
     # ------------------------------------------------------------------
-    # Writes (primary only; acks advance the session token)
+    # Administration the group answers as a whole
     # ------------------------------------------------------------------
-
-    def _note_write(self) -> None:
-        # The primary's on_commit hook already polled the shipper, so
-        # primary_lsn is exactly the LSN this write committed at.
-        self.session_lsn = self.group.shipper.primary_lsn
-
-    def store(self, uid: int, record: Dict[str, Any], from_cache=None) -> None:
-        self._check_generation()
-        result = self._call(
-            self.group.primary, "store", uid, record, from_cache=from_cache
-        )
-        self._note_write()
-        return result
-
-    def commit_batch(
-        self,
-        writes: Dict[int, Dict[str, Any]],
-        reads: Dict[int, int],
-        lists: Optional[Dict[str, List[int]]] = None,
-        from_cache=None,
-    ) -> Dict[int, int]:
-        self._check_generation()
-        applied = self._call(
-            self.group.primary,
-            "commit_batch",
-            writes,
-            reads,
-            lists,
-            from_cache=from_cache,
-        )
-        if writes:
-            self._note_write()
-        return applied
-
-    # ------------------------------------------------------------------
-    # Primary passthrough (probes, queries, lists, 2PC, admin)
-    # ------------------------------------------------------------------
-
-    def exists(self, uid: int) -> bool:
-        return self._call(self.group.primary, "exists", uid)
-
-    def range_query(self, attribute: str, low: int, high: int) -> List[int]:
-        return self._call(
-            self.group.primary, "range_query", attribute, low, high
-        )
-
-    def scan_structure(self, structure_id: int) -> List[int]:
-        return self._call(self.group.primary, "scan_structure", structure_id)
-
-    def referrers_of(self, uid: int) -> List[int]:
-        return self._call(self.group.primary, "referrers_of", uid)
-
-    def store_list(self, name: str, uids: List[int]) -> None:
-        return self._call(self.group.primary, "store_list", name, uids)
-
-    def load_list(self, name: str) -> List[int]:
-        return self._call(self.group.primary, "load_list", name)
-
-    def prepare_batch(self, *args, **kwargs):
-        return self._call(self.group.primary, "prepare_batch", *args, **kwargs)
-
-    def commit_prepared(self, txid: int):
-        result = self._call(self.group.primary, "commit_prepared", txid)
-        self._note_write()
-        return result
-
-    def abort_prepared(self, txid: int):
-        return self._call(self.group.primary, "abort_prepared", txid)
-
-    def in_doubt(self) -> List[int]:
-        return self.group.primary.in_doubt()
-
-    def recover_from_wal(self) -> int:
-        return self.group.primary.recover_from_wal()
-
-    def count(self, structure_id: int) -> int:
-        return self.group.count(structure_id)
-
-    def export_records(self) -> Dict[int, Dict[str, Any]]:
-        return self.group.export_records()
 
     def load_records(self, records: Dict[int, Dict[str, Any]]) -> None:
         self.group.load_records(records)
         self._check_generation()
 
     def __contains__(self, uid: int) -> bool:
-        return uid in self.group
+        return uid in self.group.primary

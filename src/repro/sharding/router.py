@@ -6,10 +6,12 @@
 as its ``server`` unchanged — every workstation-cache, retry and
 trace-propagation behaviour carries over.  Behind the surface:
 
-* **Point reads** (``fetch``, ``exists``, ``store``) route to the one
-  shard the :class:`~repro.sharding.placement.Placement` policy names;
-  ``fetch_many`` partitions its batch into one sub-batch per owning
-  shard (one round trip each).
+* **Point verbs** (``fetch``, ``exists``, ``store``, the named-list
+  pair) route to the one shard the
+  :class:`~repro.sharding.placement.Placement` policy names — they
+  are forwarders generated from :mod:`repro.netsim.verbs`, steered by
+  ``_route``; ``fetch_many`` partitions its batch into one sub-batch
+  per owning shard (one round trip each).
 * **Closure push-down** (``traverse``, ``readahead``) scatter-gathers:
   each round sends every shard *one* multi-seed ``traverse_shard``
   call for the frontier uids it owns; shards walk their local records
@@ -54,6 +56,7 @@ from repro.netsim.config import ShardConfig
 from repro.netsim.faults import FaultModel
 from repro.netsim.latency import LatencyModel, SimulatedClock
 from repro.netsim.server import ObjectServer
+from repro.netsim.verbs import VerbRouter
 from repro.obs import Instrumentation, TraceContext, resolve
 from repro.sharding.placement import Placement, _digest, make_placement
 
@@ -69,7 +72,7 @@ def _budget(value: Optional[int]) -> float:
     return float("inf") if value is None else float(value)
 
 
-class ShardRouter:
+class ShardRouter(VerbRouter):
     """Coordinator + scatter-gather fan-out over N shard servers.
 
     Args:
@@ -99,6 +102,10 @@ class ShardRouter:
             client's own retry wrapper cannot manage these).
     """
 
+    #: Verbs with exactly one owning shard (see ``_route``); every
+    #: other verb of the surface is re-implemented below.
+    forwards = ("fetch", "exists", "store", "store_list", "load_list")
+
     def __init__(
         self,
         config: ShardConfig,
@@ -115,9 +122,8 @@ class ShardRouter:
         rpc_retries: int = 4,
         rpc_backoff_seconds: float = 0.002,
     ) -> None:
+        super().__init__(resolve(instrumentation))
         self.config = config
-        self.instrumentation = resolve(instrumentation)
-        self._instr = self.instrumentation
         self.placement = placement or make_placement(config)
         self.decision_log = decision_log
         self.rpc_retries = rpc_retries
@@ -157,8 +163,6 @@ class ShardRouter:
         if decision_log is not None:
             for record in decision_log.read_all():
                 self._txid = max(self._txid, record.txid)
-        self._pending_trace: Optional[TraceContext] = None
-        self._reply_versions: Dict[int, int] = {}
         # Per-shard in-doubt gauge: how many transactions each shard
         # holds prepared-but-undecided right now.  Evaluated only at
         # flight-recorder sample time (in_doubt() allocates a list).
@@ -184,48 +188,30 @@ class ShardRouter:
             for index in range(len(self.shards))
         }
 
-    def _repoint_trace(
-        self, phase_span, ctx: Optional[TraceContext]
-    ) -> None:
-        """Make a 2PC/scatter phase span the remote parent of its fan-out.
+    @contextlib.contextmanager
+    def _phase(self, name: str, ctx: Optional[TraceContext]):
+        """A 2PC/scatter phase span that remote-parents its fan-out.
 
-        Shard calls issued while the repointed context is pending
-        record their server spans with ``remote_parent`` = the phase
-        span, so the exported trace draws flow arrows from *the phase*
-        (prepare, deliver, scatter round) into each shard lane instead
-        of from the enclosing client RPC span.  Callers restore
-        ``self._pending_trace = ctx`` when the phase ends.
+        Shard calls issued inside the phase record their server spans
+        with ``remote_parent`` = the phase span, so the exported trace
+        draws flow arrows from *the phase* (prepare, deliver, scatter
+        round) into each shard lane instead of from the enclosing
+        client RPC span.  The caller's context is restored on exit.
         """
-        if self._instr.enabled:
-            self._pending_trace = TraceContext(
-                self._instr.trace_id,
-                phase_span.sequence,
-                client_id=ctx.client_id if ctx is not None else None,
-            )
+        client = ctx.client_id if ctx is not None else None
+        with self._instr.span(name, client=client) as span:
+            if self._instr.enabled:
+                self._pending_trace = TraceContext(
+                    self._instr.trace_id, span.sequence, client_id=client
+                )
+            try:
+                yield
+            finally:
+                self._pending_trace = ctx
 
     # ------------------------------------------------------------------
     # ObjectServer surface: plumbing
     # ------------------------------------------------------------------
-
-    def accept_trace_context(self, context: Optional[TraceContext]) -> None:
-        """Stash the caller's trace context for this verb's fan-out.
-
-        Unlike the single server (one request, one context), a router
-        verb issues several shard requests; each inherits the same
-        client context, so the fan-out appears as sibling server spans
-        under one client RPC span.
-        """
-        self._pending_trace = context
-
-    def take_reply_versions(self) -> Dict[int, int]:
-        """Version stamps accumulated across this verb's shard replies.
-
-        Shard version counters are independent; stamps never collide
-        because each uid has exactly one owning shard.
-        """
-        versions = self._reply_versions
-        self._reply_versions = {}
-        return versions
 
     def subscribe(self, cache) -> None:
         """Register a cache for invalidations from **every** shard.
@@ -242,63 +228,25 @@ class ShardRouter:
         for shard in self.shards:
             shard.unsubscribe(cache)
 
-    @contextlib.contextmanager
-    def use_transport(self, transport):
-        """Swap charge transports on every shard at once.
-
-        Accepts one transport (shared FIFO — the whole deployment
-        behind one NIC) or a per-shard sequence (independent lanes,
-        see :func:`repro.netsim.sim.shard_lanes`).
-        """
-        if isinstance(transport, (list, tuple)):
-            if len(transport) != len(self.shards):
-                raise InvalidOperationError(
-                    f"{len(transport)} transports for"
-                    f" {len(self.shards)} shards"
-                )
-            lanes = list(transport)
-        else:
-            lanes = [transport] * len(self.shards)
-        with contextlib.ExitStack() as stack:
-            for shard, lane in zip(self.shards, lanes):
-                stack.enter_context(shard.use_transport(lane))
-            yield lanes
-
-    @property
-    def stats(self):
-        """Aggregated request counters across all shards (read-only)."""
-        from repro.netsim.server import ServerStats
-
-        total = ServerStats()
-        for shard in self.shards:
-            for field in total.__dataclass_fields__:
-                setattr(
-                    total,
-                    field,
-                    getattr(total, field) + getattr(shard.stats, field),
-                )
-        return total
-
     @property
     def wal(self) -> Optional[WriteAheadLog]:
         """The coordinator's decision log (the router's durable state)."""
         return self.decision_log
 
-    def _shard_of(self, uid: int) -> ObjectServer:
-        return self.shards[self.placement.shard_of(uid)]
+    def _servers(self) -> List[ObjectServer]:
+        return self.shards
 
     def _list_shard(self, name: str) -> int:
         """Named lists hash to a home shard by name (uids have owners,
         list names need one too)."""
         return _digest(f"list:{name}") % len(self.shards)
 
-    def _call(self, shard_index: int, verb: str, *args, **kwargs):
-        """One shard request carrying the verb's trace context."""
-        shard = self.shards[shard_index]
-        shard.accept_trace_context(self._pending_trace)
-        result = getattr(shard, verb)(*args, **kwargs)
-        self._reply_versions.update(shard.take_reply_versions())
-        return result
+    def _route(self, verb: str, args: tuple) -> ObjectServer:
+        """The owning shard of a point verb's first argument — a list
+        name for the named-list verbs, a uid otherwise."""
+        if verb in ("store_list", "load_list"):
+            return self.shards[self._list_shard(args[0])]
+        return self.shards[self.placement.shard_of(args[0])]
 
     def _call_with_retry(self, shard_index: int, verb: str, *args, **kwargs):
         """Bounded internal retry for 2PC phase RPCs.
@@ -311,7 +259,9 @@ class ShardRouter:
         attempt = 0
         while True:
             try:
-                return self._call(shard_index, verb, *args, **kwargs)
+                return self._call(
+                    self.shards[shard_index], verb, *args, **kwargs
+                )
             except NetworkError as fault:
                 if attempt >= self.rpc_retries:
                     raise RpcExhaustedError(
@@ -328,37 +278,19 @@ class ShardRouter:
                 self._instr.count("backend.rpc.retries")
 
     # ------------------------------------------------------------------
-    # Point reads and writes
+    # Batches (point verbs are generated forwarders, see ``forwards``)
     # ------------------------------------------------------------------
-
-    def fetch(self, uid: int) -> Dict[str, Any]:
-        return self._call(self.placement.shard_of(uid), "fetch", uid)
 
     def fetch_many(self, uids: List[int]) -> Dict[int, Dict[str, Any]]:
         """One sub-batch round trip per owning shard, merged in the
-        caller's (deduplicated) uid order."""
-        unique: List[int] = []
-        seen = set()
-        for uid in uids:
-            if uid not in seen:
-                seen.add(uid)
-                unique.append(uid)
+        caller's uid order (duplicates collapse onto their first
+        occurrence: each shard serves a repeated uid once)."""
         merged: Dict[int, Dict[str, Any]] = {}
-        for shard_index, group in self.placement.partition(unique).items():
-            merged.update(self._call(shard_index, "fetch_many", group))
-        return {uid: merged[uid] for uid in unique}
-
-    def exists(self, uid: int) -> bool:
-        return self._call(self.placement.shard_of(uid), "exists", uid)
-
-    def store(self, uid: int, record: Dict[str, Any], from_cache=None) -> None:
-        return self._call(
-            self.placement.shard_of(uid),
-            "store",
-            uid,
-            record,
-            from_cache=from_cache,
-        )
+        for shard_index, group in self.placement.partition(uids).items():
+            merged.update(
+                self._call(self.shards[shard_index], "fetch_many", group)
+            )
+        return {uid: merged[uid] for uid in uids}
 
     # ------------------------------------------------------------------
     # Scatter-gather closure push-down
@@ -385,7 +317,6 @@ class ShardRouter:
         rounds = 0
         calls = 0
         ctx = self._pending_trace
-        client = ctx.client_id if ctx is not None else None
         while frontier and (limit is None or len(out) < limit):
             rounds += 1
             groups: Dict[int, List[Tuple[int, Optional[int]]]] = {}
@@ -393,32 +324,22 @@ class ShardRouter:
                 shard_index = self.placement.shard_of(uid)
                 groups.setdefault(shard_index, []).append((uid, depth))
             next_frontier: Dict[int, float] = {}
-            with self._instr.span(
-                "rpc.scatter.round", client=client
-            ) as round_span:
-                self._repoint_trace(round_span, ctx)
-                try:
-                    for shard_index in sorted(groups):
-                        remaining = (
-                            None if limit is None else limit - len(out)
-                        )
-                        if remaining is not None and remaining <= 0:
-                            break
-                        records, borders = dispatch(
-                            shard_index, groups[shard_index], remaining
-                        )
-                        calls += 1
-                        for uid, record in records.items():
-                            if uid not in out:
-                                out[uid] = record
-                        for uid, depth in borders:
-                            value = _budget(depth)
-                            if value > next_frontier.get(
-                                uid, float("-inf")
-                            ):
-                                next_frontier[uid] = value
-                finally:
-                    self._pending_trace = ctx
+            with self._phase("rpc.scatter.round", ctx):
+                for shard_index in sorted(groups):
+                    remaining = None if limit is None else limit - len(out)
+                    if remaining is not None and remaining <= 0:
+                        break
+                    records, borders = dispatch(
+                        shard_index, groups[shard_index], remaining
+                    )
+                    calls += 1
+                    for uid, record in records.items():
+                        if uid not in out:
+                            out[uid] = record
+                    for uid, depth in borders:
+                        value = _budget(depth)
+                        if value > next_frontier.get(uid, float("-inf")):
+                            next_frontier[uid] = value
             for uid, depth in frontier:
                 value = _budget(depth)
                 if value > walked.get(uid, float("-inf")):
@@ -452,7 +373,7 @@ class ShardRouter:
 
         def dispatch(shard_index, shard_seeds, remaining):
             return self._call(
-                shard_index,
+                self.shards[shard_index],
                 "traverse_shard",
                 shard_seeds,
                 relation,
@@ -478,7 +399,10 @@ class ShardRouter:
 
         def dispatch(shard_index, shard_seeds, remaining):
             return self._call(
-                shard_index, "readahead_shard", shard_seeds, limit=remaining
+                self.shards[shard_index],
+                "readahead_shard",
+                shard_seeds,
+                limit=remaining,
             )
 
         return self._scatter(
@@ -528,13 +452,10 @@ class ShardRouter:
             return {}
         if len(participants) == 1:
             index = participants[0]
-            shard_writes, shard_reads, shard_lists = slices[index]
             return self._call(
-                index,
+                self.shards[index],
                 "commit_batch",
-                shard_writes,
-                shard_reads,
-                shard_lists,
+                *slices[index],
                 from_cache=from_cache,
             )
         self._txid += 1
@@ -545,27 +466,16 @@ class ShardRouter:
         prepared: List[int] = []
         with self._instr.span("2pc.commit", client=client):
             try:
-                with self._instr.span(
-                    "2pc.prepare", client=client
-                ) as phase:
-                    self._repoint_trace(phase, ctx)
-                    try:
-                        for index in participants:
-                            shard_writes, shard_reads, shard_lists = (
-                                slices[index]
-                            )
-                            self._call_with_retry(
-                                index,
-                                "prepare_batch",
-                                txid,
-                                shard_writes,
-                                shard_reads,
-                                shard_lists,
-                                from_cache=from_cache,
-                            )
-                            prepared.append(index)
-                    finally:
-                        self._pending_trace = ctx
+                with self._phase("2pc.prepare", ctx):
+                    for index in participants:
+                        self._call_with_retry(
+                            index,
+                            "prepare_batch",
+                            txid,
+                            *slices[index],
+                            from_cache=from_cache,
+                        )
+                        prepared.append(index)
             except Exception:
                 # Any no vote (conflict) or exhausted prepare aborts the
                 # whole transaction: presumed abort — the decision needs
@@ -576,14 +486,8 @@ class ShardRouter:
                 self._instr.count("backend.2pc.aborts")
                 if self.decision_log is not None:
                     self.decision_log.log_decision(txid, committed=False)
-                with self._instr.span(
-                    "2pc.abort", client=client
-                ) as phase:
-                    self._repoint_trace(phase, ctx)
-                    try:
-                        self._abort_participants(txid, prepared)
-                    finally:
-                        self._pending_trace = ctx
+                with self._phase("2pc.abort", ctx):
+                    self._abort_participants(txid, prepared)
                 raise
             # Unanimous yes: the decision becomes durable *before* any
             # participant applies — this write is the commit point.
@@ -592,17 +496,9 @@ class ShardRouter:
                     self.decision_log.log_commit(txid, [])
             self._instr.count("backend.2pc.commits")
             applied: Dict[int, int] = {}
-            with self._instr.span(
-                "2pc.deliver", client=client
-            ) as phase:
-                self._repoint_trace(phase, ctx)
-                try:
-                    for index in prepared:
-                        applied.update(
-                            self._deliver_commit(index, txid)
-                        )
-                finally:
-                    self._pending_trace = ctx
+            with self._phase("2pc.deliver", ctx):
+                for index in prepared:
+                    applied.update(self._deliver_commit(index, txid))
         return applied
 
     def _abort_participants(
@@ -627,7 +523,9 @@ class ShardRouter:
         attempt = 0
         while True:
             try:
-                return self._call(shard_index, "commit_prepared", txid)
+                return self._call(
+                    self.shards[shard_index], "commit_prepared", txid
+                )
             except NetworkError as fault:
                 attempt += 1
                 if attempt >= _DECISION_ATTEMPTS:
@@ -658,28 +556,21 @@ class ShardRouter:
                 committed.add(txid)
                 self._txid = max(self._txid, txid)
         outcomes: Dict[int, str] = {}
-        with self._instr.span("2pc.resolve") as phase:
-            self._repoint_trace(phase, None)
-            try:
-                for index, shard in enumerate(self.shards):
-                    for txid in shard.in_doubt():
-                        # The txid is proven used — never hand it out
-                        # again.
-                        self._txid = max(self._txid, txid)
-                        if txid in committed:
-                            self._deliver_commit(index, txid)
-                            outcomes[txid] = "committed"
-                        else:
-                            self._call_with_retry(
-                                index, "abort_prepared", txid
+        with self._phase("2pc.resolve", None):
+            for index, shard in enumerate(self.shards):
+                for txid in shard.in_doubt():
+                    # The txid is proven used — never hand it out again.
+                    self._txid = max(self._txid, txid)
+                    if txid in committed:
+                        self._deliver_commit(index, txid)
+                        outcomes[txid] = "committed"
+                    else:
+                        self._call_with_retry(index, "abort_prepared", txid)
+                        outcomes[txid] = "aborted"
+                        if self.decision_log is not None:
+                            self.decision_log.log_decision(
+                                txid, committed=False
                             )
-                            outcomes[txid] = "aborted"
-                            if self.decision_log is not None:
-                                self.decision_log.log_decision(
-                                    txid, committed=False
-                                )
-            finally:
-                self._pending_trace = None
         if outcomes:
             self._instr.count("backend.2pc.resolved", len(outcomes))
         return outcomes
@@ -688,35 +579,22 @@ class ShardRouter:
     # Server-evaluated queries (scatter + merge)
     # ------------------------------------------------------------------
 
+    def _gather(self, verb: str, *args) -> List[int]:
+        """Ask every shard, concatenate the answers in shard order."""
+        return [
+            uid
+            for shard in self.shards
+            for uid in self._call(shard, verb, *args)
+        ]
+
     def range_query(self, attribute: str, low: int, high: int) -> List[int]:
-        result: List[int] = []
-        for index in range(len(self.shards)):
-            result.extend(
-                self._call(index, "range_query", attribute, low, high)
-            )
-        return result
+        return self._gather("range_query", attribute, low, high)
 
     def scan_structure(self, structure_id: int) -> List[int]:
-        result: List[int] = []
-        for index in range(len(self.shards)):
-            result.extend(self._call(index, "scan_structure", structure_id))
-        return sorted(result)
+        return sorted(self._gather("scan_structure", structure_id))
 
     def referrers_of(self, uid: int) -> List[int]:
-        result: List[int] = []
-        for index in range(len(self.shards)):
-            result.extend(self._call(index, "referrers_of", uid))
-        return result
-
-    # ------------------------------------------------------------------
-    # Named lists
-    # ------------------------------------------------------------------
-
-    def store_list(self, name: str, uids: List[int]) -> None:
-        return self._call(self._list_shard(name), "store_list", name, uids)
-
-    def load_list(self, name: str) -> List[int]:
-        return self._call(self._list_shard(name), "load_list", name)
+        return self._gather("referrers_of", uid)
 
     # ------------------------------------------------------------------
     # Administration (uncharged, like the single server's)
@@ -740,4 +618,4 @@ class ShardRouter:
             )
 
     def __contains__(self, uid: int) -> bool:
-        return uid in self._shard_of(uid)
+        return uid in self.shards[self.placement.shard_of(uid)]

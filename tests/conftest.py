@@ -12,23 +12,18 @@ import os
 
 import pytest
 
-from repro.backends.clientserver import ClientServerDatabase
 from repro.backends.memory import MemoryDatabase
 from repro.backends.oodb import OodbDatabase
+from repro.backends.registry import available_backends, create_backend
 from repro.backends.sqlite_backend import SqliteDatabase
 from repro.core.config import HyperModelConfig
 from repro.core.generator import DatabaseGenerator
-from repro.netsim.config import (
-    NetworkConfig,
-    ReplicationConfig,
-    ShardConfig,
-)
 
-BACKEND_NAMES = [
-    "memory", "sqlite", "sqlite-file", "oodb",
-    "clientserver", "clientserver-bfs",
-    "clientserver-sharded-hash", "clientserver-sharded-affine",
-    "clientserver-replicated",
+#: The file/in-memory backends are spelled out (they need paths); the
+#: client/server deployments come from the registry, so a newly
+#: registered ``clientserver-*`` preset joins the matrix by itself.
+BACKEND_NAMES = ["memory", "sqlite", "sqlite-file", "oodb"] + [
+    name for name in available_backends() if name.startswith("clientserver")
 ]
 
 
@@ -42,28 +37,8 @@ def make_backend(name: str, tmp_path, suffix: str = "db"):
         return SqliteDatabase(os.path.join(str(tmp_path), f"{suffix}.sqlite"))
     if name == "oodb":
         return OodbDatabase(os.path.join(str(tmp_path), f"{suffix}.hmdb"))
-    if name == "clientserver":
-        return ClientServerDatabase()
-    if name == "clientserver-bfs":
-        return ClientServerDatabase(network=NetworkConfig(pushdown=False))
-    if name == "clientserver-sharded-hash":
-        return ClientServerDatabase(
-            network=NetworkConfig(
-                sharding=ShardConfig(shards=2, placement="hash")
-            )
-        )
-    if name == "clientserver-sharded-affine":
-        return ClientServerDatabase(
-            network=NetworkConfig(
-                sharding=ShardConfig(shards=2, placement="affine")
-            )
-        )
-    if name == "clientserver-replicated":
-        return ClientServerDatabase(
-            network=NetworkConfig(
-                replication=ReplicationConfig(replicas=2)
-            )
-        )
+    if name.startswith("clientserver"):
+        return create_backend(name)
     raise ValueError(name)
 
 

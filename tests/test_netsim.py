@@ -153,6 +153,67 @@ class TestObjectServer:
         server.store(1, self._record(1))
         assert clock.now == 0.0  # zero-cost model charges nothing
 
+    def test_acked_store_survives_recovery(self):
+        """Log-before-apply holds for plain ``store`` on the base
+        server: an acked write is in the WAL, so recovery returns it
+        (without waiting on — or charging — the fsync)."""
+        from repro.engine.vfs import MemoryVFS
+        from repro.engine.wal import WriteAheadLog
+
+        wal = WriteAheadLog("server.wal", vfs=MemoryVFS())
+        server = ObjectServer(wal=wal, fsync_seconds=1.0)
+        base = {1: self._record(1)}
+        server.load_records(base)
+        server.store(2, self._record(2, ten=7))
+        assert server.clock.now < 1.0
+        server.recover_from_wal(base)
+        assert server.fetch(2)["ten"] == 7
+        assert server.fetch(1)["ten"] == 1
+
+
+class TestVerbSurface:
+    """``netsim/verbs.py`` is the one written-down verb table."""
+
+    def test_table_is_exactly_the_servers_public_methods(self):
+        import inspect
+
+        from repro.netsim import verbs
+
+        public = {
+            name: member
+            for name, member in vars(ObjectServer).items()
+            if inspect.isfunction(member) and not name.startswith("_")
+        }
+        served = {
+            name
+            for name, member in public.items()
+            if "self._serve(" in inspect.getsource(member)
+        }
+        assert served == set(verbs.SERVED_VERBS)
+        assert len(verbs.SERVED_VERBS) == len(served)  # no verb in two roles
+        assert set(public) - served == set(verbs.ADMIN_VERBS) | set(
+            verbs.PLUMBING
+        )
+
+    def test_generated_forwarders_keep_the_verb_name(self):
+        """The client names its ``rpc.<verb>`` spans from
+        ``func.__name__``; a forwarder called ``forward`` would
+        silently rewrite every timeline."""
+        from repro.netsim import verbs
+        from repro.replication.router import ReplicaRouter
+        from repro.sharding.router import ShardRouter
+
+        table = verbs.SERVED_VERBS + verbs.ADMIN_VERBS
+        for router in (ReplicaRouter, ShardRouter):
+            assert router.forwards
+            for verb in router.forwards:
+                assert verb in table
+                assert getattr(router, verb).__name__ == verb
+            # Whatever a router answers at all, it answers by name.
+            for verb in table:
+                member = getattr(router, verb, None)
+                assert member is None or member.__name__ == verb
+
 
 class TestFaultModel:
     def test_same_seed_same_fault_sequence(self):

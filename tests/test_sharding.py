@@ -511,6 +511,33 @@ class TestTwoPhaseCrashRecovery:
             server.wal.close()
         router2.decision_log.close()
 
+    def test_local_commit_cannot_shadow_in_doubt_txid(self, tmp_path):
+        """A participant's local ``commit_batch`` must never log under a
+        txid it holds prepared: recovery would read the local COMMIT
+        as the in-doubt slice's decision and drop the slice."""
+        from repro.engine.wal import WriteAheadLog
+
+        path = str(tmp_path / "shard.wal")
+        base = {
+            uid: {"uid": uid, "ten": 0, "children": [], "parts": [],
+                  "refTo": []}
+            for uid in (1, 2)
+        }
+        server = ObjectServer(wal=WriteAheadLog(path), shard_id=0)
+        server.load_records(base)
+        server.prepare_batch(1, {1: {**base[1], "ten": 5}}, {})
+        server.commit_batch({2: {**base[2], "ten": 6}}, {})
+        server.wal.close()  # crash
+
+        recovered = ObjectServer(wal=WriteAheadLog(path), shard_id=0)
+        assert recovered.recover_from_wal(base) == [1]
+        assert recovered.in_doubt() == [1]
+        assert recovered.fetch(2)["ten"] == 6
+        assert recovered.fetch(1)["ten"] == 0
+        assert set(recovered.commit_prepared(1)) == {1}
+        assert recovered.fetch(1)["ten"] == 5
+        recovered.wal.close()
+
 
 # ----------------------------------------------------------------------
 # Registry ablations and the bench document
