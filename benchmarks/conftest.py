@@ -60,6 +60,8 @@ class OperationDriver:
     """Cycles an operation over a pool of pre-drawn random inputs."""
 
     def __init__(self, cell, op_id: str, seed: int = 1988) -> None:
+        if not cell.db.is_open:
+            cell.db.open()
         self.cell = cell
         self.spec = CATALOG.get(op_id)
         self.ops = Operations(cell.db, cell.gen.config)
@@ -75,16 +77,3 @@ class OperationDriver:
 
     def __call__(self):
         return self.spec.run(self.ops, next(self._cycle))
-
-
-def make_driver(cell, op_id: str) -> OperationDriver:
-    """Build a cycling driver, ensuring the cell's database is open."""
-    if not cell.db.is_open:
-        cell.db.open()
-    return OperationDriver(cell, op_id)
-
-
-def skip_if_not_applicable(cell, op_id: str) -> None:
-    """Skip op 02 on key-only backends (the paper's clause)."""
-    if op_id == "02" and not cell.db.supports_object_identity:
-        pytest.skip(f"{cell.backend_name}: object-identity lookup not applicable")

@@ -16,8 +16,8 @@ Run:  python examples/level_sweep.py [--levels 3,4] [--backends memory,sqlite]
 import argparse
 import tempfile
 
-from repro.harness.results import ResultSet
-from repro.harness.sweep import LevelSweep, find_crossovers, scaling_table
+from repro.harness import BenchmarkRunner, RunnerConfig
+from repro.harness.report import find_crossovers, scaling_table
 
 #: A representative operation slice: one per major category.
 DEFAULT_OPS = ["01", "03", "05A", "09", "10", "16"]
@@ -32,21 +32,19 @@ def main() -> None:
 
     levels = [int(level) for level in args.levels.split(",")]
     backends = args.backends.split(",")
-    workdir = tempfile.mkdtemp(prefix="hypermodel-sweep-")
-
-    combined = ResultSet()
+    config = RunnerConfig(
+        backends=backends,
+        levels=levels,
+        op_ids=DEFAULT_OPS,
+        repetitions=args.repetitions,
+        workdir=tempfile.mkdtemp(prefix="hypermodel-sweep-"),
+    )
+    print(f"sweeping {', '.join(backends)} across levels {levels} ...")
+    with BenchmarkRunner(config) as runner:
+        combined, _creation = runner.run()
     for backend in backends:
-        print(f"sweeping {backend} across levels {levels} ...")
-        results = LevelSweep(
-            backend=backend,
-            levels=levels,
-            op_ids=DEFAULT_OPS,
-            repetitions=args.repetitions,
-            workdir=workdir,
-        ).run()
-        combined.extend(results)
         print()
-        print(scaling_table(results, backend, "cold"))
+        print(scaling_table(combined, backend, "cold"))
         print()
 
     if len(backends) >= 2:

@@ -5,7 +5,12 @@ Fails if a ``src/repro/harness`` module other than the owning kernel
 
 * calls ``json.dump`` (``grid.write_document`` is the one JSON writer),
 * constructs a ``FlightRecorder`` (``grid.timeline`` owns ``--timeline``),
-* calls ``.crash_at(...)`` (``crashpoints`` arms every crash-point VFS).
+* calls ``.crash_at(...)`` (``crashpoints`` arms every crash-point VFS),
+* summarises a sample list a second way — ``statistics.median(...)``,
+  ``.percentile(...)`` or ``LatencyHistogram.from_samples(...)``
+  (``timing.Stats.from_samples`` is the one summary, ``grid.percentiles``
+  the one leaf; ``multiuserbench`` alone still merges per-client
+  histograms, for the bucket-form ``histogram`` field).
 
 Exit status: 0 when clean, 1 otherwise.  Run from the repository root:
 ``python scripts/lint_harness_kernels.py``.
@@ -20,25 +25,30 @@ import sys
 _HARNESS = (
     pathlib.Path(__file__).resolve().parent.parent / "src/repro/harness"
 )
-#: pattern -> (the module allowed to use it, what to call instead)
+_SUMMARY = "timing.Stats.from_samples"
+#: pattern -> (the modules allowed to use it, what to call instead)
 _OWNERS = {
-    "json.dump": ("grid.py", "grid.write_document"),
-    "FlightRecorder": ("grid.py", "grid.timeline"),
-    ".crash_at": ("crashpoints.py", "crashpoints.crash_points"),
+    "json.dump": (("grid.py",), "grid.write_document"),
+    "FlightRecorder": (("grid.py",), "grid.timeline"),
+    ".crash_at": (("crashpoints.py",), "crashpoints.crash_points"),
+    "statistics.median": (("timing.py", "grid.py"), _SUMMARY),
+    ".percentile": (("timing.py", "grid.py"), _SUMMARY),
+    "LatencyHistogram.from_samples": (
+        ("timing.py", "grid.py", "multiuserbench.py"), _SUMMARY,
+    ),
 }
 
 
 def _pattern(call: ast.Call) -> str | None:
     func = call.func
     if isinstance(func, ast.Attribute):
-        if func.attr == "dump" and getattr(func.value, "id", "") == "json":
-            return "json.dump"
+        dotted = f"{getattr(func.value, 'id', '')}.{func.attr}"
+        if dotted in _OWNERS:
+            return dotted
         name = func.attr
     else:
         name = getattr(func, "id", "")
-    if name == "FlightRecorder":
-        return "FlightRecorder"
-    return ".crash_at" if name == "crash_at" else None
+    return next((p for p in (name, f".{name}") if p in _OWNERS), None)
 
 
 def main() -> int:
@@ -47,7 +57,7 @@ def main() -> int:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             pattern = _pattern(node) if isinstance(node, ast.Call) else None
-            if pattern and path.name != _OWNERS[pattern][0]:
+            if pattern and path.name not in _OWNERS[pattern][0]:
                 errors.append(
                     f"{path.name}:{node.lineno}: {pattern}(...) outside"
                     f" its kernel; use {_OWNERS[pattern][1]}"

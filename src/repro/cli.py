@@ -18,14 +18,13 @@ Subcommands:
   and write ``BENCH_multiuser.json`` (see ``docs/multiuser.md``);
 * ``bench-sharded`` — run the shard-count × placement-policy grid
   (scatter-gather closures, two-phase cross-shard commits) and write
-  ``BENCH_sharded.json`` (see ``docs/sharding.md``); ``--deep-level``
-  adds the whole-structure scale cell;
+  ``BENCH_sharded.json`` (see ``docs/sharding.md``);
 * ``bench-replica`` — run the replica-count × write-rate × staleness
   grid (WAL-shipping replicas, session-token read routing) and write
   ``BENCH_replica.json`` (see ``docs/replication.md``);
-* ``bench-diff`` — compare two ``BENCH_*.json`` documents with
-  percentile-aware thresholds; exits non-zero on regression (the CI
-  bench gate);
+* ``bench-diff`` — tabulate two ``BENCH_*.json`` documents cell by
+  cell with percentile-aware thresholds; exits non-zero when a cell
+  moved past its threshold (wall-clock gating lives in ``bench/``);
 * ``trace``      — run one operation cold under full instrumentation
   and export a Chrome trace-event JSON for Perfetto;
 * ``dash``       — render ``BENCH_*.json`` documents, a flight-recorder
@@ -204,16 +203,6 @@ def _build_parser(
         action="store_true",
         help="print every compared cell, not just regressions",
     )
-    diff.add_argument(
-        "--refresh-improvement",
-        action="store_true",
-        help=(
-            "ratchet mode: rewrite the baseline file with every cell"
-            " the candidate beat by more than the p50 threshold"
-            " (tightening its ms/node budget); exits 0 whether or not"
-            " anything moved"
-        ),
-    )
 
     trace = sub.add_parser(
         "trace",
@@ -317,6 +306,7 @@ def _make_db(args: argparse.Namespace):
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.core.generator import DatabaseGenerator
+    from repro.harness.runner import creation_phases
 
     db = _make_db(args)
     db.open()
@@ -328,10 +318,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         f"({len(gen.text_uids)} text, {len(gen.form_uids)} form) "
         f"into {db.backend_name}"
     )
-    for phase, ms in {
-        **{f"node-{k}": v for k, v in gen.stats.per_node_ms().items()},
-        **{f"rel-{k}": v for k, v in gen.stats.per_relationship_ms().items()},
-    }.items():
+    for phase, ms in creation_phases(gen).items():
         print(f"  {phase:<14} {ms:8.4f} ms/item")
     db.close()
     return 0
@@ -404,31 +391,10 @@ def _cmd_run(args: argparse.Namespace, bench: bool = False) -> int:
 
 
 def _cmd_bench_diff(args: argparse.Namespace) -> int:
-    from repro.harness.benchdiff import (
-        diff_files,
-        format_diff,
-        load_document,
-        refresh_improvements,
-    )
-    from repro.harness.grid import write_document
+    from repro.harness.benchdiff import diff_files, format_diff
 
     rows, exit_code = diff_files(args.baseline, args.candidate)
     print(format_diff(rows, only_regressions=not args.all))
-    if args.refresh_improvement:
-        updated, replaced = refresh_improvements(
-            load_document(args.baseline), load_document(args.candidate)
-        )
-        if replaced:
-            write_document(args.baseline, updated)
-            print(
-                f"ratchet: refreshed {len(replaced)} cell"
-                f"{'' if len(replaced) == 1 else 's'} in {args.baseline}: "
-                + ", ".join(replaced)
-            )
-        else:
-            print("ratchet: no cell beat the baseline decisively; "
-                  "baseline unchanged")
-        return 0
     return exit_code
 
 

@@ -9,8 +9,10 @@ the number — and writes the result as one JSON document.
 
 It is deliberately tiny and dependency-free so CI can run it as a
 smoke job (``hypermodel bench-closure --level 4``) and archive the
-JSON as a build artifact; ``benchmarks/bench_batch_traversal.py`` is
-the pytest-benchmark twin for interactive exploration.
+JSON as a build artifact.  Its result is the ``sim_ms`` column and the
+counters, which are deterministic; its wall-clock columns describe one
+run on one machine and are compared by nothing (``bench/`` is the
+wall-clock ruler).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import cProfile
 import io
 import os
 import pstats
-import statistics
 import tempfile
 import time
 from typing import Any, Dict, List
@@ -29,7 +30,8 @@ from repro.core.generator import DatabaseGenerator
 from repro.core.operations import CATALOG, Operations
 from repro.harness import grid
 from repro.harness.grid import Bench, Param
-from repro.obs import Instrumentation, LatencyHistogram
+from repro.harness.timing import Stats
+from repro.obs import Instrumentation
 
 #: The closure operations the batch layer targets (section 6.5/6.6).
 CLOSURE_OPS = ("10", "11", "12")
@@ -131,11 +133,10 @@ def run_closure_bench(**overrides: Any) -> Dict[str, Any]:
     fault behaviour shows.
 
     Each ``cells[<backend>][<op>]`` leaf summarizes the per-repetition
-    latency through a log-bucketed histogram (``p50_ms`` … ``max_ms``,
-    full bucket form under ``histogram``), carries the tree ``level``
-    its database was generated at and a ``mode`` tag for the closure
-    strategy (``"pushdown"`` / ``"bfs"`` on the clientserver pair,
-    ``"native"`` elsewhere).  ``sim_ms`` / ``sim_ms_per_node`` are the
+    latency by exact order statistics (``p50_ms`` … ``max_ms``),
+    carries the tree ``level`` its database was generated at and a
+    ``mode`` tag for the closure strategy (``"pushdown"`` / ``"bfs"``
+    on the clientserver pair, ``"native"`` elsewhere).  ``sim_ms`` / ``sim_ms_per_node`` are the
     *simulated* network time of the cold repetition — deterministic,
     so this is the column the pushdown-vs-BFS comparison reads (wall
     time on a loaded CI worker is not).
@@ -144,12 +145,12 @@ def run_closure_bench(**overrides: Any) -> Dict[str, Any]:
     next to every ``clientserver`` entry, so the document carries a
     pushdown-vs-frontier-BFS comparison in its ``sim_ms_per_node``
     columns (and the mode-tagged cells give ``repro bench-diff`` both
-    paths to gate).
+    paths to tabulate).
 
     ``extra_levels`` re-runs every backend at each additional tree
     level; those cells land under ``<backend>-L<level>`` keys, so one
     document can hold, say, the level-4 grid *and* the level-6
-    big-database column the scaling gate reads.
+    big-database column.
 
     ``profile=True`` wraps each operation's **cold** repetition in
     :mod:`cProfile`; the per-cell top-25 cumulative reports collect
@@ -255,20 +256,19 @@ def run_closure_bench(**overrides: Any) -> Dict[str, Any]:
                                     time.perf_counter() - bench_start,
                                     label=f"{key}/op{op_id}",
                                 )
-                        median_ms = statistics.median(timings_ms)
+                        stats = Stats.from_samples(timings_ms)
                         per_op[op_id] = {
                             "backend": key,
                             "op_id": op_id,
                             "op_name": spec.name,
                             "nodes": nodes,
                             "repetitions": repetitions,
-                            "median_ms": round(median_ms, 4),
-                            "median_ms_per_node": round(median_ms / nodes, 6),
-                            "counters": _reported(first_delta),
-                            **grid.percentiles(
-                                LatencyHistogram.from_samples(timings_ms),
-                                histogram=True,
+                            "median_ms": round(stats.median, 4),
+                            "median_ms_per_node": round(
+                                stats.median / nodes, 6
                             ),
+                            "counters": _reported(first_delta),
+                            **grid.percentiles(stats),
                             "mode": mode,
                             "sim_ms": round(sim_ms, 4),
                             "sim_ms_per_node": round(sim_ms / nodes, 6),

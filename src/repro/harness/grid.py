@@ -13,7 +13,7 @@ here:
   and dump its records, so every cell reloads the same snapshot;
 * :func:`latency_leaf` / :func:`percentiles` — the
   ``p50_ms``/``p90_ms``/``p99_ms``/``max_ms`` leaf shape ``bench-diff``
-  reads;
+  reads, exact order statistics from :class:`~repro.harness.timing.Stats`;
 * :func:`timeline` — the flight-recorder JSONL behind ``--timeline``;
 * :func:`write_document` — the one JSON writer.
 """
@@ -35,7 +35,8 @@ from typing import (
 )
 
 from repro.harness.provenance import provenance
-from repro.obs import FlightRecorder, Instrumentation, LatencyHistogram
+from repro.harness.timing import Stats
+from repro.obs import FlightRecorder, Instrumentation
 
 
 def ints(text: str) -> List[int]:
@@ -201,35 +202,24 @@ def closure_ms(db, root: int, cold: bool = True) -> float:
     return (db.simulated_clock.now - start) * 1000.0
 
 
-def percentiles(
-    hist: LatencyHistogram, histogram: bool = False
-) -> Dict[str, Any]:
-    """The quantile fields of a leaf, optionally with the bucket form."""
-    leaf: Dict[str, Any] = {
-        "p50_ms": round(hist.percentile(0.50), 4),
-        "p90_ms": round(hist.percentile(0.90), 4),
-        "p99_ms": round(hist.percentile(0.99), 4),
-        "max_ms": round(hist.maximum, 4),
+def percentiles(stats: Stats) -> Dict[str, float]:
+    """The quantile fields of a leaf: exact order statistics of the
+    samples ``stats`` summarises (:meth:`Stats.from_samples`)."""
+    return {
+        "p50_ms": round(stats.p50, 4),
+        "p90_ms": round(stats.p90, 4),
+        "p99_ms": round(stats.p99, 4),
+        "max_ms": round(stats.maximum, 4),
     }
-    if histogram:
-        full = hist.to_dict()
-        # A merged histogram's float sum depends on the merge order in
-        # its last ULP; rounded, the leaf is order-independent.
-        for key in ("sum", "mean"):
-            if key in full:
-                full[key] = round(full[key], 6)
-        leaf["histogram"] = full
-    return leaf
 
 
 def latency_leaf(
     samples_ms: Sequence[float], mode: str, **extra: Any
 ) -> Dict[str, Any]:
-    hist = LatencyHistogram.from_samples(samples_ms)
     return {
         "mode": mode,
         "samples": len(samples_ms),
-        **percentiles(hist),
+        **percentiles(Stats.from_samples(samples_ms)),
         **extra,
     }
 

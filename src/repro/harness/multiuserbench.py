@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.generator import GeneratedDatabase
 from repro.engine.wal import WriteAheadLog
 from repro.harness import grid
 from repro.harness.grid import Bench, Param
+from repro.harness.timing import Stats
 from repro.netsim.config import NetworkConfig, SimConfig
 from repro.netsim.latency import LatencyModel
 from repro.netsim.server import ObjectServer
@@ -101,12 +102,12 @@ def _run_cell(
 ) -> Dict[str, Any]:
     """One (clients, conflict-rate) cell.
 
-    ``p50_ms``/``p90_ms``/``p99_ms`` summarize per-transaction virtual
-    latency (begin to successful commit, retries included) through a
-    log-bucketed histogram whose full bucket form rides in
-    ``histogram``; ``mode`` is always ``"multiuser"`` so
-    ``repro bench-diff`` gates these cells separately from the closure
-    benchmark's.
+    ``p50_ms``/``p90_ms``/``p99_ms`` are exact order statistics of the
+    per-transaction virtual latencies (begin to successful commit,
+    retries included); ``histogram`` is the fleet's log-bucketed form,
+    the one a deployment that never pools its samples could still
+    emit.  ``mode`` is always ``"multiuser"`` so ``repro bench-diff``
+    tells these cells from the closure benchmark's.
     """
     from repro.concurrency.multiuser import MultiUserHarness
 
@@ -139,11 +140,19 @@ def _run_cell(
     )
     # Fleet distribution by *merging* per-client histograms — the
     # aggregation path a sharded fleet would use.  Bucket addition is
-    # exact, so the quantiles equal from_samples(pooled) bit for bit
+    # exact, so the bucket form equals from_samples(pooled) bit for bit
     # (pinned by tests/test_properties.py).
     hist = LatencyHistogram()
+    pooled: List[float] = []
     for client_latencies in result.per_user_latencies_ms:
         hist.merge(LatencyHistogram.from_samples(client_latencies))
+        pooled.extend(client_latencies)
+    bucket_form = hist.to_dict()
+    # A merged histogram's float sum depends on the merge order in
+    # its last ULP; rounded, the leaf is order-independent.
+    for key in ("sum", "mean"):
+        if key in bucket_form:
+            bucket_form[key] = round(bucket_form[key], 6)
     return {
         "mode": "multiuser",
         "clients": clients,
@@ -156,7 +165,8 @@ def _run_cell(
         "abort_rate": round(result.abort_rate, 6),
         "throughput_per_s": round(result.throughput_per_second, 4),
         "makespan_s": round(result.makespan_seconds, 6),
-        **grid.percentiles(hist, histogram=True),
+        **grid.percentiles(Stats.from_samples(pooled)),
+        "histogram": bucket_form,
         "queue_s": round(result.queue_seconds, 6),
         "busy_s": round(result.busy_seconds, 6),
         "server_commits": result.server_commits,

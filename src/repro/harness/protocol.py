@@ -35,7 +35,7 @@ from repro.core.generator import GeneratedDatabase
 from repro.core.interface import HyperModelDatabase
 from repro.core.operations import OperationSpec, Operations
 from repro.harness.timing import Stats, Timer
-from repro.obs import NO_OP, Instrumentation, LatencyHistogram
+from repro.obs import NO_OP, Instrumentation
 
 #: The paper's repetition count per run.
 DEFAULT_REPETITIONS = 50
@@ -57,13 +57,6 @@ class ColdWarmResult:
     the harness calls ``Instrumentation.reset()`` after the cold delta
     is captured, so warm counters, histograms and spans describe the
     warm pass alone.
-
-    ``cold_hist`` / ``warm_hist`` are log-bucketed latency-histogram
-    summaries (count/mean/min/max/p50/p90/p99, in **ms per node**)
-    over the same per-repetition samples the ``Stats`` summarize —
-    the distributional view mean-only tables hide.  Always present
-    (they are built from the timing samples, not the backend's
-    instrumentation).
     """
 
     op_id: str
@@ -80,8 +73,6 @@ class ColdWarmResult:
     nodes_per_repetition: float
     cold_counters: Dict[str, float] = dataclasses.field(default_factory=dict)
     warm_counters: Dict[str, float] = dataclasses.field(default_factory=dict)
-    cold_hist: Dict[str, float] = dataclasses.field(default_factory=dict)
-    warm_hist: Dict[str, float] = dataclasses.field(default_factory=dict)
 
     @property
     def warm_speedup(self) -> float:
@@ -99,16 +90,15 @@ class ColdWarmResult:
     def from_dict(cls, raw: dict) -> "ColdWarmResult":
         """Rebuild from :meth:`to_dict` output.
 
-        Tolerates documents written before counter capture existed:
-        missing counter keys load as empty deltas.
+        Tolerates older documents: missing counter keys load as empty
+        deltas, and keys the record no longer carries (the
+        bucket-quantised per-pass histogram summaries once stored
+        beside the ``Stats``) are dropped.
         """
-        raw = dict(raw)
+        known = {field.name for field in dataclasses.fields(cls)}
+        raw = {key: value for key, value in raw.items() if key in known}
         raw["cold"] = Stats.from_dict(raw["cold"])
         raw["warm"] = Stats.from_dict(raw["warm"])
-        raw.setdefault("cold_counters", {})
-        raw.setdefault("warm_counters", {})
-        raw.setdefault("cold_hist", {})
-        raw.setdefault("warm_hist", {})
         return cls(**raw)
 
 
@@ -259,31 +249,4 @@ def run_operation_sequence(
         nodes_per_repetition=sum(sizes) / len(sizes),
         cold_counters=cold_counters,
         warm_counters=warm_counters,
-        cold_hist=LatencyHistogram.from_samples(cold_ms).summary(),
-        warm_hist=LatencyHistogram.from_samples(warm_ms).summary(),
     )
-
-
-def measure_creation(
-    db: HyperModelDatabase,
-    config: HyperModelConfig,
-    structure_id: int = 1,
-) -> "tuple":
-    """Generate a structure, returning (GeneratedDatabase, per-phase ms).
-
-    Used by the creation benchmark (section 5.3 operations a-d): the
-    generator itself measures each phase with its commit.
-    """
-    from repro.core.generator import DatabaseGenerator
-
-    if not db.is_open:
-        db.open()
-    gen = DatabaseGenerator(config).generate(db, structure_id=structure_id)
-    phases = {}
-    phases.update(
-        {f"node-{k}": v for k, v in gen.stats.per_node_ms().items()}
-    )
-    phases.update(
-        {f"rel-{k}": v for k, v in gen.stats.per_relationship_ms().items()}
-    )
-    return gen, phases

@@ -9,6 +9,14 @@ Three table shapes cover everything the reproduction reports:
   rows = operations, columns = backends (who wins, by what factor);
 * :func:`creation_table` — the section 5.3 creation phases.
 
+The paper's tables are indexed by database level (4, 5, 6 — the same
+operations over 781, 3 906 and 19 531 nodes); for a grid run over
+several levels (``RunnerConfig(levels=...)``) :func:`scaling_table`
+prints ms/node per operation across the levels (flat per-node cost
+*scales*; growth is super-linear in database size) and
+:func:`find_crossovers` names, for two backends, the level where one
+overtakes the other on an operation, if any.
+
 :func:`counter_table` adds the observability dimension: per-operation
 instrumentation counter deltas (buffer hits, RPC round trips, WAL
 bytes, ...) for one backend/level/temperature — the "why" next to the
@@ -18,7 +26,7 @@ printed, even at zero, so tables from different backends align.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.results import ResultSet
 from repro.obs import HEADLINE_COUNTERS
@@ -170,8 +178,11 @@ def counter_table(
     return title + "\n" + _table(headers, rows)
 
 
-#: The histogram-summary columns every percentile table prints.
-_PERCENTILE_COLUMNS = ("p50", "p90", "p99", "max")
+#: The :class:`~repro.harness.timing.Stats` fields every percentile
+#: table prints, by column title.
+_PERCENTILE_COLUMNS = {
+    "p50": "p50", "p90": "p90", "p99": "p99", "max": "maximum",
+}
 
 
 def percentile_table(
@@ -182,11 +193,11 @@ def percentile_table(
 ) -> str:
     """Latency-percentile summaries per operation for one backend.
 
-    Rows are operations; columns are the log-bucketed histogram
-    summary quantiles (p50/p90/p99/max, ms per node) of the
-    ``temperature`` pass — the distributional view Darmont's OODB
-    benchmark survey asks for next to the mean-only tables.
-    Results saved before histograms existed print ``-``.
+    Rows are operations; columns are the exact order statistics
+    (p50/p90/p99/max, ms per node) of the ``temperature`` pass's
+    repetitions — the distributional view Darmont's OODB benchmark
+    survey asks for next to the mean-only tables.  Results saved
+    before ``Stats`` carried percentiles print ``-``.
     """
     if temperature not in ("cold", "warm"):
         raise ValueError("temperature must be 'cold' or 'warm'")
@@ -195,10 +206,10 @@ def percentile_table(
     rows: List[List[str]] = []
     for op_id in subset.op_ids:
         cell = subset.select(op_id=op_id)._results[0]
-        hist = cell.cold_hist if temperature == "cold" else cell.warm_hist
+        stats = cell.cold if temperature == "cold" else cell.warm
         row = [f"{op_id} {cell.op_name}"]
-        for column in _PERCENTILE_COLUMNS:
-            value = hist.get(column)
+        for field in _PERCENTILE_COLUMNS.values():
+            value = getattr(stats, field)
             row.append("-" if value is None else _format_ms(value).strip())
         rows.append(row)
     scope = f", level {level}" if level is not None else ""
@@ -234,47 +245,90 @@ def creation_table(
     return title + "\n" + _table(headers, rows)
 
 
-def delta_table(
-    baseline: ResultSet,
-    candidate: ResultSet,
-    temperature: str = "cold",
-    threshold: float = 0.10,
+def scaling_table(
+    results: ResultSet, backend: str, temperature: str = "cold"
 ) -> str:
-    """Compare two result sets cell by cell (regression tracking).
+    """ms/node per op across levels, with the largest/smallest ratio.
 
-    For every (backend, level, op) present in both sets, prints the
-    baseline and candidate means and the relative change; changes whose
-    magnitude exceeds ``threshold`` are flagged.
+    A ratio near 1.0 means per-node cost is independent of database
+    size (the operation scales); larger ratios flag size-sensitive
+    operations (e.g. unindexed range scans).
     """
     if temperature not in ("cold", "warm"):
         raise ValueError("temperature must be 'cold' or 'warm'")
-    headers = ["backend/level/op", "baseline", "candidate", "change", ""]
-    rows: List[List[str]] = []
-    for result in baseline:
+    subset = results.select(backend=backend)
+    levels = subset.levels
+    lines = [
+        f"Scaling, backend {backend}, {temperature} (ms/node per level; "
+        "ratio = largest/smallest)"
+    ]
+    header = "op".ljust(26) + "".join(f"L{level:>2}".rjust(10) for level in levels)
+    header += "ratio".rjust(9)
+    lines.append(header)
+    lines.append("-" * len(header))
+    for op_id in subset.op_ids:
+        cells = []
+        for level in levels:
+            try:
+                result = subset.one(backend, level, op_id)
+            except KeyError:
+                cells.append(None)
+                continue
+            stats = result.cold if temperature == "cold" else result.warm
+            cells.append(stats.mean)
+        name = subset.select(op_id=op_id)._results[0].op_name
+        row = f"{op_id} {name}".ljust(26)
+        for cell in cells:
+            row += (f"{cell:10.4f}" if cell is not None else "         -")
+        present = [c for c in cells if c]
+        ratio = max(present) / min(present) if len(present) > 1 else 1.0
+        row += f"{ratio:8.1f}x"
+        lines.append(row)
+    return "\n".join(lines)
+
+
+def per_node_series(
+    results: ResultSet, backend: str, op_id: str, temperature: str = "cold"
+) -> List[Tuple[int, float]]:
+    """(level, ms/node) points for one backend and operation."""
+    series = []
+    for level in results.levels:
         try:
-            other = candidate.one(result.backend, result.level, result.op_id)
+            cell = results.one(backend, level, op_id)
         except KeyError:
             continue
-        old = (result.cold if temperature == "cold" else result.warm).mean
-        new = (other.cold if temperature == "cold" else other.warm).mean
-        change = (new - old) / old if old else float("inf")
-        flag = ""
-        if abs(change) > threshold:
-            flag = "SLOWER" if change > 0 else "faster"
-        rows.append(
-            [
-                f"{result.backend} L{result.level} {result.op_id}",
-                _format_ms(old).strip(),
-                _format_ms(new).strip(),
-                f"{change:+.0%}",
-                flag,
-            ]
-        )
-    title = (
-        f"Baseline vs candidate, {temperature} means "
-        f"(flagged beyond ±{threshold:.0%})"
-    )
-    return title + "\n" + _table(headers, rows)
+        stats = cell.cold if temperature == "cold" else cell.warm
+        series.append((level, stats.mean))
+    return series
+
+
+def find_crossovers(
+    results: ResultSet,
+    backend_a: str,
+    backend_b: str,
+    temperature: str = "cold",
+) -> Dict[str, Optional[int]]:
+    """Per operation: the first level where the faster backend flips.
+
+    Returns op_id -> level of the flip, or None when one backend wins
+    at every measured level.  "Where crossovers fall" is one of the
+    shape questions multi-size benchmarks exist to answer.
+    """
+    flips: Dict[str, Optional[int]] = {}
+    for op_id in results.op_ids:
+        series_a = dict(per_node_series(results, backend_a, op_id, temperature))
+        series_b = dict(per_node_series(results, backend_b, op_id, temperature))
+        shared = sorted(set(series_a) & set(series_b))
+        if len(shared) < 2:
+            continue
+        first_winner = series_a[shared[0]] <= series_b[shared[0]]
+        flips[op_id] = None
+        for level in shared[1:]:
+            winner = series_a[level] <= series_b[level]
+            if winner != first_winner:
+                flips[op_id] = level
+                break
+    return flips
 
 
 def full_report(

@@ -58,6 +58,15 @@ class RunnerConfig:
     instrumentation: Optional[Instrumentation] = None
 
 
+def creation_phases(gen: GeneratedDatabase) -> Dict[str, float]:
+    """The section 5.3 creation phases of one generated structure:
+    ``node-*`` ms per node and ``rel-*`` ms per relationship."""
+    return {
+        **{f"node-{k}": v for k, v in gen.stats.per_node_ms().items()},
+        **{f"rel-{k}": v for k, v in gen.stats.per_relationship_ms().items()},
+    }
+
+
 @dataclasses.dataclass
 class GridCell:
     """One populated database of the grid, ready for operations."""
@@ -126,15 +135,8 @@ class BenchmarkRunner:
         )
         db.open()
         gen = DatabaseGenerator(hm_config).generate(db)
-        phases: Dict[str, float] = {}
-        phases.update(
-            {f"node-{k}": v for k, v in gen.stats.per_node_ms().items()}
-        )
-        phases.update(
-            {f"rel-{k}": v for k, v in gen.stats.per_relationship_ms().items()}
-        )
         db.commit()
-        cell = GridCell(backend, level, db, gen, phases)
+        cell = GridCell(backend, level, db, gen, creation_phases(gen))
         self._cells[key] = cell
         return cell
 

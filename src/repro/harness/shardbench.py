@@ -15,7 +15,7 @@ other, over a shard-count × placement-policy grid:
 
 All times are **virtual** (the simulated clock): the document is a
 pure function of the grid and the seed, byte-identical across
-machines, so CI hard-gates it with ``repro bench-diff`` against
+machines, so CI holds the regenerated cells to exact equality with
 ``benchmarks/baseline/BENCH_sharded.json``.  Cells carry the same
 ``p50_ms``/``p90_ms``/``p99_ms`` + ``mode`` leaf shape the other
 benchmarks use, under ``cells[shards<N>-<placement>][closure|update]``.
@@ -52,17 +52,6 @@ PARAMS = (
     ),
     Param("--seed", "seed", 1989, int),
     grid.timeline_param("virtual clock, one sample per closure/update"),
-    Param(
-        "--deep-level", "deep_level", None, int,
-        "add one whole-structure closure cell per placement at this"
-        " level (7 = 97 656 nodes) over the largest shard count;"
-        " informational until the baseline carries a budget",
-        metavar="LEVEL",
-    ),
-    Param(
-        "--deep-closures", "deep_closures", 2, int,
-        "closures in the deep scale cell (default: 2)",
-    ),
 )
 
 
@@ -70,7 +59,6 @@ def _deployment(
     records: Dict[int, Dict[str, Any]],
     shards: int,
     placement: str,
-    **network: Any,
 ):
     """A fresh optimistic sharded deployment loaded with ``records``."""
     from repro.backends.clientserver import ClientServerDatabase
@@ -80,7 +68,6 @@ def _deployment(
         network=NetworkConfig(
             concurrency="optimistic",
             sharding=ShardConfig(shards=shards, placement=placement),
-            **network,
         ),
         instrumentation=instr,
     )
@@ -161,50 +148,6 @@ def _run_cell(
     return {"closure": closure, "update": update}
 
 
-def _run_deep_cell(
-    gen: GeneratedDatabase,
-    records: Dict[int, Dict[str, Any]],
-    shards: int,
-    placement: str,
-    closures: int,
-    level: int,
-) -> Dict[str, Any]:
-    """One whole-structure closure cell at a deep level.
-
-    The cache capacity is raised past the structure size so the full
-    closure ships in one push-down (the default 4096 cap would admit a
-    prefix and hide the scatter cost being measured).  The leaf carries
-    ``nodes`` and ``median_ms_per_node`` so a baseline can attach a
-    ``budget_ms_per_node`` ceiling later — until then the cell is
-    informational only (bench-diff skips cells the baseline lacks).
-    """
-    db, instr = _deployment(
-        records, shards, placement, cache_capacity=131072
-    )
-    before = instr.snapshot()
-    samples_ms = [
-        grid.closure_ms(db, gen.root_uid) for _ in range(closures)
-    ]
-    delta = instr.delta_since(before)
-    nodes = int(delta.get("backend.rpc.pushdown.objects", 0)) // max(
-        closures, 1
-    )
-    leaf = grid.latency_leaf(
-        samples_ms,
-        "sharded-deep-closure",
-        level=level,
-        nodes=nodes,
-        median_ms_per_node=round(
-            (sorted(samples_ms)[len(samples_ms) // 2] / nodes) if nodes else 0.0,
-            6,
-        ),
-        round_trips=int(delta.get("backend.rpc.round_trips", 0)),
-        scatter_rounds=int(delta.get("backend.rpc.scatter.rounds", 0)),
-    )
-    db.close()
-    return {"closure": leaf}
-
-
 def run_sharded_bench(**overrides: Any) -> Dict[str, Any]:
     """Run the shard-count × placement grid; return the JSON document.
 
@@ -217,12 +160,6 @@ def run_sharded_bench(**overrides: Any) -> Dict[str, Any]:
     sample per closure and per update iteration, stamped at the
     virtual clock with ``<cell>/closure`` / ``<cell>/update`` labels.
     Deterministic, and strictly additive to the returned document.
-
-    ``deep_level`` adds one whole-structure closure cell per placement
-    at the largest shard count (key ``deep<level>-shards<N>-<policy>``)
-    over a structure generated at that level — the scale cell (level 7
-    is 97 656 nodes).  It is additive and soft: bench-diff skips cells
-    the committed baseline does not carry.
     """
     p = grid.resolve(PARAMS, overrides)
     shard_counts = p["shard_counts"] = sorted(
@@ -248,23 +185,6 @@ def run_sharded_bench(**overrides: Any) -> Dict[str, Any]:
                     p["seed"],
                     recorder=recorder,
                 )
-        deep_level = p["deep_level"]
-        if deep_level is not None:
-            deep_gen, deep_records = grid.generate_structure(
-                deep_level, p["seed"]
-            )
-            deep_shards = shard_counts[-1]
-            for placement in placements:
-                cells[f"deep{deep_level}-shards{deep_shards}-{placement}"] = (
-                    _run_deep_cell(
-                        deep_gen,
-                        deep_records,
-                        deep_shards,
-                        placement,
-                        p["deep_closures"],
-                        deep_level,
-                    )
-                )
     return grid.document("sharded", PARAMS, p, cells)
 
 
@@ -279,15 +199,7 @@ def format_summary(document: Dict[str, Any]) -> str:
     ]
     for key in sorted(document["cells"]):
         cell = document["cells"][key]
-        closure, update = cell["closure"], cell.get("update")
-        if update is None:  # the deep scale cell: closures only
-            lines.append(
-                f"{key:>18}{closure['p50_ms']:>13.3f}"
-                f"{closure['p99_ms']:>9.3f}"
-                f"  ({closure['nodes']} nodes,"
-                f" {closure['median_ms_per_node']:.4f} ms/node)"
-            )
-            continue
+        closure, update = cell["closure"], cell["update"]
         lines.append(
             f"{key:>18}{closure['p50_ms']:>13.3f}{closure['p99_ms']:>9.3f}"
             f"{closure['rpcs_per_closure']:>9.2f}"

@@ -13,12 +13,19 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 
 @dataclasses.dataclass(frozen=True)
 class Stats:
-    """Summary statistics over a sample of seconds (or any floats)."""
+    """Summary statistics over a sample of seconds (or any floats).
+
+    The one summary of an in-memory sample list in ``src/``.  ``p50`` /
+    ``p90`` / ``p99`` are exact nearest-rank order statistics — the rule
+    of ``bench/metrics.percentile`` — so each is a member of the sample
+    and ``p50 <= p90 <= p99 <= maximum`` at any sample size.  They are
+    ``None`` only on documents saved before they existed.
+    """
 
     count: int
     mean: float
@@ -27,6 +34,9 @@ class Stats:
     maximum: float
     stdev: float
     total: float
+    p50: Optional[float] = None
+    p90: Optional[float] = None
+    p99: Optional[float] = None
 
     @classmethod
     def from_samples(cls, samples: Sequence[float]) -> "Stats":
@@ -42,6 +52,10 @@ class Stats:
         else:
             median = (ordered[n // 2 - 1] + ordered[n // 2]) / 2
         variance = sum((x - mean) ** 2 for x in ordered) / n
+
+        def rank(fraction: float) -> float:
+            return ordered[max(1, math.ceil(fraction * n)) - 1]
+
         return cls(
             count=n,
             mean=mean,
@@ -50,18 +64,9 @@ class Stats:
             maximum=ordered[-1],
             stdev=math.sqrt(variance),
             total=total,
-        )
-
-    def scaled(self, factor: float) -> "Stats":
-        """Return these statistics multiplied by a constant (unit change)."""
-        return Stats(
-            count=self.count,
-            mean=self.mean * factor,
-            median=self.median * factor,
-            minimum=self.minimum * factor,
-            maximum=self.maximum * factor,
-            stdev=self.stdev * factor,
-            total=self.total * factor,
+            p50=rank(0.50),
+            p90=rank(0.90),
+            p99=rank(0.99),
         )
 
     def to_dict(self) -> dict:
@@ -105,26 +110,3 @@ class Timer:
             self._clock.now - self._sim_start if self._clock is not None else 0.0
         )
         self.elapsed = self.wall + self.simulated
-
-
-def time_calls(
-    calls: List,
-    simulated_clock: Optional[object] = None,
-    histogram: Optional[object] = None,
-) -> List[float]:
-    """Time a list of zero-argument callables individually.
-
-    Returns per-call elapsed seconds (wall + simulated).  When a
-    :class:`~repro.obs.LatencyHistogram` is passed, each call's
-    latency is also recorded into it in **milliseconds** (the repo's
-    histogram unit convention).
-    """
-    samples = []
-    for call in calls:
-        timer = Timer(simulated_clock)
-        with timer:
-            call()
-        samples.append(timer.elapsed)
-        if histogram is not None:
-            histogram.record(timer.elapsed * 1000.0)
-    return samples

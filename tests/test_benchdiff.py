@@ -1,8 +1,7 @@
-"""The bench-diff regression gate.
+"""``repro bench-diff``: the cell-by-cell table over two grid documents.
 
-Covers the two document shapes (closure bench, harness ResultSet),
-the percentile-aware thresholds, the absolute noise floor, and the
-exit-code contract the CI gate relies on.
+Covers the ``cells`` document shape, the percentile-aware thresholds,
+the absolute noise floor, and the exit-code contract.
 """
 
 import copy
@@ -38,45 +37,11 @@ def closure_doc(p50=1.0, p90=2.0, p99=3.0):
     }
 
 
-def resultset_doc(cold_p90=2.0):
-    return {
-        "results": [
-            {
-                "backend": "memory",
-                "level": 4,
-                "op_id": "01",
-                "cold": {"mean": 1.0},
-                "warm": {"mean": 0.5},
-                "cold_hist": {"p50": 1.0, "p90": cold_p90, "p99": 3.0},
-                "warm_hist": {"p50": 0.5, "p90": 0.6, "p99": 0.7},
-            }
-        ]
-    }
-
-
 class TestExtractCells:
     def test_closure_documents_yield_closure_mode_cells(self):
         cells = extract_cells(closure_doc())
         assert ("memory", "10", "native") in cells
         assert cells[("memory", "10", "native")]["p90"] == 2.0
-
-    def test_resultset_documents_yield_cold_and_warm_modes(self):
-        cells = extract_cells(resultset_doc())
-        assert ("memory-L4", "01", "cold") in cells
-        assert ("memory-L4", "01", "warm") in cells
-
-    def test_pre_histogram_closure_documents_fall_back_to_median(self):
-        doc = {
-            "cells": {"memory": {"10": {"median_ms": 1.5, "mode": "native"}}}
-        }
-        cells = extract_cells(doc)
-        assert cells[("memory", "10", "native")] == {"p50": 1.5}
-
-    def test_pre_histogram_resultset_falls_back_to_the_mean(self):
-        doc = resultset_doc()
-        doc["results"][0]["cold_hist"] = {}
-        cells = extract_cells(doc)
-        assert cells[("memory-L4", "01", "cold")] == {"p50": 1.0}
 
     def test_unknown_shape_raises(self):
         with pytest.raises(ValueError):
@@ -137,11 +102,6 @@ class TestThresholds:
         rows = diff_documents(base, cand)
         assert {r.backend for r in rows} == {"memory"}
 
-    def test_resultset_modes_diff_independently(self):
-        rows = diff_documents(resultset_doc(), resultset_doc(cold_p90=9.0))
-        bad = regressions(rows)
-        assert [(r.mode, r.quantile) for r in bad] == [("cold", "p90")]
-
 
 class TestCliContract:
     def test_diff_files_exit_codes(self, tmp_path):
@@ -174,7 +134,7 @@ class TestCliContract:
         assert "1 regression" in table
 
     def test_baseline_document_self_diffs_clean(self):
-        # The committed CI baseline must never trip its own gate.
+        # A committed baseline never flags itself.
         import os
 
         path = os.path.join(
@@ -182,7 +142,7 @@ class TestCliContract:
             os.pardir,
             "benchmarks",
             "baseline",
-            "BENCH_closure.json",
+            "BENCH_sharded.json",
         )
         with open(path) as handle:
             document = json.load(handle)

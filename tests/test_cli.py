@@ -243,8 +243,6 @@ BENCH_COMMAND_SURFACE = {
         "--seed": ("seed", 1989),
         "--out": ("out", "BENCH_sharded.json"),
         "--timeline": ("timeline", None),
-        "--deep-level": ("deep_level", None),
-        "--deep-closures": ("deep_closures", 2),
     },
     "bench-replica": {
         "--replicas": ("replicas", "1,2,4"),
@@ -359,6 +357,22 @@ class TestBenchCommands:
             assert options
             header = document.get("workload", document)
             assert {key: header[key] for key in options} == options
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench-diff", "a.json", "b.json", "--refresh-improvement"],
+            ["bench-sharded", "--deep-level", "7"],
+            ["bench-sharded", "--deep-closures", "2"],
+        ],
+        ids=lambda argv: argv[-2] if argv[-1].isdigit() else argv[-1],
+    )
+    def test_retired_options_are_rejected_by_the_parser(self, argv, capsys):
+        # The budget ratchet and the advisory level-7 cell are gone.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestRubenstein:

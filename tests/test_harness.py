@@ -15,6 +15,47 @@ from repro.harness.report import (
 from repro.netsim import SimulatedClock
 
 
+#: The shape of the five ``oodb-L6/12`` timings the deleted closure
+#: baseline held (one slow outlier): power-of-two buckets read back
+#: ``p50_ms 3072.0`` beside ``median_ms 2477.63``.
+_ONE_SLOW_OUTLIER = [2400.1, 2431.7, 2477.63, 2502.9, 4871.2]
+
+
+def _assert_order_statistics(summarise, quantiles):
+    """p50/p90/p99 are members of the sample at 5, 12 and 24 samples,
+    by the rule of the wall-clock benchmark's ``bench/metrics.py``."""
+    import random
+
+    from bench.metrics import percentile
+
+    rng = random.Random(16)
+    for samples in (
+        _ONE_SLOW_OUTLIER,
+        [rng.uniform(1.0, 400.0) for _ in range(12)],
+        [rng.lognormvariate(2.0, 1.5) for _ in range(24)],
+    ):
+        p50, p90, p99, maximum = quantiles(summarise(samples))
+        rounded = [round(value, 4) for value in samples]
+        for value in (p50, p90, p99):
+            assert round(value, 4) in rounded
+        assert round(p50, 4) == round(percentile(samples, 0.50), 4)
+        assert p50 <= p90 <= p99 <= maximum
+        assert round(maximum, 4) == max(rounded)
+
+
+def test_latency_leaf_percentiles_are_order_statistics():
+    """Named regression: percentiles lied at small n (``3072.0`` is
+    not one of the five timings)."""
+    from repro.harness import grid
+
+    _assert_order_statistics(
+        lambda samples: grid.latency_leaf(samples, "native"),
+        lambda leaf: (
+            leaf["p50_ms"], leaf["p90_ms"], leaf["p99_ms"], leaf["max_ms"]
+        ),
+    )
+
+
 class TestStats:
     def test_summary_values(self):
         stats = Stats.from_samples([1.0, 2.0, 3.0, 4.0])
@@ -33,10 +74,11 @@ class TestStats:
         with pytest.raises(ValueError):
             Stats.from_samples([])
 
-    def test_scaled(self):
-        stats = Stats.from_samples([1.0, 3.0]).scaled(1000)
-        assert stats.mean == 2000
-        assert stats.total == 4000
+    def test_percentiles_are_order_statistics(self):
+        _assert_order_statistics(
+            lambda samples: Stats.from_samples(samples),
+            lambda stats: (stats.p50, stats.p90, stats.p99, stats.maximum),
+        )
 
     def test_dict_roundtrip(self):
         stats = Stats.from_samples([0.5, 1.5])
@@ -375,50 +417,22 @@ class TestReports:
         assert "Title" in report
         assert report.count("nameLookup") >= 3
 
-    def test_delta_table_flags_regressions(self, results):
-        from repro.harness.report import delta_table
-        import dataclasses
-
-        slower = ResultSet()
-        for cell in results:
-            slower.add(
-                dataclasses.replace(cell, cold=cell.cold.scaled(3.0))
-            )
-        table = delta_table(results, slower, "cold", threshold=0.10)
-        assert "SLOWER" in table
-        assert "+200%" in table
-        # Identical sets carry no flags.
-        clean = delta_table(results, results, "cold")
-        assert "SLOWER" not in clean and "faster" not in clean
-        with pytest.raises(ValueError):
-            delta_table(results, results, "tepid")
-
 
 class TestLatencyHistogramCapture:
-    """ColdWarmResult carries sample-derived latency histograms."""
+    """ColdWarmResult's ``Stats`` carry the per-pass percentiles."""
 
-    def test_histograms_present_even_without_instrumentation(
+    def test_percentiles_present_even_without_instrumentation(
         self, memory_populated
     ):
         db, gen = memory_populated
         result = run_operation_sequence(db, CATALOG.get("01"), gen,
                                         repetitions=4, seed=5)
-        for hist in (result.cold_hist, result.warm_hist):
-            assert hist["count"] == 4
-            assert hist["min"] <= hist["p50"] <= hist["p90"]
-            assert hist["p90"] <= hist["p99"] <= hist["max"]
+        for stats in (result.cold, result.warm):
+            assert stats.count == 4
+            assert stats.minimum <= stats.p50 <= stats.p90
+            assert stats.p90 <= stats.p99 <= stats.maximum
 
-    def test_dict_roundtrip_preserves_histograms(self, memory_populated):
-        from repro.harness.protocol import ColdWarmResult
-
-        db, gen = memory_populated
-        result = run_operation_sequence(db, CATALOG.get("01"), gen,
-                                        repetitions=3, seed=5)
-        clone = ColdWarmResult.from_dict(result.to_dict())
-        assert clone.cold_hist == result.cold_hist
-        assert clone.warm_hist == result.warm_hist
-
-    def test_from_dict_tolerates_pre_histogram_payloads(
+    def test_from_dict_roundtrips_documents_written_now_and_at_the_parent(
         self, memory_populated
     ):
         from repro.harness.protocol import ColdWarmResult
@@ -426,10 +440,32 @@ class TestLatencyHistogramCapture:
         db, gen = memory_populated
         result = run_operation_sequence(db, CATALOG.get("01"), gen,
                                         repetitions=3, seed=5)
+        now = result.to_dict()
+        assert "cold_hist" not in now and "warm_hist" not in now
+        assert ColdWarmResult.from_dict(now) == result
+        # The parent wrote bucket summaries beside the Stats: dropped.
+        parent = dict(now)
+        parent["cold_hist"] = {"count": 3, "p50": 0.0117, "p99": 0.0156}
+        parent["warm_hist"] = {"count": 3, "p50": 0.0039, "p99": 0.0078}
+        assert ColdWarmResult.from_dict(parent) == result
+
+    def test_from_dict_tolerates_pre_histogram_payloads(
+        self, memory_populated
+    ):
+        from repro.harness.protocol import ColdWarmResult
+        from repro.harness.report import percentile_table
+
+        db, gen = memory_populated
+        result = run_operation_sequence(db, CATALOG.get("01"), gen,
+                                        repetitions=3, seed=5)
         raw = result.to_dict()
-        del raw["cold_hist"], raw["warm_hist"]
+        for stats in (raw["cold"], raw["warm"]):
+            del stats["p50"], stats["p90"], stats["p99"]
         clone = ColdWarmResult.from_dict(raw)
-        assert clone.cold_hist == {} and clone.warm_hist == {}
+        assert clone.cold.p50 is None and clone.cold.mean == result.cold.mean
+        table = percentile_table(ResultSet([clone]), "memory", level=3)
+        cells = [c.strip() for c in table.splitlines()[-1].split(" | ")]
+        assert cells[1:4] == ["-", "-", "-"] and cells[4] != "-"
 
     def test_percentile_table_renders(self, memory_populated):
         from repro.harness.report import percentile_table
@@ -443,6 +479,12 @@ class TestLatencyHistogramCapture:
         table = percentile_table(collected, "memory", level=3)
         assert "p50" in table and "p99" in table
         assert "01 nameLookup" in table
+        # Printed from Stats: the cells are the cold pass's own order
+        # statistics.
+        cold = next(iter(collected)).cold
+        cells = table.splitlines()[-1].split(" | ")
+        assert float(cells[1]) == pytest.approx(cold.p50, abs=1e-4)
+        assert float(cells[4]) == pytest.approx(cold.maximum, abs=1e-4)
         with pytest.raises(ValueError):
             percentile_table(collected, "memory", temperature="tepid")
 
@@ -481,7 +523,7 @@ class TestResetBetweenPasses:
         warm_hist = instr.histograms.get("harness.iteration.warm")
         assert warm_hist is not None and len(warm_hist) == repetitions
         assert instr.histograms.get("harness.iteration.cold") is None
-        assert result.cold_hist["count"] == repetitions
+        assert result.cold.count == repetitions
 
     def test_warm_records_never_reference_cold_sequences(self):
         # The clientserver backend opens rpc/server spans on every

@@ -402,6 +402,39 @@ class TestPushdownFastPath:
 # ----------------------------------------------------------------------
 
 
+def test_op12_closure_larger_than_cache_issues_one_readahead_per_leaf():
+    """PINNED DEFECT, not a contract (ROADMAP 3c).
+
+    When the closure is larger than the workstation cache, the read
+    closure (op 10) still costs two round trips, but the updating
+    closure (op 12) degrades to one structural ``readahead`` request
+    per leaf: 625 = 5**4 at level 4 under a 256-record cache — the
+    same shape as the 15 625 = 5**6 requests the deleted level-6
+    closure baseline recorded (and budgeted) for ``clientserver-L6``
+    with the default 4 096-record cache.  The PR that streams the
+    closure in cache-sized coherent windows should flip these numbers
+    here rather than discover them.
+    """
+    db, gen, instr = _build(levels=4, cache_capacity=256)
+    try:
+        deltas = {}
+        for name in ("closure_1n", "closure_1n_att_set"):
+            db.close()
+            db.open()
+            root = db.lookup(gen.root_uid)
+            before = instr.snapshot()
+            getattr(Operations(db), name)(root)
+            deltas[name] = instr.delta_since(before)
+            db.commit()
+        read, update = deltas["closure_1n"], deltas["closure_1n_att_set"]
+        assert read.get("backend.rpc.round_trips", 0) == 2
+        assert read.get("cache.readahead.requests", 0) == 0
+        assert update.get("cache.readahead.requests", 0) == 5**4
+        assert update.get("backend.rpc.round_trips", 0) == 5**4 + 2
+    finally:
+        db.close()
+
+
 class TestCacheBulkAdmission:
     def test_put_many_admits_in_iteration_order(self):
         cache = WorkstationCache(capacity=8)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.harness.sweep import (
-    LevelSweep,
+from repro.harness import BenchmarkRunner, RunnerConfig
+from repro.harness.report import (
     find_crossovers,
     per_node_series,
     scaling_table,
@@ -12,14 +12,16 @@ from repro.harness.sweep import (
 
 @pytest.fixture(scope="module")
 def sweep_results(tmp_path_factory):
-    sweep = LevelSweep(
-        backend="memory",
-        levels=(2, 3),
+    config = RunnerConfig(
+        backends=["memory"],
+        levels=[2, 3],
         op_ids=["01", "03", "10"],
         repetitions=3,
         workdir=str(tmp_path_factory.mktemp("sweep")),
     )
-    return sweep.run()
+    with BenchmarkRunner(config) as runner:
+        results, _creation = runner.run()
+    return results
 
 
 class TestLevelSweep:
