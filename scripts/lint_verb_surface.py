@@ -7,8 +7,14 @@ Fails if
   ``self._versions[...]`` outside ``_install``, appends to the WAL
   (``.log_commit`` / ``.log_prepare`` / ``.log_decision``) outside
   ``_commit`` / ``prepare_batch`` / ``abort_prepared``, walks a
-  ``frontier`` outside ``_scatter_bfs``, or stamps reply versions
-  outside ``fetch`` / ``_ship``;
+  ``frontier`` outside ``_scatter_bfs``, stamps reply versions
+  outside ``fetch`` / ``_ship``, or touches the reply-size memo
+  ``self._sizes`` outside ``__init__``, its two invalidation sites
+  (``_install``, ``load_records``) and the one sizing helper
+  ``_reply_size``;
+* anything under ``netsim/`` calls ``serializer.encode(`` (wire sizes
+  come from ``serializer.encoded_size``; nothing is encoded to be
+  measured);
 * a router or the replication group appends to a WAL at all (the shard
   coordinator's own ``decision_log`` excepted);
 * ``accept_trace_context`` / ``take_reply_versions`` are defined
@@ -46,7 +52,10 @@ _SERVER_OWNERS = {
     ".log_prepare": {"prepare_batch"},
     "while frontier": {"_scatter_bfs"},
     "._stamp_reply_versions": {"fetch", "_ship"},
+    "self._sizes": {"__init__", "_install", "load_records", "_reply_size"},
 }
+#: The call no netsim module makes (sizes are computed, not encoded).
+_ENCODE = "serializer.encode"
 _WAL_APPENDS = (".log_commit", ".log_decision", ".log_prepare")
 #: Files that route or replicate and therefore never write a server WAL.
 _WAL_FREE = (
@@ -82,6 +91,11 @@ def _patterns(node: ast.AST):
                 yield f"self.{value.attr}[...] ="
     elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
         yield "." + node.func.attr
+        if ast.unparse(node.func) == _ENCODE:
+            yield _ENCODE
+    elif isinstance(node, ast.Attribute):
+        if node.attr == "_sizes" and getattr(node.value, "id", "") == "self":
+            yield "self._sizes"
     elif isinstance(node, ast.While) and "frontier" in ast.dump(node.test):
         yield "while frontier"
 
@@ -153,6 +167,11 @@ def main() -> int:
                     errors.append(
                         f"{rel}:{node.lineno}: {pattern} in {func.name};"
                         f" only {sorted(owners)} may"
+                    )
+                if pattern == _ENCODE and rel.startswith("netsim/"):
+                    errors.append(
+                        f"{rel}:{node.lineno}: {_ENCODE}(...) in netsim;"
+                        f" size with serializer.encoded_size"
                     )
                 if (
                     rel in _WAL_FREE

@@ -243,6 +243,58 @@ def encode(value: Any) -> bytes:
     return bytes(out)
 
 
+def encoded_size(value: Any) -> int:
+    """Exactly ``len(encode(value))``, without building the bytes.
+
+    Every value costs its tag byte; all but ``None``, the booleans and
+    floats then carry one varint — the zigzagged integer itself, or the
+    length/count of a string, bytes, list or dict — followed by the
+    payload or the elements.  The type tests are :func:`_encode_value`'s
+    (only ``bool`` overlaps another branch, and it is split off inside
+    the ``int`` one), tried most-frequent first.
+
+    Raises:
+        StorageError: for a value :func:`encode` rejects — an
+            unserializable type or an integer outside 64 bits.
+    """
+    size = 0
+    pending = [value]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, int):
+            if value is True or value is False:
+                size += 1
+                continue
+            varint = _zigzag(value)
+        elif isinstance(value, str):
+            varint = (
+                len(value) if value.isascii() else len(value.encode("utf-8"))
+            )
+            size += varint
+        elif isinstance(value, (list, tuple)):
+            varint = len(value)
+            pending += value
+        elif value is None:
+            size += 1
+            continue
+        elif isinstance(value, float):
+            size += 9
+            continue
+        elif isinstance(value, (bytes, bytearray)):
+            varint = len(value)
+            size += varint
+        elif isinstance(value, dict):
+            varint = len(value)
+            pending += value
+            pending += value.values()
+        else:
+            raise StorageError(
+                f"unserializable value of type {type(value).__name__}"
+            )
+        size += 1 + ((varint.bit_length() + 6) // 7 or 1)
+    return size
+
+
 def decode(data: bytes) -> Any:
     """Deserialize bytes produced by :func:`encode`.
 

@@ -6,8 +6,9 @@ fetch/store, key-existence probes, index range queries, structure scans
 and named-list storage.  Every request charges the shared
 :class:`~repro.netsim.latency.SimulatedClock` according to the
 :class:`~repro.netsim.latency.LatencyModel` — a fixed round trip plus
-payload-proportional transfer, with payload sizes measured by actually
-serializing the records.
+payload-proportional transfer, with payload sizes equal to the records'
+serialized lengths (computed structurally; nothing is encoded to be
+measured).
 
 The server object *survives* the client database's close/open cycle,
 exactly like the server machine in the paper's architecture: closing
@@ -197,6 +198,9 @@ class ObjectServer:
         #: (see :mod:`repro.netsim.sim`) for multi-client runs.
         self.transport = DirectTransport(self.clock, self.latency)
         self._records: Dict[int, Dict[str, Any]] = {}
+        #: Wire size per *stored* record, filled on first ship (see the
+        #: "Cost accounting" block for its two invalidation sites).
+        self._sizes: Dict[int, int] = {}
         self._lists: Dict[str, List[int]] = {}
         #: Version per uid, bumped on every store/commit; the optimistic
         #: commit protocol validates read sets against it.
@@ -322,10 +326,23 @@ class ObjectServer:
     # so a batch reply and a push-down reply carrying the *same* record
     # set charge the *same* simulated time (pinned by a regression test
     # in ``tests/test_pushdown.py``).  Reference-only replies charge
-    # ``envelope + _UID_BYTES per uid`` instead.  Payload sizes land in
-    # the ``backend.rpc.payload_bytes`` histogram (bytes, not ms) so
-    # the wire-size distribution is inspectable next to the latency
-    # distributions.
+    # ``envelope + _UID_BYTES per uid`` instead.
+    #
+    # ``record_size(r) == len(serializer.encode(r))`` — the identity
+    # every charged byte rests on, held by a property test in
+    # ``tests/test_engine_serializer.py`` — but no request encodes a
+    # record to learn it.  Uploads are sized by the structural walk
+    # ``serializer.encoded_size``; replies go through ``_reply_size``,
+    # which sizes a *stored* record once, the first time it ships, and
+    # keeps the answer in ``_sizes``.  The memo is dropped at the only
+    # two places ``_records`` is assigned: ``_install`` (per written
+    # uid) and ``load_records`` (wholesale).  It is filled lazily, not
+    # at install, because most installed versions are overwritten or
+    # never shipped.
+    #
+    # Payload sizes land in the ``backend.rpc.payload_bytes`` histogram
+    # (bytes, not ms) so the wire-size distribution is inspectable next
+    # to the latency distributions.
     # ------------------------------------------------------------------
 
     def _charge(
@@ -354,9 +371,19 @@ class ObjectServer:
             if verb is not None:
                 self._instr.count(f"{prefix}.{verb}")
 
-    def _reply_payload(self, records) -> int:
-        """Wire size of one record-carrying reply: envelope + records."""
-        return _PROBE_BYTES + sum(self.record_size(r) for r in records)
+    def _reply_size(self, uids) -> int:
+        """Wire size of one record-carrying reply: envelope + records.
+
+        The one reader and filler of the ``_sizes`` memo.
+        """
+        sizes = self._sizes
+        payload = _PROBE_BYTES
+        for uid in uids:
+            size = sizes.get(uid)
+            if size is None:
+                size = sizes[uid] = self.record_size(self._records[uid])
+            payload += size
+        return payload
 
     def _ship(
         self, verb: str, uids: List[int], handoff_bytes: int = 0
@@ -367,9 +394,7 @@ class ObjectServer:
         shard-local walk hands back), copies the records out, counts,
         charges and stamps the shipped versions.
         """
-        payload = handoff_bytes + self._reply_payload(
-            self._records[uid] for uid in uids
-        )
+        payload = handoff_bytes + self._reply_size(uids)
         out = {uid: copy_record(self._records[uid]) for uid in uids}
         self.stats.bytes_sent += payload
         self._instr.count("backend.rpc.bytes_sent", payload)
@@ -434,8 +459,13 @@ class ObjectServer:
 
     @staticmethod
     def record_size(record: Dict[str, Any]) -> int:
-        """Wire size of a record (its serialized length)."""
-        return len(serializer.encode(record))
+        """Wire size of a record: ``len(serializer.encode(record))``.
+
+        Computed by :func:`~repro.engine.serializer.encoded_size`
+        without building the bytes; the property test beside the
+        serializer's holds the two equal.
+        """
+        return serializer.encoded_size(record)
 
     # ------------------------------------------------------------------
     # Object requests
@@ -454,7 +484,7 @@ class ObjectServer:
             if record is None:
                 self._charge(_PROBE_BYTES, "fetch")
                 raise NodeNotFoundError(uid)
-            payload = self._reply_payload([record])
+            payload = self._reply_size((uid,))
             self.stats.bytes_sent += payload
             self._instr.count("backend.rpc.bytes_sent", payload)
             self._charge(payload, "fetch")
@@ -835,13 +865,15 @@ class ObjectServer:
         """The one place records and versions are assigned.
 
         Every writer ends here — client commits, recovery replay and
-        replica apply — so each also broadcasts its invalidations and
-        pulls the local commit sequence up to ``version`` (later
-        commits keep ascending even after applying a peer's txids).
+        replica apply — so each also forgets the replaced record's
+        memoised wire size, broadcasts its invalidations and pulls the
+        local commit sequence up to ``version`` (later commits keep
+        ascending even after applying a peer's txids).
         """
         self._commit_seq = max(self._commit_seq, version)
         for uid, record in writes.items():
             self._records[uid] = copy_record(record)
+            self._sizes.pop(uid, None)
             self._versions[uid] = version
             self._invalidate_subscribers(uid, except_cache=from_cache)
         return dict.fromkeys(writes, version)
@@ -1208,6 +1240,7 @@ class ObjectServer:
         self._records = {
             uid: copy_record(record) for uid, record in records.items()
         }
+        self._sizes = {}
         self._lists = {}
         self._versions = {}
         self._commit_seq = 0

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.serializer import decode, decode_view, encode
+from repro.engine.serializer import decode, decode_view, encode, encoded_size
 from repro.errors import StorageError
 
 
@@ -178,3 +178,68 @@ def test_property_view_and_bytes_decode_agree(value):
     """decode over bytes and decode_view over a view are identical."""
     blob = encode(value)
     assert decode_view(memoryview(blob)) == decode(blob)
+
+
+# ----------------------------------------------------------------------
+# encoded_size: the wire-accounting identity (netsim charges by it)
+# ----------------------------------------------------------------------
+
+#: Lengths and counts either side of the 1→2 and 2→3 byte varint edges.
+_edge_lengths = st.sampled_from([0, 1, 127, 128, 129, 16383, 16384, 16385])
+
+_sized_scalars = st.one_of(
+    _scalars,
+    st.floats(),  # NaN and the infinities pack like any double
+    st.sampled_from([-(2**63), -(2**63) + 1, 2**63 - 1, -64, -65, 63, 64]),
+    st.binary(max_size=40).map(bytearray),
+    # "é" is two UTF-8 bytes: the byte length crosses an edge the
+    # character count does not.
+    st.builds(lambda char, n: char * n, st.sampled_from("aé中🙂"), _edge_lengths),
+    _edge_lengths.map(bytes),
+    _edge_lengths.map(lambda n: [None] * n),
+    st.sampled_from([127, 128, 129]).map(lambda n: dict.fromkeys(range(n))),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(st.text(max_size=10), children, max_size=6),
+        st.dictionaries(st.integers(-200, 200), children, max_size=6),
+    )
+
+
+_sized_values = st.recursive(_sized_scalars, _containers, max_leaves=25)
+
+#: Leaves ``encode`` rejects with StorageError.
+_rejected = st.one_of(
+    st.sampled_from([2**63, -(2**63) - 1, 2**64, -(2**200)]),
+    st.builds(object),
+    st.just({1, 2}),
+    st.just(1j),
+)
+
+
+@settings(deadline=None)
+@given(value=_sized_values)
+def test_property_encoded_size_is_the_encoded_length(value):
+    """``encoded_size(v) == len(encode(v))`` — no charged byte moves."""
+    assert encoded_size(value) == len(encode(value))
+
+
+@settings(deadline=None)
+@given(
+    value=st.recursive(
+        st.one_of(_scalars, _rejected), _containers, max_leaves=12
+    )
+)
+def test_property_encoded_size_rejects_what_encode_rejects(value):
+    """StorageError parity: same inputs refused, same exception type."""
+    try:
+        expected = len(encode(value))
+    except StorageError:
+        with pytest.raises(StorageError):
+            encoded_size(value)
+    else:
+        assert encoded_size(value) == expected

@@ -24,7 +24,10 @@ from repro.backends import create_backend
 from repro.backends.clientserver import ClientServerDatabase
 from repro.core.config import HyperModelConfig
 from repro.core.generator import DatabaseGenerator
-from repro.core.operations import Operations
+from repro.core.operations import CATALOG, Operations
+from repro.engine import serializer
+from repro.engine.vfs import MemoryVFS
+from repro.engine.wal import WriteAheadLog, put_record
 from repro.errors import (
     ConfigurationError,
     InvalidOperationError,
@@ -34,7 +37,9 @@ from repro.errors import (
 )
 from repro.harness.batchbench import run_closure_bench
 from repro.harness.benchdiff import extract_cells
+from repro.harness.protocol import run_operation_sequence
 from repro.netsim.cache import WorkstationCache
+from repro.netsim.server import _PROBE_BYTES, ObjectServer
 from repro.obs import Instrumentation
 
 
@@ -244,6 +249,115 @@ class TestChargeParity:
             hist = instr.histograms.get(f"backend.rpc.payload_bytes.{verb}")
             assert hist is not None and hist.count >= 1
             assert hist.maximum > 0
+
+    # -- the reply-size memo never outlives the record it measured ------
+
+    @staticmethod
+    def _store(server, uid, record, _base):
+        server.store(uid, record)
+
+    @staticmethod
+    def _commit_batch(server, uid, record, _base):
+        server.commit_batch({uid: record}, {})
+
+    @staticmethod
+    def _two_phase_commit(server, uid, record, _base):
+        server.prepare_batch(7, {uid: record}, {})
+        server.commit_prepared(7)
+
+    @staticmethod
+    def _two_phase_abort(server, uid, record, _base):
+        server.prepare_batch(7, {uid: record}, {})
+        server.abort_prepared(7)
+
+    @staticmethod
+    def _wal_recovery_replay(server, uid, record, base):
+        server.store(uid, record)
+        server.fetch(uid)  # memoise the logged record's size pre-crash
+        assert server.recover_from_wal(base) == []
+
+    @staticmethod
+    def _replica_apply(server, uid, record, _base):
+        server.apply_wal_operations([put_record(9, uid, {"record": record})])
+
+    @staticmethod
+    def _load_records(server, uid, record, base):
+        server.load_records({**base, uid: record})
+
+    @pytest.mark.parametrize(
+        "writer, applied",
+        [
+            ("_store", True),
+            ("_commit_batch", True),
+            ("_two_phase_commit", True),
+            ("_two_phase_abort", False),
+            ("_wal_recovery_replay", True),
+            ("_replica_apply", True),
+            ("_load_records", True),
+        ],
+    )
+    def test_reply_size_follows_a_rewritten_record(
+        self, served, writer, applied
+    ):
+        """Every writer leaves replies charged for the *current* record.
+
+        Each read verb ships the record once (filling the server's
+        size memo), the writer replaces it with a longer one — or, for
+        the abort, must leave it alone — and each read verb must then
+        charge ``envelope + len(encode(current))``.
+        """
+        source, gen, _db, _instr = served
+        base = source.export_records()
+        server = ObjectServer(wal=WriteAheadLog("w", vfs=MemoryVFS()))
+        server.load_records(base)
+        uid = gen.root_uid
+        reads = {
+            "fetch": lambda: server.fetch(uid),
+            "fetch_many": lambda: server.fetch_many([uid]),
+            "traverse": lambda: server.traverse(uid, "children", depth=0),
+            "readahead": lambda: server.readahead([uid], depth=0),
+        }
+
+        def charged(read):
+            before = server.stats.bytes_sent
+            read()
+            return server.stats.bytes_sent - before
+
+        old = _PROBE_BYTES + len(serializer.encode(base[uid]))
+        assert {verb: charged(read) for verb, read in reads.items()} == (
+            dict.fromkeys(reads, old)
+        )
+        rewritten = {**base[uid], "text": "longer " * 40}
+        getattr(self, writer)(server, uid, rewritten, base)
+        current = rewritten if applied else base[uid]
+        new = _PROBE_BYTES + len(serializer.encode(current))
+        assert (new != old) == applied
+        assert {verb: charged(read) for verb, read in reads.items()} == (
+            dict.fromkeys(reads, new)
+        )
+        assert server.fetch(uid) == current
+
+    def test_read_path_never_encodes_to_measure(self, served, monkeypatch):
+        """Sizing a reply builds no bytes: zero ``encode`` calls, cold or warm."""
+        _server, gen, db, _instr = served
+        calls = []
+        real_encode = serializer.encode
+        monkeypatch.setattr(
+            serializer,
+            "encode",
+            lambda value: calls.append(1) or real_encode(value),
+        )
+        read_only = [
+            op for op in CATALOG.op_ids if op not in ("12", "16", "17")
+        ]
+        assert len(read_only) == 17
+        for op_id in read_only:
+            run_operation_sequence(
+                db, CATALOG.get(op_id), gen, repetitions=3,
+                store_result_list=False,
+            )
+        assert db.server.stats.bytes_sent > 0
+        assert calls == []
 
 
 # ----------------------------------------------------------------------
