@@ -156,9 +156,10 @@ class OodbDatabase(HyperModelDatabase):
 
     # -- internals -------------------------------------------------------
 
-    def _get(self, ref: NodeRef) -> dict:
+    def _get(self, ref: NodeRef, *fields: str) -> dict:
+        """The named fields of a node: private copies, the caller's to keep."""
         try:
-            return self._store.get(int(ref))
+            return self._store.get(int(ref), fields=fields)
         except RecordNotFoundError:
             raise NodeNotFoundError(ref) from None
 
@@ -187,13 +188,12 @@ class OodbDatabase(HyperModelDatabase):
         return self._store.new(_KIND_TO_CLASS[data.kind], state)
 
     def add_child(self, parent: NodeRef, child: NodeRef) -> None:
-        parent_state = self._get(parent)
-        child_state = self._get(child)
+        children = self._get(parent, "children")["children"]
+        child_state = self._get(child, "parent", "uniqueId")
         if child_state["parent"]:
             raise InvalidOperationError(
                 f"node {child_state['uniqueId']} already has a parent"
             )
-        children = list(parent_state["children"])
         children.append(int(child))
         self._store.update(int(parent), {"children": children})
         self._store.update(int(child), {"parent": int(parent)})
@@ -201,27 +201,19 @@ class OodbDatabase(HyperModelDatabase):
             self._store.relocate_near(int(child), int(parent))
 
     def add_part(self, whole: NodeRef, part: NodeRef) -> None:
-        whole_state = self._get(whole)
-        part_state = self._get(part)
-        self._store.update(
-            int(whole), {"parts": list(whole_state["parts"]) + [int(part)]}
-        )
-        self._store.update(
-            int(part), {"partOf": list(part_state["partOf"]) + [int(whole)]}
-        )
+        parts = self._get(whole, "parts")["parts"]
+        part_of = self._get(part, "partOf")["partOf"]
+        self._store.update(int(whole), {"parts": parts + [int(part)]})
+        self._store.update(int(part), {"partOf": part_of + [int(whole)]})
 
     def add_reference(
         self, source: NodeRef, target: NodeRef, attrs: LinkAttributes
     ) -> None:
-        source_state = self._get(source)
-        target_state = self._get(target)
-        refs = list(source_state["refTo"])
+        refs = self._get(source, "refTo")["refTo"]
+        refs_from = self._get(target, "refFrom")["refFrom"]
         refs.append([int(target), attrs.offset_from, attrs.offset_to])
         self._store.update(int(source), {"refTo": refs})
-        self._store.update(
-            int(target),
-            {"refFrom": list(target_state["refFrom"]) + [int(source)]},
-        )
+        self._store.update(int(target), {"refFrom": refs_from + [int(source)]})
 
     # -- identity ---------------------------------------------------------
 
@@ -232,24 +224,23 @@ class OodbDatabase(HyperModelDatabase):
         return oids[0]
 
     def get_attribute(self, ref: NodeRef, name: str) -> int:
-        state = self._get(ref)
         if name not in ("uniqueId", "ten", "hundred", "million"):
             raise KeyError(f"unknown node attribute {name!r}")
-        return state[name]
+        return self._get(ref, name)[name]
 
     def set_attribute(self, ref: NodeRef, name: str, value: int) -> None:
         if name == "uniqueId":
             raise InvalidOperationError("uniqueId is immutable")
         if name not in ("ten", "hundred", "million"):
             raise KeyError(f"unknown node attribute {name!r}")
-        self._get(ref)  # existence check with the right error type
+        self._get(ref, name)  # existence check with the right error type
         self._store.update(int(ref), {name: value})
 
     def kind_of(self, ref: NodeRef) -> NodeKind:
         return _CLASS_TO_KIND[self._store.class_of(int(ref))]
 
     def structure_of(self, ref: NodeRef) -> int:
-        return self._get(ref)["structId"]
+        return self._get(ref, "structId")["structId"]
 
     # -- range lookups ----------------------------------------------------
 
@@ -262,21 +253,22 @@ class OodbDatabase(HyperModelDatabase):
     # -- forward traversal -------------------------------------------------
 
     def children(self, ref: NodeRef) -> List[NodeRef]:
-        return list(self._get(ref)["children"])
+        return self._get(ref, "children")["children"]
 
     def parts(self, ref: NodeRef) -> List[NodeRef]:
-        return list(self._get(ref)["parts"])
+        return self._get(ref, "parts")["parts"]
 
     def refs_to(self, ref: NodeRef) -> List[Tuple[NodeRef, LinkAttributes]]:
+        refs = self._get(ref, "refTo")["refTo"]
         return [
             (target, LinkAttributes(offset_from, offset_to))
-            for target, offset_from, offset_to in self._get(ref)["refTo"]
+            for target, offset_from, offset_to in refs
         ]
 
     # -- batched navigation ----------------------------------------------------
 
-    def _get_many(self, refs: Sequence[NodeRef]) -> dict:
-        """Batch state fetch keyed by oid, clustering-aware.
+    def _get_many(self, refs: Sequence[NodeRef], *fields: str) -> dict:
+        """Batch fetch of the named fields, keyed by oid, clustering-aware.
 
         Delegates to :meth:`ObjectStore.get_many`, which sorts the oids
         by heap page and prefetches the page set through the buffer
@@ -285,28 +277,28 @@ class OodbDatabase(HyperModelDatabase):
         self.instrumentation.count("backend.batch.calls")
         self.instrumentation.count("backend.batch.items", len(refs))
         try:
-            return self._store.get_many([int(r) for r in refs])
+            return self._store.get_many([int(r) for r in refs], fields=fields)
         except RecordNotFoundError as exc:
             raise NodeNotFoundError(exc.args[0] if exc.args else refs) from None
 
     def children_many(self, refs: Sequence[NodeRef]) -> List[List[NodeRef]]:
         if not refs:
             return []
-        states = self._get_many(refs)
-        return [list(states[int(r)]["children"]) for r in refs]
+        states = self._get_many(refs, "children")
+        return [states[int(r)]["children"] for r in refs]
 
     def parts_many(self, refs: Sequence[NodeRef]) -> List[List[NodeRef]]:
         if not refs:
             return []
-        states = self._get_many(refs)
-        return [list(states[int(r)]["parts"]) for r in refs]
+        states = self._get_many(refs, "parts")
+        return [states[int(r)]["parts"] for r in refs]
 
     def refs_to_many(
         self, refs: Sequence[NodeRef]
     ) -> List[List[Tuple[NodeRef, LinkAttributes]]]:
         if not refs:
             return []
-        states = self._get_many(refs)
+        states = self._get_many(refs, "refTo")
         return [
             [
                 (target, LinkAttributes(offset_from, offset_to))
@@ -322,20 +314,19 @@ class OodbDatabase(HyperModelDatabase):
             raise KeyError(f"unknown node attribute {name!r}")
         if not refs:
             return []
-        states = self._get_many(refs)
+        states = self._get_many(refs, name)
         return [states[int(r)][name] for r in refs]
 
     # -- inverse traversal ---------------------------------------------------
 
     def parent(self, ref: NodeRef) -> Optional[NodeRef]:
-        parent = self._get(ref)["parent"]
-        return parent or None
+        return self._get(ref, "parent")["parent"] or None
 
     def part_of(self, ref: NodeRef) -> List[NodeRef]:
-        return list(self._get(ref)["partOf"])
+        return self._get(ref, "partOf")["partOf"]
 
     def refs_from(self, ref: NodeRef) -> List[NodeRef]:
-        return list(self._get(ref)["refFrom"])
+        return self._get(ref, "refFrom")["refFrom"]
 
     # -- scan ------------------------------------------------------------------
 
@@ -349,7 +340,7 @@ class OodbDatabase(HyperModelDatabase):
         """
         count = 0
         for oid in self._store.scan_class("Node"):
-            state = self._store.get(oid)
+            state = self._store.get(oid, fields=("structId", "ten"))
             if state["structId"] == structure_id:
                 _ = state["ten"]
                 count += 1
@@ -357,7 +348,8 @@ class OodbDatabase(HyperModelDatabase):
 
     def iter_nodes(self, structure_id: int = 1) -> Iterator[NodeRef]:
         for oid in self._store.scan_class("Node"):
-            if self._store.get(oid)["structId"] == structure_id:
+            state = self._store.get(oid, fields=("structId",))
+            if state["structId"] == structure_id:
                 yield oid
 
     # -- content -----------------------------------------------------------------
@@ -365,7 +357,7 @@ class OodbDatabase(HyperModelDatabase):
     def get_text(self, ref: NodeRef) -> str:
         if self._store.class_of(int(ref)) != "TextNode":
             raise InvalidOperationError(f"object {ref} is not a text node")
-        return self._get(ref)["text"]
+        return self._get(ref, "text")["text"]
 
     def set_text(self, ref: NodeRef, text: str) -> None:
         if self._store.class_of(int(ref)) != "TextNode":
@@ -375,7 +367,7 @@ class OodbDatabase(HyperModelDatabase):
     def get_bitmap(self, ref: NodeRef) -> Bitmap:
         if self._store.class_of(int(ref)) != "FormNode":
             raise InvalidOperationError(f"object {ref} is not a form node")
-        state = self._get(ref)
+        state = self._get(ref, "width", "height", "bits")
         return Bitmap.from_bytes(state["width"], state["height"], state["bits"])
 
     def set_bitmap(self, ref: NodeRef, bitmap: Bitmap) -> None:
@@ -404,11 +396,11 @@ class OodbDatabase(HyperModelDatabase):
         oid = self._find_node_list(name)
         if oid is None:
             raise NodeNotFoundError(name)
-        return list(self._store.get(oid)["items"])
+        return self._store.get(oid, fields=("items",))["items"]
 
     def _find_node_list(self, name: str) -> Optional[int]:
         for oid in self._store.scan_class("NodeList", include_subclasses=False):
-            if self._store.get(oid)["name"] == name:
+            if self._store.get(oid, fields=("name",))["name"] == name:
                 return oid
         return None
 
@@ -463,7 +455,9 @@ class OodbDatabase(HyperModelDatabase):
     def _scrub_dangling_inverses(self) -> None:
         """Drop parent/partOf/refFrom entries that point at dead OIDs."""
         for oid in list(self._store.scan_class("Node")):
-            state = self._store.get(oid)
+            state = self._store.get(
+                oid, fields=("parent", "partOf", "refFrom")
+            )
             changes = {}
             if state["parent"] and not self._store.exists(state["parent"]):
                 changes["parent"] = 0

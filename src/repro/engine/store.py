@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine import serializer, wal as wal_mod
 from repro.engine.btree import BTree
@@ -68,36 +68,67 @@ class StoreStats:
     recovered_transactions: int = 0
 
 
+#: Types :func:`_clone_value` shares instead of copying (immutable).
+_SCALARS = frozenset({int, str, float, bytes, bool, type(None)})
+
+
 def _clone_value(value: Any) -> Any:
     """Deep-copy the mutable containers of a decoded value.
 
     Scalars (str/int/float/bytes/bool/None) are immutable and shared;
     dicts and lists are copied recursively so a cached record can hand
-    out private states without re-decoding.
+    out private states without re-decoding.  The scalar test is inline:
+    a record is mostly scalars, and a call per scalar was most of what
+    a copy cost.
     """
     if isinstance(value, dict):
-        return {key: _clone_value(item) for key, item in value.items()}
+        return {
+            key: item if type(item) in _SCALARS else _clone_value(item)
+            for key, item in value.items()
+        }
     if isinstance(value, list):
-        return [_clone_value(item) for item in value]
+        return [
+            item if type(item) in _SCALARS else _clone_value(item)
+            for item in value
+        ]
     return value
 
 
+def _copy_state(
+    oid: int, state: Dict[str, Any], fields: Optional[Sequence[str]]
+) -> Dict[str, Any]:
+    """A private copy of ``state``: all of it, or just ``fields``.
+
+    The one place a read's result is built, whichever of the decode
+    cache, the heap or a write set ``state`` came from.
+    """
+    if fields is None:
+        return _clone_value(state)
+    try:
+        return {name: _clone_value(state[name]) for name in fields}
+    except KeyError as missing:
+        raise SchemaError(
+            f"object {oid} has no field {missing.args[0]!r}"
+        ) from None
+
+
 class DecodeCache:
-    """Decoded-record cache keyed by heap RID, tagged with frame LSNs.
+    """Decoded-record cache keyed by OID: ``oid -> (rid, lsn, record)``.
 
     A record that has not changed since it was last decoded never needs
-    decoding again — the dominant cost of a warm object read.  Each
-    entry is keyed by the record's RID (``(pid, slot)`` packed into one
-    int) and tagged with the heap page's buffer-frame LSN at decode
-    time, giving the ``(pid, slot, lsn)`` identity the coherence rules
-    are stated over:
+    decoding again, and an object that has not moved never needs its
+    directory entry read again — the two dominant costs of a warm
+    object read.  Each entry carries the heap RID the record was
+    decoded from and that page's buffer-frame LSN at decode time; the
+    coherence rules are stated over that identity:
 
-    * every committed write to a RID (insert into a reused slot,
-      update, delete) **invalidates** that RID's entry;
+    * every committed write to an OID (insert, update — in place or
+      relocating — and delete) **invalidates** that OID's entry, so a
+      heap slot is never reused while an entry still names it;
     * WAL recovery, vacuum, ``drop_cache``/``close`` (the section
       5.3(e) cold step) and structural schema changes **clear** the
       cache wholesale;
-    * when the record's page is resident, a hit additionally requires
+    * when the entry's page is resident, a hit additionally requires
       the frame LSN to match the entry's tag — a belt-and-braces guard
       against any write path that forgot to invalidate.  A
       *non-resident* page cannot have changed (every write goes through
@@ -113,50 +144,54 @@ class DecodeCache:
     ``.invalidations`` / ``.clears``.
     """
 
-    __slots__ = ("capacity", "_entries", "_instr")
+    __slots__ = ("capacity", "_entries", "_frame_lsn", "_instr")
 
-    def __init__(self, capacity: int, instrumentation) -> None:
+    def __init__(
+        self, capacity: int, pool: BufferPool, instrumentation
+    ) -> None:
         self.capacity = capacity
-        self._entries: Dict[Rid, Tuple[Optional[int], Dict[str, Any]]] = {}
+        #: oid -> (rid, frame LSN of the rid's page at decode, record).
+        self._entries: Dict[int, Tuple[Rid, Optional[int], dict]] = {}
+        self._frame_lsn = pool.frame_lsn
         self._instr = instrumentation
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(
-        self, rid: Rid, page_lsn: Optional[int]
-    ) -> Optional[Dict[str, Any]]:
-        """The cached record for ``rid``, or None.
+    def get(self, oid: int) -> Optional[Dict[str, Any]]:
+        """The cached record of ``oid``, or None.
 
-        ``page_lsn`` is the RID's page frame LSN if resident (None
-        otherwise); a resident page whose LSN moved past the entry's
-        tag invalidates the entry.
+        A resident page whose frame LSN moved past the entry's tag
+        invalidates the entry.
         """
-        entry = self._entries.get(rid)
+        entry = self._entries.get(oid)
         if entry is None:
             self._instr.count("engine.decode_cache.misses")
             return None
-        lsn, record = entry
+        rid, lsn, record = entry
+        page_lsn = self._frame_lsn(rid_page(rid))
         if lsn is not None and page_lsn is not None and lsn != page_lsn:
-            del self._entries[rid]
+            del self._entries[oid]
             self._instr.count("engine.decode_cache.invalidations")
             self._instr.count("engine.decode_cache.misses")
             return None
         self._instr.count("engine.decode_cache.hits")
         return record
 
-    def put(
-        self, rid: Rid, page_lsn: Optional[int], record: Dict[str, Any]
-    ) -> None:
-        """Cache ``record`` (which the cache now owns) under ``rid``."""
-        entries = self._entries
-        if rid not in entries and len(entries) >= self.capacity:
-            entries.pop(next(iter(entries)))  # FIFO
-        entries[rid] = (page_lsn, record)
+    def put(self, oid: int, rid: Rid, record: Dict[str, Any]) -> None:
+        """Cache ``record`` (which the cache now owns), decoded from ``rid``.
 
-    def invalidate(self, rid: Rid) -> None:
-        """Drop the entry for ``rid`` (a committed write touched it)."""
-        if self._entries.pop(rid, None) is not None:
+        Call while the read that produced ``record`` still has the
+        page resident, so the LSN tags the exact bytes decoded.
+        """
+        entries = self._entries
+        if oid not in entries and len(entries) >= self.capacity:
+            entries.pop(next(iter(entries)))  # FIFO
+        entries[oid] = (rid, self._frame_lsn(rid_page(rid)), record)
+
+    def invalidate(self, oid: int) -> None:
+        """Drop the entry of ``oid`` (a committed write touched it)."""
+        if self._entries.pop(oid, None) is not None:
             self._instr.count("engine.decode_cache.invalidations")
 
     def clear(self) -> None:
@@ -294,9 +329,12 @@ class ObjectStore:
                 self._load_indexes()
                 # Always fresh at open: recovery (which just ran if
                 # needed) must never be able to serve a pre-crash
-                # decode under a stale (pid, slot, lsn) identity.
+                # decode under a stale (rid, lsn) identity.
                 self._decode_cache = (
-                    DecodeCache(self.decode_cache_size, self.instrumentation)
+                    DecodeCache(
+                        self.decode_cache_size, self._pool,
+                        self.instrumentation,
+                    )
                     if self.decode_cache_size > 0
                     else None
                 )
@@ -637,48 +675,56 @@ class ObjectStore:
                 txn.place_near[oid] = hint
             return oid
 
-    def get(self, oid: int, txn: Optional[Transaction] = None) -> Dict[str, Any]:
+    def get(
+        self,
+        oid: int,
+        txn: Optional[Transaction] = None,
+        fields: Optional[Sequence[str]] = None,
+    ) -> Dict[str, Any]:
         """Read an object's state (a private copy).
+
+        With ``fields``, only those fields are copied and returned —
+        a read costs what it asks for.  Nothing in the result is shared
+        with the store, the decode cache or the transaction's write
+        set, whichever of them served the read.
 
         Raises:
             RecordNotFoundError: if the OID does not exist (or was
                 deleted in the current transaction).
+            SchemaError: if ``fields`` names a field the object lacks.
         """
         with self._mutex:
             self._require_open()
-            active = txn or self._current
-            if active is not None:
-                buffered = active.buffered(oid)
-                if buffered is DELETED:
-                    raise RecordNotFoundError(oid)
-                if buffered is not None:
-                    active.note_read(oid)
-                    return dict(buffered)
-                self._lock(active, oid, LockMode.SHARED)
-                active.note_read(oid)
-            record = self._read_record(oid)
+            buffered = self._buffered_read(oid, txn or self._current)
+            if buffered is not None:
+                return _copy_state(oid, buffered, fields)
+            record = self._shared_record(oid)
             self.stats.objects_read += 1
             self.instrumentation.count("engine.store.objects_read")
-            return record["s"]
+            return _copy_state(oid, record["s"], fields)
 
     def get_many(
-        self, oids: List[int], txn: Optional[Transaction] = None
+        self,
+        oids: List[int],
+        txn: Optional[Transaction] = None,
+        fields: Optional[Sequence[str]] = None,
     ) -> Dict[int, Dict[str, Any]]:
         """Read a batch of objects' states, clustered-fetch style.
 
-        Semantically equivalent to ``{oid: store.get(oid)}`` over the
-        distinct oids (transaction-buffered copies win, shared locks
-        and read notes are taken per oid, deleted oids raise), but the
-        committed residue is fetched in *physical* order: rids are
-        resolved first, the oids sorted by heap page, and the page set
-        prefetched through the buffer pool in one pass — so a frontier
-        of clustered objects costs sequential page reads instead of one
-        random fault per object.
+        Semantically equivalent to ``{oid: store.get(oid, txn, fields)}``
+        over the distinct oids (transaction-buffered copies win, shared
+        locks and read notes are taken per oid, deleted oids raise), but
+        the residue the decode cache does not hold is fetched in
+        *physical* order: its rids are resolved, the oids sorted by heap
+        page, and the page set prefetched through the buffer pool in one
+        pass — so a frontier of clustered objects costs sequential page
+        reads instead of one random fault per object.
 
         Returns a dict keyed by oid (duplicates collapse).
 
         Raises:
             RecordNotFoundError: for any missing or deleted oid.
+            SchemaError: if ``fields`` names a field an object lacks.
         """
         with self._mutex:
             self._require_open()
@@ -686,63 +732,65 @@ class ObjectStore:
             out: Dict[int, Dict[str, Any]] = {}
             committed: List[int] = []
             for oid in dict.fromkeys(oids):
-                if active is not None:
-                    buffered = active.buffered(oid)
-                    if buffered is DELETED:
-                        raise RecordNotFoundError(oid)
-                    if buffered is not None:
-                        active.note_read(oid)
-                        out[oid] = dict(buffered)
-                        continue
-                    self._lock(active, oid, LockMode.SHARED)
-                    active.note_read(oid)
-                committed.append(oid)
+                buffered = self._buffered_read(oid, active)
+                if buffered is not None:
+                    out[oid] = _copy_state(oid, buffered, fields)
+                else:
+                    committed.append(oid)
             if not committed:
                 return out
-            rids = {oid: self._rid_of(oid) for oid in committed}
-            committed.sort(key=lambda oid: rids[oid])
+            cache = self._decode_cache
+            to_fetch = committed
+            if cache is not None:
+                # Serve decode-cache hits first; only the misses cost a
+                # directory probe, page prefetch, pin and decode below.
+                to_fetch = []
+                for oid in committed:
+                    record = cache.get(oid)
+                    if record is None:
+                        to_fetch.append(oid)
+                    else:
+                        out[oid] = _copy_state(oid, record["s"], fields)
+            if to_fetch:
+                rids = {oid: self._rid_of(oid) for oid in to_fetch}
+                to_fetch.sort(key=rids.__getitem__)
+                pages = dict.fromkeys(rid_page(rids[oid]) for oid in to_fetch)
+                self._pool.prefetch(list(pages))
+                raws = self._heap.read_many([rids[oid] for oid in to_fetch])
+                for oid in to_fetch:
+                    rid = rids[oid]
+                    record = self._upgraded(serializer.decode(raws[rid]))
+                    if cache is not None:
+                        cache.put(oid, rid, record)
+                    out[oid] = _copy_state(oid, record["s"], fields)
             self.instrumentation.count("engine.store.batch_reads")
             self.instrumentation.count(
                 "engine.store.batch_objects", len(committed)
             )
-            cache = self._decode_cache
-            to_fetch = committed
-            if cache is not None:
-                # Serve decode-cache hits first; only the misses cost
-                # page prefetch + pin + decode below.
-                to_fetch = []
-                frame_lsn = self._pool.frame_lsn
-                for oid in committed:
-                    rid = rids[oid]
-                    record = cache.get(rid, frame_lsn(rid_page(rid)))
-                    if record is None:
-                        to_fetch.append(oid)
-                    else:
-                        out[oid] = _clone_value(record["s"])
-            if to_fetch:
-                pages = list(
-                    dict.fromkeys(rid_page(rids[oid]) for oid in to_fetch)
-                )
-                self._pool.prefetch(pages)
-                raws = self._heap.read_many([rids[oid] for oid in to_fetch])
-                for oid in to_fetch:
-                    rid = rids[oid]
-                    record = serializer.decode(raws[rid])
-                    record["s"] = self._catalog.upgrade_state(
-                        record["c"], record["v"], record["s"]
-                    )
-                    if cache is not None:
-                        cache.put(
-                            rid, self._pool.frame_lsn(rid_page(rid)), record
-                        )
-                        out[oid] = _clone_value(record["s"])
-                    else:
-                        out[oid] = record["s"]
             self.stats.objects_read += len(committed)
             self.instrumentation.count(
                 "engine.store.objects_read", len(committed)
             )
             return out
+
+    def _buffered_read(
+        self, oid: int, active: Optional[Transaction]
+    ) -> Optional[Dict[str, Any]]:
+        """Note a read of ``oid`` by ``active``; its buffered state, if any.
+
+        None sends the caller to the committed record (under a shared
+        lock when there is a transaction).  The returned state is the
+        write set's own: copy before handing it out.
+        """
+        if active is None:
+            return None
+        buffered = active.buffered(oid)
+        if buffered is DELETED:
+            raise RecordNotFoundError(oid)
+        if buffered is None:
+            self._lock(active, oid, LockMode.SHARED)
+        active.note_read(oid)
+        return buffered
 
     def class_of(self, oid: int, txn: Optional[Transaction] = None) -> str:
         """The class name of an object."""
@@ -751,7 +799,7 @@ class ObjectStore:
             active = txn or self._current
             if active is not None and oid in active.new_classes:
                 return active.new_classes[oid]
-            record = self._read_record(oid)
+            record = self._shared_record(oid)
             return self._catalog.get_by_id(record["c"]).name
 
     def exists(self, oid: int, txn: Optional[Transaction] = None) -> bool:
@@ -830,38 +878,30 @@ class ObjectStore:
             raise RecordNotFoundError(oid)
         return rid
 
-    def _decode_at(self, rid: Rid) -> Dict[str, Any]:
-        """Decode (and schema-upgrade) the committed record at ``rid``."""
-        record = serializer.decode(self._heap.read(rid))
+    def _upgraded(self, record: Dict[str, Any]) -> Dict[str, Any]:
+        """``record``, its state lazily upgraded to the class's version."""
         record["s"] = self._catalog.upgrade_state(
             record["c"], record["v"], record["s"]
         )
         return record
 
-    def _cached_record(self, rid: Rid) -> Dict[str, Any]:
-        """The record at ``rid``, via the decode cache when enabled.
+    def _shared_record(self, oid: int) -> Dict[str, Any]:
+        """The committed record of ``oid``; a decode-cache hit costs no
+        directory probe, page pin or decode.
 
         With the cache on, the returned record is (or becomes) a shared
-        cache entry — callers must clone anything they hand out for
-        mutation (see :func:`_clone_value`).
+        cache entry — callers read scalars from it freely and copy
+        anything they hand out (see :func:`_copy_state`).
         """
         cache = self._decode_cache
-        if cache is None:
-            return self._decode_at(rid)
-        pid = rid_page(rid)
-        record = cache.get(rid, self._pool.frame_lsn(pid))
-        if record is None:
-            record = self._decode_at(rid)
-            # heap.read left the page resident, so this LSN tags the
-            # exact byte state we just decoded.
-            cache.put(rid, self._pool.frame_lsn(pid), record)
-        return record
-
-    def _read_record(self, oid: int) -> Dict[str, Any]:
-        record = self._cached_record(self._rid_of(oid))
-        if self._decode_cache is not None:
-            record = dict(record)
-            record["s"] = _clone_value(record["s"])
+        if cache is not None:
+            record = cache.get(oid)
+            if record is not None:
+                return record
+        rid = self._rid_of(oid)
+        record = self._upgraded(serializer.decode(self._heap.read(rid)))
+        if cache is not None:
+            cache.put(oid, rid, record)
         return record
 
     def _encode_record(
@@ -970,9 +1010,10 @@ class ObjectStore:
         )
         rid = self._heap.insert(record, near=near_rid)
         if self._decode_cache is not None:
-            # The insert may reuse a tombstoned slot whose previous
-            # occupant was decoded under the same RID.
-            self._decode_cache.invalidate(rid)
+            # An oid is never handed out twice, so nothing should be
+            # here; the slot's previous occupant, if any, lost its
+            # entry when it was deleted or relocated.
+            self._decode_cache.invalidate(oid)
         self._directory.insert(oid, rid, disc=0)
         self._extent.insert(definition.class_id, oid, disc=oid)
         self._index_add(class_name, oid, state)
@@ -1004,9 +1045,7 @@ class ObjectStore:
         else:
             new_rid = self._heap.update(rid, record)
         if self._decode_cache is not None:
-            self._decode_cache.invalidate(rid)
-            if new_rid != rid:
-                self._decode_cache.invalidate(new_rid)
+            self._decode_cache.invalidate(oid)
         if new_rid != rid:
             self._directory.update_value(oid, 0, new_rid)
         self._index_replace(class_name, oid, old_state, state)
@@ -1018,7 +1057,7 @@ class ObjectStore:
         old_state = self._catalog.upgrade_state(old["c"], old["v"], old["s"])
         self._heap.delete(rid)
         if self._decode_cache is not None:
-            self._decode_cache.invalidate(rid)
+            self._decode_cache.invalidate(oid)
         self._directory.delete(oid, rid, disc=0)
         self._extent.delete(old["c"], oid, disc=oid)
         self._index_remove(class_name, oid, old_state)
@@ -1098,7 +1137,7 @@ class ObjectStore:
             # of n top-down inserts over the existing extent.
             rows = []
             for oid in list(self.scan_class(class_name)):
-                value = self._read_record(oid)["s"].get(field)
+                value = self._shared_record(oid)["s"].get(field)
                 if value is not None:
                     self._index_check_int(class_name, field, value)
                     rows.append((value, oid, oid))
@@ -1184,8 +1223,8 @@ class ObjectStore:
     def version_chain(self, oid: int) -> VersionChain:
         """The preserved history of an object, newest first."""
         self._require_open()
-        record = self._read_record(oid)
-        return VersionChain(self._heap, record.get("p", 0))
+        head = self._shared_record(oid).get("p", 0)
+        return VersionChain(self._heap, head)
 
     def previous_version(self, oid: int) -> Optional[Dict[str, Any]]:
         """The state the object had before its latest committed update."""
@@ -1200,9 +1239,9 @@ class ObjectStore:
         object did not exist yet.
         """
         self._require_open()
-        record = self._read_record(oid)
+        record = self._shared_record(oid)
         if record.get("ts", 0) <= timestamp:
-            return record["s"]
+            return _clone_value(record["s"])
         version = VersionChain(self._heap, record.get("p", 0)).at(timestamp)
         return dict(version.state) if version else None
 
@@ -1345,7 +1384,7 @@ class ObjectStore:
         # Served from the decode cache without cloning: "ts" is a
         # scalar read, and the cache is invalidated by every commit
         # that touches the record — exactly the signal OCC validates.
-        return self._cached_record(self._rid_of(oid)).get("ts", 0)
+        return self._shared_record(oid).get("ts", 0)
 
     # ------------------------------------------------------------------
     # Physical introspection (clustering ablation)

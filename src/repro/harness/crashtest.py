@@ -72,6 +72,9 @@ PARAMS = (
 #: Objects created by the workload belong to this class.
 _CLASS = "Doc"
 
+#: The fields the recovery check also reads as a projection.
+_PROJECTION = ("rank", "title")
+
 
 @dataclasses.dataclass
 class CrashPointResult:
@@ -193,10 +196,11 @@ def _recovered_state(path: str) -> Dict[int, Dict[str, Any]]:
     durable legitimately leaves no class; that reads as the empty
     snapshot.
 
-    Recovery must never serve a stale ``(pid, slot, lsn)`` decode-cache
-    entry, so two extra invariants are asserted here on every cell:
-    the cache is empty immediately after the recovering open (no entry
-    survives a restart), and a fully cache-served read pass agrees
+    Recovery must never serve a stale ``oid -> (rid, lsn, record)``
+    decode-cache entry, so two extra invariants are asserted here on
+    every cell: the cache is empty immediately after the recovering
+    open (no entry survives a restart), and a fully cache-served read
+    pass — whole states and a projected read alike — agrees
     byte-for-byte with a cold re-read after ``drop_cache()``.
     """
     store = ObjectStore(path, vfs=RealVFS())
@@ -211,11 +215,18 @@ def _recovered_state(path: str) -> Dict[int, Dict[str, Any]]:
         oids = list(store.scan_class(_CLASS))
         warm = {oid: store.get(oid) for oid in oids}  # fills the cache
         cached = {oid: store.get(oid) for oid in oids}  # all cache hits
+        projected = {oid: store.get(oid, fields=_PROJECTION) for oid in oids}
         store.drop_cache()
         cold = {oid: store.get(oid) for oid in oids}  # straight from disk
-        if not (warm == cached == cold):
+        cold_projection = {
+            oid: {name: state[name] for name in _PROJECTION}
+            for oid, state in cold.items()
+        }
+        if not (warm == cached == cold and projected == cold_projection):
             stale = sorted(
-                oid for oid in oids if cached[oid] != cold[oid]
+                oid for oid in oids
+                if cached[oid] != cold[oid]
+                or projected[oid] != cold_projection[oid]
             )
             raise AssertionError(
                 "decode cache served stale recovered state for oids "

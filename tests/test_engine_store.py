@@ -3,9 +3,11 @@
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.catalog import FieldDefinition
 from repro.engine.store import ObjectStore
+from repro.engine.vfs import MemoryVFS
 from repro.errors import (
     DatabaseClosedError,
     RecordNotFoundError,
@@ -88,7 +90,7 @@ class TestCrud:
 
 
 class TestDecodeCache:
-    """The (pid, slot, lsn) decoded-record cache behind every read."""
+    """The ``oid -> (rid, lsn, record)`` decoded-record cache behind reads."""
 
     def _delta(self, store, action):
         before = store.instrumentation.snapshot()
@@ -194,6 +196,101 @@ class TestDecodeCache:
         assert s.get(oid)["value"] == 4
         s.close()
 
+    def test_cached_and_uncached_stores_agree_through_every_write_path(
+        self, tmp_path
+    ):
+        """A cache-on store and its ``decode_cache_size=0`` twin, driven
+        through every path that moves, rewrites or forgets a record,
+        answer every read form identically after every step."""
+        stores = [
+            _make_store(tmp_path, "on.hmdb", versioned=True, cache_pages=8),
+            _make_store(
+                tmp_path, "off.hmdb", versioned=True, cache_pages=8,
+                decode_cache_size=0,
+            ),
+        ]
+        for s in stores:
+            s.open()
+            s.define_class(
+                "Item",
+                [
+                    FieldDefinition("name", default=""),
+                    FieldDefinition("value", default=0),
+                    FieldDefinition("links", default=[]),
+                ],
+            )
+        assert stores[0]._decode_cache is not None
+        assert stores[1]._decode_cache is None
+        live, dead = [], []
+        projection = ("value", "links")
+
+        def reads(s):
+            whole = {oid: s.get(oid) for oid in live}
+            some = {oid: s.get(oid, fields=projection) for oid in live}
+            assert s.get_many(live) == whole
+            assert s.get_many(live, fields=projection) == some
+            for oid in live:
+                assert some[oid] == {f: whole[oid][f] for f in projection}
+            for oid in dead:
+                for read in (s.get, s.class_of, s.record_timestamp):
+                    with pytest.raises(RecordNotFoundError):
+                        read(oid)
+                with pytest.raises(RecordNotFoundError):
+                    s.get(oid, fields=projection)
+                with pytest.raises(RecordNotFoundError):
+                    s.get_many(live + [oid], fields=projection)
+            return (
+                whole, some,
+                [s.class_of(oid) for oid in live],
+                [s.record_timestamp(oid) for oid in live],
+            )
+
+        def step(action, born=False, died=()):
+            results = [action(s) for s in stores]
+            assert results[0] == results[1]
+            for s in stores:
+                s.commit()
+                # Evict every page: entries outlive their pages, so only
+                # the exact invalidations (not the frame-LSN guard)
+                # stand between the reads below and a stale record.
+                s._pool.drop_cache()
+            if born:
+                live.extend(results[0])
+            for oid in died:
+                live.remove(oid)
+                dead.append(oid)
+            first, second = reads(stores[0]), reads(stores[1])
+            assert first == second
+            assert reads(stores[0]) == first  # now served from the cache
+
+        def populate(s):
+            return [
+                s.new("Item", {"name": f"n{i}", "value": i, "links": [i]})
+                for i in range(40)
+            ]
+
+        step(populate, born=True)
+        a, b, c, d = live[:4]
+        step(lambda s: s.update(a, {"value": 100}))  # in place
+        pages = [s.page_of(b) for s in stores]
+        step(lambda s: s.update(b, {"name": "x" * 3000}))  # outgrows its page
+        assert [s.page_of(b) for s in stores] != pages  # the rid moved
+        step(lambda s: s.relocate_near(c, live[-1]))
+        step(lambda s: s.delete(d), died=[d])
+        step(lambda s: [s.new("Item", {"value": 999})], born=True)  # d's slot
+        step(lambda s: s.update(a, {"links": [1, [2, 3]]}))  # versioned
+        assert all(
+            s.previous_version(a)["value"] == 100 for s in stores
+        )
+        extra = FieldDefinition("extra", default=[7])
+        step(lambda s: s.add_field("Item", extra))
+        projection = ("extra", "links")
+        step(lambda s: s.drop_cache())
+        step(lambda s: (s.close(), s.open()) and None)
+        step(lambda s: s.vacuum() and None)
+        for s in stores:
+            s.close()
+
     def test_capacity_bounds_entries(self, tmp_path):
         s = _make_store(tmp_path, decode_cache_size=4)
         s.open()
@@ -206,6 +303,72 @@ class TestDecodeCache:
         for oid in oids:  # correctness under constant eviction
             assert s.get(oid)["value"] == oids.index(oid)
         s.close()
+
+
+_states = st.recursive(
+    st.integers(-5, 5) | st.text(max_size=3) | st.none(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _scribble(value):
+    """Mutate every container reachable from ``value``, in place."""
+    if isinstance(value, dict):
+        for item in value.values():
+            _scribble(item)
+        value["scribbled"] = True
+    elif isinstance(value, list):
+        for item in value:
+            _scribble(item)
+        value.append("scribbled")
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_states, b=_states)
+def test_no_read_form_shares_state_with_the_store(a, b):
+    """Whatever a read returns is the caller's: scribbling over it —
+    buffered or committed, decode-cache hit or miss, whole or
+    projected, single or batched — changes no later read."""
+    s = ObjectStore("p.hmdb", vfs=MemoryVFS(), sync_commits=False)
+    s.open()
+    s.define_class("Pair", [FieldDefinition("a"), FieldDefinition("b")])
+    oid = s.new("Pair", {"a": a, "b": b})
+    expected = {"a": a, "b": b}
+
+    def read_forms():
+        return [
+            s.get(oid),
+            s.get(oid, fields=("a",)),
+            s.get_many([oid])[oid],
+            s.get_many([oid], fields=("b", "a"))[oid],
+        ]
+
+    def check():
+        for _ in range(2):
+            whole, one, batched, both = read_forms()
+            assert whole == batched == both == expected
+            assert one == {"a": expected["a"]}
+            for result in (whole, one, batched, both):
+                _scribble(result)
+        with pytest.raises(SchemaError):
+            s.get(oid, fields=("a", "ghost"))
+        with pytest.raises(SchemaError):
+            s.get_many([oid], fields=("a", "ghost"))
+
+    check()  # buffered in the creating transaction
+    s.commit()
+    check()  # decode-cache miss, then hits
+    s.drop_cache()
+    assert s.get_many([oid], fields=("a",))[oid] == {"a": a}  # batched miss
+    check()
+    s.update(oid, {"b": a})
+    expected = {"a": a, "b": a}
+    check()  # buffered over a committed record
+    s.commit()
+    check()
+    s.close()
 
 
 class TestTransactions:

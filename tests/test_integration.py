@@ -11,8 +11,9 @@ from repro.backends.oodb import OodbDatabase
 from repro.backends.sqlite_backend import SqliteDatabase
 from repro.core.config import HyperModelConfig
 from repro.core.generator import DatabaseGenerator
-from repro.core.operations import Operations
+from repro.core.operations import CATALOG, Operations
 from repro.core.verification import verify_database
+from repro.obs import Instrumentation
 
 
 class TestCrossBackendAgreement:
@@ -204,3 +205,64 @@ class TestColdWarmShape:
         )
         assert result.cold.mean > result.warm.mean
         assert result.warm_speedup > 5  # network dominates the cold run
+
+
+class TestWarmReadPath:
+    """What a read of an object the decode cache holds may touch."""
+
+    #: The read-only operations that fetch records (03/04/09 are
+    #: index-only or a full scan; 12, 16, 17 write).
+    OPS = ("01", "02", "05A", "05B", "06", "07A", "07B", "08",
+           "10", "11", "13", "14", "15", "18")
+
+    def test_warm_read_touches_no_btree(self, tmp_path):
+        """A decode-cache hit is a dict hit: no OID-directory descent,
+        no page pin.  Only op 01's own ``uniqueId`` index probe may move
+        a B+tree or buffer-pool counter on the warm pass."""
+        instr = Instrumentation()
+        db = OodbDatabase(
+            os.path.join(str(tmp_path), "w.hmdb"), instrumentation=instr
+        )
+        db.open()
+        config = HyperModelConfig(levels=2, seed=42)
+        gen = DatabaseGenerator(config).generate(db)
+        db.commit()
+        db.drop_cache()
+        ops = Operations(db, config)
+        rng = random.Random(7)
+        inputs = {
+            op: [CATALOG.get(op).make_input(gen, rng, db) for _ in range(5)]
+            for op in self.OPS
+        }
+
+        def storage(delta):
+            return {
+                name: count for name, count in delta.items()
+                if name.startswith(("engine.btree.", "engine.buffer."))
+            }
+
+        start = instr.snapshot()
+        for warm in (False, True):
+            for op in self.OPS:
+                for args in inputs[op]:
+                    before = instr.snapshot()
+                    CATALOG.get(op).run(ops, args)
+                    if not warm:
+                        continue
+                    delta = instr.delta_since(before)
+                    assert delta.get("engine.decode_cache.hits", 0) > 0
+                    assert delta.get("engine.decode_cache.misses", 0) == 0
+                    probe = {}
+                    if op == "01":
+                        before = instr.snapshot()
+                        db.lookup(*args)
+                        probe = storage(instr.delta_since(before))
+                        assert probe  # the index descent itself
+                    assert storage(delta) == probe, op
+        # Same work as before the cache was keyed by OID — these three
+        # read 940 / 909 / 31 at the parent commit for this script.
+        total = instr.delta_since(start)
+        assert total["engine.store.objects_read"] == 940
+        assert total["engine.decode_cache.hits"] == 909
+        assert total["engine.decode_cache.misses"] == 31
+        db.close()

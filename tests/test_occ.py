@@ -177,10 +177,11 @@ class TestDecodeCacheCoherence:
 
     The engine-level optimistic coordinator validates read sets through
     :meth:`ObjectStore.record_timestamp`, which is served from the
-    ``(pid, slot, lsn)`` decode cache.  Two transactions standing in
-    for two clients race on one object: the cache may serve the
-    timestamp read, but it must never serve a *stale* one — a committed
-    write invalidates the entry, so first-committer-wins still holds.
+    ``oid -> (rid, lsn, record)`` decode cache.  Two transactions
+    standing in for two clients race on one object: the cache may serve
+    the timestamp read, but it must never serve a *stale* one — a
+    committed write invalidates the entry, so first-committer-wins
+    still holds.
     """
 
     @pytest.fixture
