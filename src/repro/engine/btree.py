@@ -37,10 +37,9 @@ _LEAF = 1
 _INTERNAL = 2
 
 _HEADER = struct.Struct("<BHxQ")  # type, count, pad, next_leaf / leftmost_child
-_ENTRY = struct.Struct("<qqq")  # key, disc, value-or-child
 
 _HEADER_SIZE = _HEADER.size  # 12
-_ENTRY_SIZE = _ENTRY.size  # 24
+_ENTRY_SIZE = 24  # key, disc, value-or-child: three little-endian int64
 
 #: Maximum entries per node (leaf and internal alike).
 ORDER = (PAGE_SIZE - _HEADER_SIZE) // _ENTRY_SIZE
@@ -48,11 +47,9 @@ ORDER = (PAGE_SIZE - _HEADER_SIZE) // _ENTRY_SIZE
 _MIN_I64 = -(1 << 63)
 _MAX_I64 = (1 << 63) - 1
 
-#: Whether ``array('q')`` can alias the on-page little-endian entries
-#: directly (one C-speed ``frombytes`` per node instead of one struct
-#: unpack per entry).  On exotic platforms the struct fallback keeps
-#: the format portable.
-_ARRAY_FAST_PATH = array("q").itemsize == 8
+# ``array('q')`` aliases the on-page entries directly: one C-speed
+# ``frombytes``/``tobytes`` per node, byte-swapped on big-endian hosts.
+assert array("q").itemsize == 8
 _BYTESWAP = sys.byteorder != "little"
 
 #: Unpacked nodes cached per tree; cleared wholesale when full.
@@ -85,61 +82,24 @@ class _NodeView:
 
 
 def _unpack_entries(page: bytearray, count: int) -> "array":
-    """The node's entry area as one flat little-endian int64 array."""
+    """The node's entry area as one flat int64 array (the only decoder)."""
     flat = array("q")
-    if count == 0:
-        return flat
     end = _HEADER_SIZE + count * _ENTRY_SIZE
-    if _ARRAY_FAST_PATH:
-        flat.frombytes(memoryview(page)[_HEADER_SIZE:end])
-        if _BYTESWAP:
-            flat.byteswap()
-    else:  # pragma: no cover - exotic platforms only
-        flat.extend(
-            struct.unpack_from(f"<{count * 3}q", page, _HEADER_SIZE)
-        )
+    flat.frombytes(memoryview(page)[_HEADER_SIZE:end])
+    if _BYTESWAP:
+        flat.byteswap()
     return flat
 
 
-def _read_header(page: bytearray) -> Tuple[int, int, int]:
-    return _HEADER.unpack_from(page, 0)
-
-
-def _write_header(page: bytearray, node_type: int, count: int, link: int) -> None:
-    _HEADER.pack_into(page, 0, node_type, count, link)
-
-
-def _read_entry(page: bytearray, index: int) -> Tuple[int, int, int]:
-    return _ENTRY.unpack_from(page, _HEADER_SIZE + index * _ENTRY_SIZE)
-
-
-def _write_entry(page: bytearray, index: int, key: int, disc: int, value: int) -> None:
-    _ENTRY.pack_into(page, _HEADER_SIZE + index * _ENTRY_SIZE, key, disc, value)
-
-
-def _entries(page: bytearray, count: int) -> List[Tuple[int, int, int]]:
-    return [_read_entry(page, i) for i in range(count)]
-
-
-def _set_entries(
-    page: bytearray, node_type: int, entries: List[Tuple[int, int, int]], link: int
-) -> None:
-    _write_header(page, node_type, len(entries), link)
-    for i, (key, disc, value) in enumerate(entries):
-        _write_entry(page, i, key, disc, value)
-
-
-def _bisect_left(page: bytearray, count: int, key: int, disc: int) -> int:
-    """First index whose (key, disc) >= the probe."""
-    lo, hi = 0, count
-    while lo < hi:
-        mid = (lo + hi) // 2
-        mid_key, mid_disc, _ = _read_entry(page, mid)
-        if (mid_key, mid_disc) < (key, disc):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+def _pack_node(page: bytearray, node_type: int, flat: "array", link: int) -> None:
+    """Write a node: header, then ``flat`` over the live entries (the
+    only encoder).  Bytes past the last entry are left as they are."""
+    _HEADER.pack_into(page, 0, node_type, len(flat) // 3, link)
+    if _BYTESWAP:
+        flat = array("q", flat)
+        flat.byteswap()
+    data = flat.tobytes()
+    page[_HEADER_SIZE : _HEADER_SIZE + len(data)] = data
 
 
 class BTree:
@@ -158,14 +118,10 @@ class BTree:
         #: access, so stale views (page mutated, or evicted and
         #: reloaded) are replaced, never served.
         self._nodes: Dict[PageId, _NodeView] = {}
-        if root == 0:
-            root = pool.new_page()
-            page = pool.get(root)
-            try:
-                _write_header(page, _LEAF, 0, 0)
-            finally:
-                pool.unpin(root, dirty=True)
         self.root = root
+        if root == 0:
+            self.root = pool.new_page()
+            self._write(self.root, _LEAF, array("q"), 0)
 
     # ------------------------------------------------------------------
     # Search
@@ -185,7 +141,7 @@ class BTree:
                 self._instr.count("engine.btree.node_cache.hits")
                 return node
             self._instr.count("engine.btree.node_cache.misses")
-            node_type, count, link = _read_header(page)
+            node_type, count, link = _HEADER.unpack_from(page, 0)
             node = _NodeView(
                 lsn, node_type, count, link, _unpack_entries(page, count)
             )
@@ -197,16 +153,41 @@ class BTree:
         self._nodes[pid] = node
         return node
 
+    def _write(
+        self, pid: PageId, node_type: int, flat: "array", link: int
+    ) -> None:
+        """Pack ``flat`` into page ``pid`` and mark it dirty."""
+        page = self._pool.get(pid)
+        try:
+            _pack_node(page, node_type, flat, link)
+        finally:
+            self._pool.unpin(pid, dirty=True)
+
+    def _flat(self, pid: PageId, node: _NodeView) -> "array":
+        """A private, editable copy of the entries ``node`` was built from."""
+        page = self._pool.get(pid)
+        try:
+            return _unpack_entries(page, node.count)
+        finally:
+            self._pool.unpin(pid)
+
     @staticmethod
-    def _bisect_node(node: _NodeView, key: int, disc: int) -> int:
-        """First index in ``node`` whose (key, disc) >= the probe."""
+    def _bisect_node(node: _NodeView, key: int, disc: int) -> Tuple[int, bool]:
+        """First index in ``node`` whose (key, disc) >= the probe, and
+        whether that entry equals the probe."""
         lo = bisect_left(node.keys, key)
         if lo == node.count or node.keys[lo] != key:
-            return lo
+            return lo, False
         hi = bisect_right(node.keys, key, lo)
-        return bisect_left(node.discs, disc, lo, hi)
+        lo = bisect_left(node.discs, disc, lo, hi)
+        return lo, lo < hi and node.discs[lo] == disc
 
-    def _find_leaf(self, key: int, disc: int) -> PageId:
+    def _find_leaf(
+        self, key: int, disc: int, path: Optional[List[PageId]] = None
+    ) -> PageId:
+        """The leaf that holds, or would hold, (key, disc) — the one
+        descent.  Internal pages passed on the way are appended to
+        ``path`` (root first) for callers that walk back up."""
         pid = self.root
         while True:
             node = self._node(pid)
@@ -214,17 +195,22 @@ class BTree:
                 return pid
             if node.node_type != _INTERNAL:
                 raise PageError(f"page {pid}: not a btree node")
-            index = self._bisect_node(node, key, disc)
+            if path is not None:
+                path.append(pid)
             # Separator i is the smallest entry of child i; an exact
             # match therefore descends into that child.
-            if (
-                index < node.count
-                and node.keys[index] == key
-                and node.discs[index] == disc
-            ):
-                pid = node.values[index]
-            else:
-                pid = node.link if index == 0 else node.values[index - 1]
+            index, exact = self._bisect_node(node, key, disc)
+            if not exact:
+                index -= 1
+            pid = node.link if index < 0 else node.values[index]
+
+    def _locate(
+        self, key: int, disc: int, path: Optional[List[PageId]] = None
+    ) -> Tuple[PageId, _NodeView, int, bool]:
+        """``(leaf, its view, slot, present)`` for the exact (key, disc)."""
+        pid = self._find_leaf(key, disc, path)
+        node = self._node(pid)
+        return (pid, node, *self._bisect_node(node, key, disc))
 
     def search(self, key: int) -> List[int]:
         """All values stored under ``key``, in discriminator order."""
@@ -257,15 +243,7 @@ class BTree:
 
     def contains(self, key: int, value: int, disc: Optional[int] = None) -> bool:
         """Whether the exact (key, disc) entry exists."""
-        disc = value if disc is None else disc
-        pid = self._find_leaf(key, disc)
-        node = self._node(pid)
-        index = self._bisect_node(node, key, disc)
-        return (
-            index < node.count
-            and node.keys[index] == key
-            and node.discs[index] == disc
-        )
+        return self._locate(key, value if disc is None else disc)[3]
 
     def scan_range(self, low: int, high: int) -> Iterator[Tuple[int, int]]:
         """Yield (key, value) for all entries with low <= key <= high."""
@@ -298,99 +276,41 @@ class BTree:
             PageError: if the exact (key, disc) pair already exists.
         """
         disc = value if disc is None else disc
-        split = self._insert_into(self.root, key, disc, value)
-        if split is not None:
-            self._instr.count("engine.btree.root_splits")
-            sep_key, sep_disc, new_child = split
-            new_root = self._pool.new_page()
-            page = self._pool.get(new_root)
-            try:
-                _write_header(page, _INTERNAL, 1, self.root)
-                _write_entry(page, 0, sep_key, sep_disc, new_child)
-            finally:
-                self._pool.unpin(new_root, dirty=True)
-            self.root = new_root
-
-    def _insert_into(
-        self, pid: PageId, key: int, disc: int, value: int
-    ) -> Optional[Tuple[int, int, PageId]]:
-        """Recursive insert; returns a (key, disc, right-page) split or None."""
-        page = self._pool.get(pid)
-        node_type, count, link = _read_header(page)
-        if node_type == _LEAF:
-            try:
-                return self._insert_into_leaf(page, count, link, key, disc, value)
-            finally:
-                self._pool.unpin(pid, dirty=True)
-        try:
-            index = _bisect_left(page, count, key, disc)
-            if index < count and _read_entry(page, index)[:2] == (key, disc):
-                child = _read_entry(page, index)[2]
-            else:
-                child = link if index == 0 else _read_entry(page, index - 1)[2]
-        finally:
-            self._pool.unpin(pid)
-
-        split = self._insert_into(child, key, disc, value)
-        if split is None:
-            return None
-        sep_key, sep_disc, new_child = split
-
-        page = self._pool.get(pid)
-        try:
-            node_type, count, link = _read_header(page)
-            entries = _entries(page, count)
-            index = _bisect_left(page, count, sep_key, sep_disc)
-            entries.insert(index, (sep_key, sep_disc, new_child))
-            if len(entries) <= ORDER:
-                _set_entries(page, _INTERNAL, entries, link)
-                return None
-            # Split the internal node: the middle separator moves up.
-            self._instr.count("engine.btree.splits")
-            mid = len(entries) // 2
-            up_key, up_disc, up_child = entries[mid]
-            left_entries = entries[:mid]
-            right_entries = entries[mid + 1 :]
-            right_pid = self._pool.new_page()
-            right_page = self._pool.get(right_pid)
-            try:
-                _set_entries(right_page, _INTERNAL, right_entries, up_child)
-            finally:
-                self._pool.unpin(right_pid, dirty=True)
-            _set_entries(page, _INTERNAL, left_entries, link)
-            return up_key, up_disc, right_pid
-        finally:
-            self._pool.unpin(pid, dirty=True)
-
-    def _insert_into_leaf(
-        self,
-        page: bytearray,
-        count: int,
-        next_leaf: int,
-        key: int,
-        disc: int,
-        value: int,
-    ) -> Optional[Tuple[int, int, PageId]]:
-        index = _bisect_left(page, count, key, disc)
-        if index < count and _read_entry(page, index)[:2] == (key, disc):
+        path: List[PageId] = []
+        pid, node, index, present = self._locate(key, disc, path)
+        if present:
             raise PageError(f"duplicate btree entry ({key}, {disc})")
-        entries = _entries(page, count)
-        entries.insert(index, (key, disc, value))
-        if len(entries) <= ORDER:
-            _set_entries(page, _LEAF, entries, next_leaf)
-            return None
-        self._instr.count("engine.btree.splits")
-        mid = len(entries) // 2
-        left_entries, right_entries = entries[:mid], entries[mid:]
-        right_pid = self._pool.new_page()
-        right_page = self._pool.get(right_pid)
-        try:
-            _set_entries(right_page, _LEAF, right_entries, next_leaf)
-        finally:
-            self._pool.unpin(right_pid, dirty=True)
-        _set_entries(page, _LEAF, left_entries, right_pid)
-        sep_key, sep_disc, _ = right_entries[0]
-        return sep_key, sep_disc, right_pid
+        entry = array("q", (key, disc, value))
+        while True:
+            flat = self._flat(pid, node)
+            flat[index * 3 : index * 3] = entry
+            if node.count < ORDER:
+                self._write(pid, node.node_type, flat, node.link)
+                return
+            # Full: the upper half moves to a new right sibling and its
+            # first entry goes up as the separator.  A leaf keeps that
+            # entry and chains to the sibling; an internal node gives
+            # it up, its child becoming the sibling's leftmost.
+            self._instr.count("engine.btree.splits")
+            mid = (node.count + 1) // 2 * 3
+            entry = flat[mid : mid + 3]
+            right = self._pool.new_page()
+            if node.node_type == _LEAF:
+                self._write(right, _LEAF, flat[mid:], node.link)
+                self._write(pid, _LEAF, flat[:mid], right)
+            else:
+                self._write(right, _INTERNAL, flat[mid + 3 :], entry[2])
+                self._write(pid, _INTERNAL, flat[:mid], node.link)
+            entry[2] = right
+            if not path:
+                break
+            pid = path.pop()
+            node = self._node(pid)
+            index = self._bisect_node(node, entry[0], entry[1])[0]
+        self._instr.count("engine.btree.root_splits")
+        new_root = self._pool.new_page()
+        self._write(new_root, _INTERNAL, entry, self.root)
+        self.root = new_root
 
     # ------------------------------------------------------------------
     # Bulk loading
@@ -408,12 +328,8 @@ class BTree:
             PageError: if the tree is not empty or the input is not
                 strictly sorted by (key, disc).
         """
-        page = self._pool.get(self.root)
-        try:
-            node_type, count, _link = _read_header(page)
-        finally:
-            self._pool.unpin(self.root)
-        if node_type != _LEAF or count != 0:
+        root = self._node(self.root)
+        if root.node_type != _LEAF or root.count != 0:
             raise PageError("bulk_load requires an empty tree")
         if not entries:
             return
@@ -422,55 +338,35 @@ class BTree:
                 raise PageError("bulk_load input must be strictly sorted")
 
         fill = max(1, (ORDER * 9) // 10)
-        # Build the leaf level, reusing the existing root as first leaf.
-        leaf_pids: List[PageId] = []
-        leaf_firsts: List[Tuple[int, int]] = []
-        for start in range(0, len(entries), fill):
-            chunk = entries[start : start + fill]
-            pid = self.root if not leaf_pids else self._pool.new_page()
-            page = self._pool.get(pid)
-            try:
-                _set_entries(page, _LEAF, chunk, 0)
-            finally:
-                self._pool.unpin(pid, dirty=True)
-            leaf_pids.append(pid)
-            leaf_firsts.append(chunk[0][:2])
-        for left, right in zip(leaf_pids, leaf_pids[1:]):
-            page = self._pool.get(left)
-            try:
-                _type, count, _old = _read_header(page)
-                _write_header(page, _LEAF, count, right)
-            finally:
-                self._pool.unpin(left, dirty=True)
+        # The leaf level, reusing the existing root as first leaf.
+        chunks = [entries[i : i + fill] for i in range(0, len(entries), fill)]
+        pids = [self.root] + [self._pool.new_page() for _ in chunks[1:]]
+        firsts = [chunk[0][:2] for chunk in chunks]
+        for pid, chunk, next_leaf in zip(pids, chunks, pids[1:] + [0]):
+            flat = array("q", [field for row in chunk for field in row])
+            self._write(pid, _LEAF, flat, next_leaf)
 
-        # Build internal levels until one node remains.
-        child_pids, child_firsts = leaf_pids, leaf_firsts
-        while len(child_pids) > 1:
+        # Internal levels until one node remains.
+        while len(pids) > 1:
             parent_pids: List[PageId] = []
             parent_firsts: List[Tuple[int, int]] = []
-            for start in range(0, len(child_pids), fill + 1):
-                group = child_pids[start : start + fill + 1]
-                firsts = child_firsts[start : start + fill + 1]
+            for start in range(0, len(pids), fill + 1):
+                group = pids[start : start + fill + 1]
+                parent_firsts.append(firsts[start])
                 if len(group) == 1:
                     # A parent with zero separators is invalid; let the
                     # lone child represent the group at this level.
                     parent_pids.append(group[0])
-                    parent_firsts.append(firsts[0])
                     continue
-                pid = self._pool.new_page()
-                page = self._pool.get(pid)
-                try:
-                    separators = [
-                        (key, disc, child)
-                        for (key, disc), child in zip(firsts[1:], group[1:])
-                    ]
-                    _set_entries(page, _INTERNAL, separators, group[0])
-                finally:
-                    self._pool.unpin(pid, dirty=True)
-                parent_pids.append(pid)
-                parent_firsts.append(firsts[0])
-            child_pids, child_firsts = parent_pids, parent_firsts
-        self.root = child_pids[0]
+                flat = array("q")
+                for (key, disc), child in zip(
+                    firsts[start + 1 : start + fill + 1], group[1:]
+                ):
+                    flat.extend((key, disc, child))
+                parent_pids.append(self._pool.new_page())
+                self._write(parent_pids[-1], _INTERNAL, flat, group[0])
+            pids, firsts = parent_pids, parent_firsts
+        self.root = pids[0]
 
     # ------------------------------------------------------------------
     # Update and delete
@@ -482,18 +378,12 @@ class BTree:
         Returns False if no such entry exists.  Used by the object
         directory when a record relocates to a new RID.
         """
-        pid = self._find_leaf(key, disc)
-        page = self._pool.get(pid)
-        found = False
-        try:
-            _type, count, _link = _read_header(page)
-            index = _bisect_left(page, count, key, disc)
-            if index < count and _read_entry(page, index)[:2] == (key, disc):
-                _write_entry(page, index, key, disc, new_value)
-                found = True
-        finally:
-            self._pool.unpin(pid, dirty=found)
-        return found
+        pid, node, index, present = self._locate(key, disc)
+        if present:
+            flat = self._flat(pid, node)
+            flat[index * 3 + 2] = new_value
+            self._write(pid, _LEAF, flat, node.link)
+        return present
 
     def delete(self, key: int, value: int, disc: Optional[int] = None) -> bool:
         """Remove the exact (key, disc) entry; returns False if absent.
@@ -503,20 +393,12 @@ class BTree:
         valid upper/lower bounds).
         """
         disc = value if disc is None else disc
-        pid = self._find_leaf(key, disc)
-        page = self._pool.get(pid)
-        removed = False
-        try:
-            _type, count, next_leaf = _read_header(page)
-            index = _bisect_left(page, count, key, disc)
-            if index < count and _read_entry(page, index)[:2] == (key, disc):
-                entries = _entries(page, count)
-                del entries[index]
-                _set_entries(page, _LEAF, entries, next_leaf)
-                removed = True
-        finally:
-            self._pool.unpin(pid, dirty=removed)
-        return removed
+        pid, node, index, present = self._locate(key, disc)
+        if present:
+            flat = self._flat(pid, node)
+            del flat[index * 3 : index * 3 + 3]
+            self._write(pid, _LEAF, flat, node.link)
+        return present
 
     # ------------------------------------------------------------------
     # Invariant checking (used by property-based tests)
@@ -529,52 +411,36 @@ class BTree:
         tests; not called on any hot path.
         """
         leaves: List[PageId] = []
-        self._check_node(self.root, _MIN_I64, _MIN_I64, _MAX_I64, _MAX_I64, leaves)
+        self._check_node(
+            self.root, (_MIN_I64, _MIN_I64), (_MAX_I64, _MAX_I64), leaves
+        )
         # Leaf chain must visit the same leaves left-to-right.
-        if leaves:
-            chained = []
-            pid = leaves[0]
-            while pid:
-                chained.append(pid)
-                page = self._pool.get(pid)
-                try:
-                    _type, _count, next_leaf = _read_header(page)
-                finally:
-                    self._pool.unpin(pid)
-                pid = next_leaf
-            assert chained[: len(leaves)] == leaves, "leaf chain out of order"
+        chained = []
+        pid = leaves[0]
+        while pid:
+            chained.append(pid)
+            pid = self._node(pid).link
+        assert chained[: len(leaves)] == leaves, "leaf chain out of order"
 
     def _check_node(
         self,
         pid: PageId,
-        low_key: int,
-        low_disc: int,
-        high_key: int,
-        high_disc: int,
+        low: Tuple[int, int],
+        high: Tuple[int, int],
         leaves: List[PageId],
     ) -> None:
-        page = self._pool.get(pid)
-        try:
-            node_type, count, link = _read_header(page)
-            entries = _entries(page, count)
-        finally:
-            self._pool.unpin(pid)
-        previous = (low_key, low_disc)
-        for key, disc, _value in entries:
-            assert previous <= (key, disc), f"page {pid}: entries out of order"
-            assert (key, disc) < (high_key, high_disc) or (
-                high_key,
-                high_disc,
-            ) == (_MAX_I64, _MAX_I64), f"page {pid}: entry above separator"
-            previous = (key, disc)
-        if node_type == _LEAF:
+        """Check the subtree at ``pid``, whose entries lie in [low, high)."""
+        node = self._node(pid)
+        assert node.count <= ORDER, f"page {pid}: over-full"
+        bounds = [low, *zip(node.keys, node.discs), high]
+        for previous, entry in zip(bounds, bounds[1:-1]):
+            assert previous <= entry, f"page {pid}: entries out of order"
+            assert (
+                entry < high or high == (_MAX_I64, _MAX_I64)
+            ), f"page {pid}: entry above separator"
+        if node.node_type == _LEAF:
             leaves.append(pid)
             return
-        assert count >= 1, f"internal page {pid} has no separators"
-        bounds = [(low_key, low_disc)] + [(k, d) for k, d, _ in entries]
-        bounds.append((high_key, high_disc))
-        children = [link] + [c for _k, _d, c in entries]
-        for i, child in enumerate(children):
-            lo_k, lo_d = bounds[i]
-            hi_k, hi_d = bounds[i + 1]
-            self._check_node(child, lo_k, lo_d, hi_k, hi_d, leaves)
+        assert node.count >= 1, f"internal page {pid} has no separators"
+        for i, child in enumerate((node.link, *node.values)):
+            self._check_node(child, bounds[i], bounds[i + 1], leaves)

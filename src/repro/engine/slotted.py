@@ -24,8 +24,8 @@ by the buffer pool.  Read paths are **zero-copy**: :func:`read` and
 :func:`records` return ``memoryview`` slices into the page buffer, not
 ``bytes`` copies.  Callers must treat the views as read-only and must
 not hold one across a mutation of the same page (insert/update/delete/
-compact may move the underlying bytes); copy with ``bytes(view)`` — or
-:func:`read_into` — when the record outlives the pin.
+compact may move the underlying bytes); copy with ``bytes(view)`` when
+the record outlives the pin.
 """
 
 from __future__ import annotations
@@ -211,24 +211,6 @@ def read(page: bytearray, slot: int) -> memoryview:
     return memoryview(page)[offset : offset + length]
 
 
-def read_into(page: bytearray, slot: int, out: bytearray) -> int:
-    """Append the record stored in ``slot`` to ``out``; returns its length.
-
-    The owned-copy companion of :func:`read` for callers that need the
-    record to survive page mutation.
-
-    Raises:
-        PageError: if the slot is out of range or tombstoned.
-    """
-    if not 0 <= slot < slot_count(page):
-        raise PageError(f"slot {slot} out of range")
-    offset, length = _read_slot(page, slot)
-    if offset == TOMBSTONE:
-        raise PageError(f"slot {slot} is deleted")
-    out += memoryview(page)[offset : offset + length]
-    return length
-
-
 def delete(page: bytearray, slot: int) -> None:
     """Tombstone a slot; its space is reclaimed on the next compaction."""
     if not 0 <= slot < slot_count(page):
@@ -316,11 +298,6 @@ def records(page: bytearray) -> Iterator[Tuple[int, memoryview]]:
     Views alias the page buffer (see :func:`read`); copy any record
     that must outlive the iteration or a subsequent page mutation.
     """
-    return records_view(page)
-
-
-def records_view(page: bytearray) -> Iterator[Tuple[int, memoryview]]:
-    """Zero-copy iterator over (slot, ``memoryview``) pairs."""
     view = memoryview(page)
     for index in range(slot_count(page)):
         offset, length = _read_slot(page, index)

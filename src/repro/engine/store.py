@@ -150,16 +150,17 @@ class DecodeCache:
         self, capacity: int, pool: BufferPool, instrumentation
     ) -> None:
         self.capacity = capacity
-        #: oid -> (rid, frame LSN of the rid's page at decode, record).
-        self._entries: Dict[int, Tuple[Rid, Optional[int], dict]] = {}
+        #: oid -> (frame LSN of the rid's page at decode, (rid, record));
+        #: the inner pair is what :meth:`get` hands out, built once.
+        self._entries: Dict[int, Tuple[Optional[int], Tuple[Rid, dict]]] = {}
         self._frame_lsn = pool.frame_lsn
         self._instr = instrumentation
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, oid: int) -> Optional[Dict[str, Any]]:
-        """The cached record of ``oid``, or None.
+    def get(self, oid: int) -> Optional[Tuple[Rid, Dict[str, Any]]]:
+        """``(rid, record)`` of ``oid`` as cached, or None.
 
         A resident page whose frame LSN moved past the entry's tag
         invalidates the entry.
@@ -168,15 +169,15 @@ class DecodeCache:
         if entry is None:
             self._instr.count("engine.decode_cache.misses")
             return None
-        rid, lsn, record = entry
-        page_lsn = self._frame_lsn(rid_page(rid))
+        lsn, located = entry
+        page_lsn = self._frame_lsn(rid_page(located[0]))
         if lsn is not None and page_lsn is not None and lsn != page_lsn:
             del self._entries[oid]
             self._instr.count("engine.decode_cache.invalidations")
             self._instr.count("engine.decode_cache.misses")
             return None
         self._instr.count("engine.decode_cache.hits")
-        return record
+        return located
 
     def put(self, oid: int, rid: Rid, record: Dict[str, Any]) -> None:
         """Cache ``record`` (which the cache now owns), decoded from ``rid``.
@@ -187,7 +188,7 @@ class DecodeCache:
         entries = self._entries
         if oid not in entries and len(entries) >= self.capacity:
             entries.pop(next(iter(entries)))  # FIFO
-        entries[oid] = (rid, self._frame_lsn(rid_page(rid)), record)
+        entries[oid] = (self._frame_lsn(rid_page(rid)), (rid, record))
 
     def invalidate(self, oid: int) -> None:
         """Drop the entry of ``oid`` (a committed write touched it)."""
@@ -698,7 +699,7 @@ class ObjectStore:
             buffered = self._buffered_read(oid, txn or self._current)
             if buffered is not None:
                 return _copy_state(oid, buffered, fields)
-            record = self._shared_record(oid)
+            record = self._shared_record(oid)[1]
             self.stats.objects_read += 1
             self.instrumentation.count("engine.store.objects_read")
             return _copy_state(oid, record["s"], fields)
@@ -746,11 +747,11 @@ class ObjectStore:
                 # directory probe, page prefetch, pin and decode below.
                 to_fetch = []
                 for oid in committed:
-                    record = cache.get(oid)
-                    if record is None:
+                    entry = cache.get(oid)
+                    if entry is None:
                         to_fetch.append(oid)
                     else:
-                        out[oid] = _copy_state(oid, record["s"], fields)
+                        out[oid] = _copy_state(oid, entry[1]["s"], fields)
             if to_fetch:
                 rids = {oid: self._rid_of(oid) for oid in to_fetch}
                 to_fetch.sort(key=rids.__getitem__)
@@ -799,7 +800,7 @@ class ObjectStore:
             active = txn or self._current
             if active is not None and oid in active.new_classes:
                 return active.new_classes[oid]
-            record = self._shared_record(oid)
+            record = self._shared_record(oid)[1]
             return self._catalog.get_by_id(record["c"]).name
 
     def exists(self, oid: int, txn: Optional[Transaction] = None) -> bool:
@@ -885,24 +886,25 @@ class ObjectStore:
         )
         return record
 
-    def _shared_record(self, oid: int) -> Dict[str, Any]:
-        """The committed record of ``oid``; a decode-cache hit costs no
-        directory probe, page pin or decode.
+    def _shared_record(self, oid: int) -> Tuple[Rid, Dict[str, Any]]:
+        """``(rid, record)`` of committed ``oid`` — the one way a record
+        is read, by reads and by the commit path's pre-images alike.  A
+        decode-cache hit costs no directory probe, page pin or decode.
 
         With the cache on, the returned record is (or becomes) a shared
-        cache entry — callers read scalars from it freely and copy
-        anything they hand out (see :func:`_copy_state`).
+        cache entry — callers read from it freely and copy anything
+        they hand out (see :func:`_copy_state`).
         """
         cache = self._decode_cache
         if cache is not None:
-            record = cache.get(oid)
-            if record is not None:
-                return record
+            entry = cache.get(oid)
+            if entry is not None:
+                return entry
         rid = self._rid_of(oid)
         record = self._upgraded(serializer.decode(self._heap.read(rid)))
         if cache is not None:
             cache.put(oid, rid, record)
-        return record
+        return rid, record
 
     def _encode_record(
         self,
@@ -1016,7 +1018,7 @@ class ObjectStore:
             self._decode_cache.invalidate(oid)
         self._directory.insert(oid, rid, disc=0)
         self._extent.insert(definition.class_id, oid, disc=oid)
-        self._index_add(class_name, oid, state)
+        self._index_replace(class_name, oid, {}, state)
 
     def _apply_update(
         self,
@@ -1025,16 +1027,13 @@ class ObjectStore:
         near_oid: Optional[int],
         timestamp: int,
     ) -> None:
-        rid = self._rid_of(oid)
-        old = serializer.decode(self._heap.read(rid))
-        class_name = self._catalog.get_by_id(old["c"]).name
-        old_state = self._catalog.upgrade_state(old["c"], old["v"], old["s"])
+        rid, old = self._shared_record(oid)  # the pre-image, read-only
         version_head = old.get("p", 0)
         if self.versioned:
             version_head = preserve_version(
-                self._heap, oid, old.get("ts", 0), old_state, version_head
+                self._heap, oid, old.get("ts", 0), old["s"], version_head
             )
-        definition = self._catalog.get(class_name)
+        definition = self._catalog.get_by_id(old["c"])
         record = self._encode_record(
             definition.class_id, definition.version, state, version_head, timestamp
         )
@@ -1048,19 +1047,17 @@ class ObjectStore:
             self._decode_cache.invalidate(oid)
         if new_rid != rid:
             self._directory.update_value(oid, 0, new_rid)
-        self._index_replace(class_name, oid, old_state, state)
+        self._index_replace(definition.name, oid, old["s"], state)
 
     def _apply_delete(self, oid: int) -> None:
-        rid = self._rid_of(oid)
-        old = serializer.decode(self._heap.read(rid))
-        class_name = self._catalog.get_by_id(old["c"]).name
-        old_state = self._catalog.upgrade_state(old["c"], old["v"], old["s"])
+        rid, old = self._shared_record(oid)  # the pre-image, read-only
         self._heap.delete(rid)
         if self._decode_cache is not None:
             self._decode_cache.invalidate(oid)
         self._directory.delete(oid, rid, disc=0)
         self._extent.delete(old["c"], oid, disc=oid)
-        self._index_remove(class_name, oid, old_state)
+        class_name = self._catalog.get_by_id(old["c"]).name
+        self._index_replace(class_name, oid, old["s"], {})
 
     def _abort_txn(self, txn: Transaction) -> None:
         with self._mutex:
@@ -1137,7 +1134,7 @@ class ObjectStore:
             # of n top-down inserts over the existing extent.
             rows = []
             for oid in list(self.scan_class(class_name)):
-                value = self._shared_record(oid)["s"].get(field)
+                value = self._shared_record(oid)[1]["s"].get(field)
                 if value is not None:
                     self._index_check_int(class_name, field, value)
                     rows.append((value, oid, oid))
@@ -1163,19 +1160,6 @@ class ObjectStore:
                 found.append((indexed_class, field, tree))
         return found
 
-    def _index_add(self, class_name: str, oid: int, state: Dict[str, Any]) -> None:
-        for _indexed_class, field, tree in self._indexes_covering(class_name):
-            value = state.get(field)
-            if value is not None:
-                self._index_check_int(class_name, field, value)
-                tree.insert(value, oid, disc=oid)
-
-    def _index_remove(self, class_name: str, oid: int, state: Dict[str, Any]) -> None:
-        for _indexed_class, field, tree in self._indexes_covering(class_name):
-            value = state.get(field)
-            if value is not None:
-                tree.delete(value, oid, disc=oid)
-
     def _index_replace(
         self,
         class_name: str,
@@ -1183,6 +1167,8 @@ class ObjectStore:
         old_state: Dict[str, Any],
         new_state: Dict[str, Any],
     ) -> None:
+        """Move ``oid`` from its ``old_state`` index entries to its
+        ``new_state`` ones; ``{}`` on either side is an insert / a delete."""
         for _indexed_class, field, tree in self._indexes_covering(class_name):
             old_value = old_state.get(field)
             new_value = new_state.get(field)
@@ -1223,7 +1209,7 @@ class ObjectStore:
     def version_chain(self, oid: int) -> VersionChain:
         """The preserved history of an object, newest first."""
         self._require_open()
-        head = self._shared_record(oid).get("p", 0)
+        head = self._shared_record(oid)[1].get("p", 0)
         return VersionChain(self._heap, head)
 
     def previous_version(self, oid: int) -> Optional[Dict[str, Any]]:
@@ -1239,7 +1225,7 @@ class ObjectStore:
         object did not exist yet.
         """
         self._require_open()
-        record = self._shared_record(oid)
+        record = self._shared_record(oid)[1]
         if record.get("ts", 0) <= timestamp:
             return _clone_value(record["s"])
         version = VersionChain(self._heap, record.get("p", 0)).at(timestamp)
@@ -1312,10 +1298,7 @@ class ObjectStore:
         # Objects, preserving OIDs, timestamps and version chains.
         for name in self._catalog.class_names():
             for oid in self.scan_class(name, include_subclasses=False):
-                record = serializer.decode(self._heap.read(self._rid_of(oid)))
-                state = self._catalog.upgrade_state(
-                    record["c"], record["v"], record["s"]
-                )
+                record = self._shared_record(oid)[1]
                 chain = list(VersionChain(self._heap, record.get("p", 0)))
                 new_head = 0
                 for version in reversed(chain):  # oldest first
@@ -1325,7 +1308,7 @@ class ObjectStore:
                     )
                 definition = target._catalog.get(name)
                 encoded = target._encode_record(
-                    definition.class_id, record["v"], state,
+                    definition.class_id, record["v"], record["s"],
                     new_head, record.get("ts", 0),
                 )
                 rid = target._heap.insert(encoded)
@@ -1384,7 +1367,7 @@ class ObjectStore:
         # Served from the decode cache without cloning: "ts" is a
         # scalar read, and the cache is invalidated by every commit
         # that touches the record — exactly the signal OCC validates.
-        return self._shared_record(oid).get("ts", 0)
+        return self._shared_record(oid)[1].get("ts", 0)
 
     # ------------------------------------------------------------------
     # Physical introspection (clustering ablation)
@@ -1393,8 +1376,6 @@ class ObjectStore:
     def page_of(self, oid: int) -> int:
         """The heap page currently holding an object's record."""
         self._require_open()
-        from repro.engine.heap import rid_page
-
         return rid_page(self._rid_of(oid))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

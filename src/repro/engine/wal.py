@@ -1,12 +1,13 @@
 """A redo-only write-ahead log with checkpoints and recovery (R10).
 
 The store uses **deferred updates**: a transaction's writes live in an
-in-memory write set until commit.  At commit the store appends the
-transaction's logical operations to the log, fsyncs it, and only then
-applies them to the heap and indexes.  Because no uncommitted change
-ever reaches a data page, recovery never needs to undo anything —
-it simply *redoes* the logical operations of every committed
-transaction recorded after the last checkpoint.
+in-memory write set until commit.  At commit the store applies them to
+pooled (no-steal) heap and index pages, appends the post-image of every
+page it dirtied plus the root table to the log, fsyncs it, and only
+then forces those pages to the data file.  Because no uncommitted
+change ever reaches a data page, recovery never needs to undo anything
+— it simply *redoes* the page images of every committed transaction
+recorded after the last checkpoint.
 
 Log records are framed as ``length | crc32 | payload`` so a torn tail
 write (the classic crash mode) is detected and cleanly ignored.
@@ -24,9 +25,14 @@ Record types:
 * ``ABORT txid``           — informational; aborted work is never applied
 * ``CHECKPOINT``           — everything before this point is on disk
 
-The store's recovery path replays the *physical* records (page images
-in commit order, then the last committed root table); the logical
-records ride along for diagnostics and for the logical-replay tests.
+One framing, two redo vocabularies, never mixed in one log.  The
+engine (``ObjectStore._log_and_force``) writes and replays **only** the
+physical records: ``BEGIN``, one ``PAGE`` per dirtied page, ``ROOTS``,
+``COMMIT``.  The logical ``PUT``/``DELETE`` records are the format of
+the layers that keep records rather than pages — the netsim
+``ObjectServer``, its two-phase participants and the replication log
+shipper — which replay them from :meth:`WriteAheadLog.recover` /
+:meth:`WriteAheadLog.read_from`.
 
 **Two-phase commit and presumed abort.**  A participant in a
 distributed commit logs ``BEGIN + operations + PREPARE`` (force-synced

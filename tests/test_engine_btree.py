@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine import btree
 from repro.engine.btree import ORDER, BTree
 from repro.engine.buffer import BufferPool
 from repro.engine.pages import PageFile
@@ -59,7 +60,10 @@ class TestBasics:
 
 class TestSplits:
     def test_many_sequential_inserts(self, tree):
-        count = ORDER * 6  # forces leaf and internal splits
+        # Leaf splits under one root only: ~12 leaves.  An internal
+        # split needs > 14 000 keys at the real ORDER — see
+        # test_property_small_order_tree_matches_model below.
+        count = ORDER * 6
         for key in range(count):
             tree.insert(key, key * 2)
         assert len(tree) == count
@@ -235,3 +239,75 @@ def test_property_btree_matches_sorted_model(tmp_path_factory, entries, deletion
             expected = [(k, v) for k, v in model if low <= k <= high]
             assert list(tree.scan_range(low, high)) == expected
     pf.close()
+
+
+def _height(tree):
+    height, pid = 1, tree.root
+    while tree._node(pid).node_type != btree._LEAF:
+        height, pid = height + 1, tree._node(pid).link
+    return height
+
+
+@settings(max_examples=25, deadline=None)
+@given(order=st.integers(4, 8), seed=st.integers(0, 2**32 - 1))
+def test_property_small_order_tree_matches_model(tmp_path_factory, order, seed):
+    """Interleaved insert / delete / update_value on a tree whose nodes
+    hold 4-8 entries, so internal nodes split (and the root splits
+    twice) within a few hundred steps.  Few keys, many discriminators:
+    duplicate keys straddle leaves and separators; deleted pairs come
+    back.  Every step is checked against a ``{(key, disc): value}``
+    model and ``check_invariants``; the tree is then re-read from disk.
+    """
+    rng = random.Random(seed)
+    path = str(tmp_path_factory.mktemp("btree-small") / "s.db")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(btree, "ORDER", order)
+        pf = PageFile(path)
+        pool = BufferPool(pf, capacity=8)
+        tree = BTree(pool, 0)
+        model, graveyard = {}, []
+
+        def expected():
+            return [(key, model[key, disc]) for key, disc in sorted(model)]
+
+        for step in range(400):
+            roll = rng.random()
+            if roll < 0.6 or not model:
+                if graveyard and rng.random() < 0.3:
+                    pair = graveyard.pop(rng.randrange(len(graveyard)))
+                else:
+                    pair = (rng.randrange(16), rng.randrange(40))
+                if pair in model:
+                    with pytest.raises(PageError):
+                        tree.insert(pair[0], step, disc=pair[1])
+                else:
+                    tree.insert(pair[0], step, disc=pair[1])
+                    model[pair] = step
+            elif roll < 0.85:
+                pair = rng.choice(sorted(model))
+                assert tree.delete(pair[0], model.pop(pair), disc=pair[1])
+                assert not tree.delete(pair[0], 0, disc=pair[1])
+                graveyard.append(pair)
+            elif roll < 0.98:
+                pair = rng.choice(sorted(model))
+                assert tree.update_value(pair[0], pair[1], -step)
+                model[pair] = -step
+                assert not tree.update_value(16, pair[1], 0)
+            else:
+                pool.flush_all()  # clean frames: evictions and reloads follow
+            tree.check_invariants()
+            assert list(tree.scan_all()) == expected()
+        assert _height(tree) >= 3
+        for key in range(16):
+            assert tree.search(key) == [v for k, v in expected() if k == key]
+        assert all(tree.contains(k, 0, disc=d) for k, d in model)
+        root = tree.root
+        pool.flush_all()
+        pf.sync()
+        pf.close()
+
+        pf = PageFile(path)
+        reopened = BTree(BufferPool(pf, capacity=8), root)
+        reopened.check_invariants()
+        assert list(reopened.scan_all()) == expected()
+        pf.close()

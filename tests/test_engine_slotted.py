@@ -170,17 +170,10 @@ class TestViews:
         assert isinstance(view, memoryview)
         assert bytes(view) == b"zero-copy"
 
-    def test_read_into_appends(self, page):
-        slot = slotted.insert(page, b"payload")
-        out = bytearray(b"prefix:")
-        length = slotted.read_into(page, slot, out)
-        assert length == len(b"payload")
-        assert out == b"prefix:payload"
-
-    def test_records_view_yields_views(self, page):
+    def test_records_yields_views(self, page):
         slotted.insert(page, b"a")
         slotted.insert(page, b"bb")
-        entries = list(slotted.records_view(page))
+        entries = list(slotted.records(page))
         assert [(s, bytes(v)) for s, v in entries] == [(0, b"a"), (1, b"bb")]
         assert all(isinstance(v, memoryview) for _, v in entries)
 
