@@ -1,5 +1,4 @@
-"""Benchmark suite regenerating the paper's measurement grid.
-
-One module per table/figure group of DESIGN.md's per-experiment index;
-run with ``pytest benchmarks/ --benchmark-only``.
+"""pytest-benchmark targets for the DESIGN.md section 4 rows nothing
+else times (creation, clustering, RUBE87, queries, extensions, the
+latency sweep); run with ``pytest benchmarks/ --benchmark-only``.
 """

@@ -21,7 +21,6 @@ import argparse
 import os
 
 from repro.harness import BenchmarkRunner, RunnerConfig
-from repro.harness.figures import backend_figure, speedup_figure
 from repro.harness.report import (
     backend_comparison_table,
     creation_table,
@@ -77,10 +76,6 @@ def main() -> None:
         for backend in results.backends:
             print(speedup_table(results, backend))
             print()
-        print(backend_figure(results, "10", "cold", level=args.level))
-        print()
-        print(speedup_figure(results, level=args.level))
-        print()
         if args.save:
             results.save(args.save)
             print(f"results saved to {args.save}")

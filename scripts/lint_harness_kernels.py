@@ -1,7 +1,12 @@
 #!/usr/bin/env python
-"""Lint: the harness plumbing stays in its two kernels.
+"""Lint: the harness plumbing stays in its two kernels, and every
+grid bench is gated.
 
-Fails if a ``src/repro/harness`` module other than the owning kernel
+Fails if a ``src/repro/harness/*bench.py`` module's ``BENCH`` table
+writes, by default, a document with no committed twin under
+``benchmarks/baseline/`` — a timed grid nothing compares is a second
+ungated ruler, and ``repro run`` is the one there is — or if a
+``src/repro/harness`` module other than the owning kernel
 
 * calls ``json.dump`` (``grid.write_document`` is the one JSON writer),
 * constructs a ``FlightRecorder`` (``grid.timeline`` owns ``--timeline``),
@@ -22,9 +27,9 @@ import ast
 import pathlib
 import sys
 
-_HARNESS = (
-    pathlib.Path(__file__).resolve().parent.parent / "src/repro/harness"
-)
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_HARNESS = _ROOT / "src/repro/harness"
+_BASELINES = _ROOT / "benchmarks/baseline"
 _SUMMARY = "timing.Stats.from_samples"
 #: pattern -> (the modules allowed to use it, what to call instead)
 _OWNERS = {
@@ -51,10 +56,36 @@ def _pattern(call: ast.Call) -> str | None:
     return next((p for p in (name, f".{name}") if p in _OWNERS), None)
 
 
+def _default_out(tree: ast.Module) -> tuple[int, str] | None:
+    """(line, default document name) of the module's ``BENCH`` table:
+    the string handed to ``grid.out_param`` inside ``BENCH = Bench(...)``."""
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.Assign) or not any(
+            getattr(target, "id", None) == "BENCH" for target in stmt.targets
+        ):
+            continue
+        for node in ast.walk(stmt.value):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "out_param"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                return stmt.lineno, node.args[0].value
+    return None
+
+
 def main() -> int:
     errors = []
     for path in sorted(_HARNESS.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        out = _default_out(tree) if path.name.endswith("bench.py") else None
+        if out and not (_BASELINES / out[1]).is_file():
+            errors.append(
+                f"{path.name}:{out[0]}: BENCH writes {out[1]} but"
+                f" benchmarks/baseline/{out[1]} is not committed; gate the"
+                " grid or fold it into `repro run`"
+            )
         for node in ast.walk(tree):
             pattern = _pattern(node) if isinstance(node, ast.Call) else None
             if pattern and path.name not in _OWNERS[pattern][0]:

@@ -136,6 +136,7 @@ class GuardedDatabase(HyperModelDatabase):
         self.inner = inner
         self.controller = controller or AccessController(inner)
         self.principal = principal
+        self.backend_name = f"guarded({inner.backend_name})"
 
     def as_principal(self, principal: str) -> "GuardedDatabase":
         """A view of the same database acting as another principal."""
@@ -310,7 +311,3 @@ class GuardedDatabase(HyperModelDatabase):
 
     def node_count(self, structure_id: int = 1) -> int:
         return self.inner.node_count(structure_id)
-
-    @property
-    def backend_name(self) -> str:
-        return f"guarded({self.inner.backend_name})"

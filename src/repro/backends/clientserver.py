@@ -787,6 +787,4 @@ class ClientServerDatabase(HyperModelDatabase):
         )
         return committed + extra
 
-    @property
-    def backend_name(self) -> str:
-        return "clientserver"
+    backend_name = "clientserver"

@@ -361,6 +361,4 @@ class MemoryDatabase(HyperModelDatabase):
             1 for n in self._insertion_order if n.structure_id == structure_id
         )
 
-    @property
-    def backend_name(self) -> str:
-        return "memory"
+    backend_name = "memory"

@@ -409,9 +409,7 @@ class OodbDatabase(HyperModelDatabase):
     def node_count(self, structure_id: int = 1) -> int:
         return sum(1 for _ in self.iter_nodes(structure_id))
 
-    @property
-    def backend_name(self) -> str:
-        return "oodb" if self._clustered else "oodb-unclustered"
+    backend_name = "oodb"
 
     def drop_cache(self) -> None:
         """Expose the engine's cold-cache hook to the harness."""

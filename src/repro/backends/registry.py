@@ -152,6 +152,10 @@ def create_backend(
 ) -> HyperModelDatabase:
     """Construct a closed backend instance by registry name.
 
+    The instance's ``backend_name`` is set to ``name``, so results and
+    reports label a preset by the key it was built from, not by its
+    class.
+
     Args:
         name: one of :func:`available_backends`.
         path: filesystem location for file-backed backends; ignored by
@@ -169,7 +173,9 @@ def create_backend(
         raise ConfigurationError(f"{name} backend requires a path")
     merged: Dict[str, Any] = dict(spec.default_options)
     merged.update(options)
-    return spec.factory(path, **merged)
+    db = spec.factory(path, **merged)
+    db.backend_name = name  # the one place a backend is named
+    return db
 
 
 # ----------------------------------------------------------------------

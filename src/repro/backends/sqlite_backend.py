@@ -532,6 +532,4 @@ class SqliteDatabase(HyperModelDatabase):
             "SELECT COUNT(*) FROM node WHERE struct = ?", (structure_id,)
         ).fetchone()[0]
 
-    @property
-    def backend_name(self) -> str:
-        return "sqlite" if self.path == ":memory:" else "sqlite-file"
+    backend_name = "sqlite"

@@ -5,14 +5,11 @@ Subcommands:
 * ``info``       — print the sizing table for levels 4-6 (section 5.2);
 * ``generate``   — build a test database into a backend file;
 * ``verify``     — structurally verify a freshly generated database;
-* ``run``        — run the benchmark grid and print the report tables;
-* ``bench``      — like ``run``, plus latency-percentile tables,
-  ``--counters`` for per-operation instrumentation counter tables and
-  ``--trace`` for a Chrome/Perfetto trace of the run's tail (see
-  ``docs/observability.md``);
-* ``bench-closure`` — measure the batched closure traversals (ops
-  10-12) across backends and write ``BENCH_closure.json`` (see
-  ``docs/performance.md``);
+* ``run``        — run the section 5.3 cold/warm grid (any registered
+  backends × levels × operations) and print the ms-per-node tables
+  with latency percentiles; ``--counters`` adds per-operation
+  instrumentation counter tables and ``--trace`` a Chrome/Perfetto
+  trace of the run's tail (see ``docs/observability.md``);
 * ``bench-multiuser`` — run the discrete-event multi-client grid
   (clients × conflict rate, optimistic concurrency, group-commit WAL)
   and write ``BENCH_multiuser.json`` (see ``docs/multiuser.md``);
@@ -35,8 +32,8 @@ Subcommands:
 * ``maintain``   — R10 maintenance on an oodb file: vacuum / backup / gc;
 * ``r7``         — print the R7 objects-per-second assessment table.
 
-Every subcommand is driven by the same library code the tests and the
-pytest benchmarks use; the CLI only parses arguments and prints.
+Every subcommand is driven by the same library code the tests use; the
+CLI only parses arguments and prints.
 """
 
 from __future__ import annotations
@@ -71,10 +68,6 @@ def _add_common_db_args(parser: argparse.ArgumentParser) -> None:
 #: defaults, the run call and the document header all come from each
 #: module's parameter table (see :mod:`repro.harness.grid`).
 _BENCH_COMMANDS = {
-    "bench-closure": (
-        "measure batched closure traversals, write BENCH_closure.json",
-        ("batchbench",),
-    ),
     "bench-multiuser": (
         "run the multi-client optimistic grid, write BENCH_multiuser.json",
         ("multiuserbench",),
@@ -145,46 +138,36 @@ def _build_parser(
     verify = sub.add_parser("verify", help="generate and verify a database")
     _add_common_db_args(verify)
 
-    def _add_grid_args(
-        grid: argparse.ArgumentParser, default_backends: str
-    ) -> None:
-        grid.add_argument(
-            "--backends",
-            default=default_backends,
-            help="comma-separated backend names",
-        )
-        grid.add_argument(
-            "--levels", default="4", help="comma-separated leaf levels"
-        )
-        grid.add_argument(
-            "--ops",
-            default=None,
-            help="comma-separated operation ids (default: all)",
-        )
-        grid.add_argument(
-            "--repetitions",
-            type=int,
-            default=50,
-            help="runs per cold/warm pass",
-        )
-        grid.add_argument("--seed", type=int, default=19880301)
-        grid.add_argument(
-            "--save", default=None, help="write results JSON to this path"
-        )
-
-    run = sub.add_parser("run", help="run the benchmark grid")
-    _add_grid_args(run, "memory,sqlite,oodb,clientserver")
-
-    bench = sub.add_parser(
-        "bench", help="run the benchmark grid with instrumentation"
+    run = sub.add_parser("run", help="run the cold/warm benchmark grid")
+    run.add_argument(
+        "--backends",
+        default="memory,sqlite,oodb,clientserver",
+        help="comma-separated backend registry names",
     )
-    _add_grid_args(bench, "memory,clientserver")
-    bench.add_argument(
+    run.add_argument(
+        "--levels", default="4", help="comma-separated leaf levels"
+    )
+    run.add_argument(
+        "--ops",
+        default=None,
+        help="comma-separated operation ids (default: all)",
+    )
+    run.add_argument(
+        "--repetitions",
+        type=int,
+        default=50,
+        help="runs per cold/warm pass",
+    )
+    run.add_argument("--seed", type=int, default=19880301)
+    run.add_argument(
+        "--save", default=None, help="write results JSON to this path"
+    )
+    run.add_argument(
         "--counters",
         action="store_true",
         help="instrument the backends and print per-operation counter tables",
     )
-    bench.add_argument(
+    run.add_argument(
         "--trace",
         default=None,
         metavar="OUT.json",
@@ -343,18 +326,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_run(args: argparse.Namespace, bench: bool = False) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     from repro.harness import BenchmarkRunner, RunnerConfig
     from repro.harness.report import full_report
     from repro.obs import Instrumentation
 
-    counters = bench and args.counters
-    trace_out = getattr(args, "trace", None) if bench else None
     instrumentation = None
-    if counters or trace_out:
+    if args.counters or args.trace:
         # A big span ring when tracing: keep the whole tail of the run.
         instrumentation = Instrumentation(
-            span_capacity=65536 if trace_out else 1024
+            span_capacity=65536 if args.trace else 1024
         )
     config = RunnerConfig(
         backends=args.backends.split(","),
@@ -370,21 +351,20 @@ def _cmd_run(args: argparse.Namespace, bench: bool = False) -> int:
             full_report(
                 results,
                 title="HyperModel benchmark results",
-                include_counters=counters,
-                include_percentiles=bench,
+                include_counters=args.counters,
             )
         )
         if args.save:
             results.save(args.save)
             print(f"results written to {args.save}")
-        if trace_out:
+        if args.trace:
             from repro.obs.traceexport import write_chrome_trace
 
             document = write_chrome_trace(
-                runner.instrumentation, trace_out
+                runner.instrumentation, args.trace
             )
             print(
-                f"trace written to {trace_out} "
+                f"trace written to {args.trace} "
                 f"({len(document['traceEvents'])} events; load in Perfetto)"
             )
     return 0
@@ -471,7 +451,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         }
         out = getattr(args, leg.out.dest)
         document = leg.run(**values)
-        (leg.write or write_document)(out, document)
+        write_document(out, document)
         print(leg.summary(document))
         print(f"results written to {out}")
         for p in leg.params:
@@ -582,7 +562,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "generate": lambda: _cmd_generate(args),
         "verify": lambda: _cmd_verify(args),
         "run": lambda: _cmd_run(args),
-        "bench": lambda: _cmd_run(args, bench=True),
         "bench-diff": lambda: _cmd_bench_diff(args),
         "dash": lambda: _cmd_dash(args),
         "trace": lambda: _cmd_trace(args),

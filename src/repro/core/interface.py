@@ -335,7 +335,9 @@ class HyperModelDatabase(abc.ABC):
     def node_count(self, structure_id: int = 1) -> int:
         """Number of nodes in one test structure."""
 
-    @property
-    def backend_name(self) -> str:
-        """Short human-readable backend identifier for reports."""
-        return type(self).__name__
+    #: The label reports print.  A class states its default;
+    #: :func:`~repro.backends.registry.create_backend` overwrites it on
+    #: the instance with the registry name the backend was built from,
+    #: so presets of one class (``clientserver`` / ``clientserver-bfs``)
+    #: stay distinct in a result set.
+    backend_name: str = "unnamed"

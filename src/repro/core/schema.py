@@ -3,10 +3,13 @@
 The paper presents its schema with the Object Modeling Technique (OMT):
 classes, generalization between them, and three relationship types with
 cardinality, ordering and attribute annotations.  This module encodes
-that diagram as data so that backends can be *derived* from it (the
-relational mapping walks it to emit DDL), tests can assert structural
-facts against the paper, and the DrawNode schema-evolution experiment
-(R4 / section 6.8) can extend it at run time.
+that diagram as data so that tests can assert structural facts against
+the paper (``tests/test_schema.py``) and a reader can extend it the way
+the DrawNode schema-evolution experiment (R4 / section 6.8) does.  It
+is a description only: no backend is derived from it (each states its
+own mapping — the relational DDL is written out in
+``backends/sqlite_backend.py``), and the package root re-exports it as
+part of the public model.
 """
 
 from __future__ import annotations

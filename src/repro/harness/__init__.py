@@ -7,12 +7,14 @@
   milliseconds per node;
 * :mod:`repro.harness.results` — result records with JSON persistence;
 * :mod:`repro.harness.report` — paper-style result tables;
-* :mod:`repro.harness.runner` — the full grid driver
-  (backends x levels x operations);
+* :mod:`repro.harness.runner` — the full grid driver (backends x
+  levels x operations) behind ``repro run``: the one timed path that
+  has no baseline and gates nothing, so any registered preset can sit
+  beside its control in one report;
 * :mod:`repro.harness.grid` — the grid-bench kernel (parameter tables,
   structure dump, latency leaf, timeline recorder, document header +
-  provenance, the one JSON writer) under the four ``BENCH_*.json``
-  grids ``batchbench`` / ``multiuserbench`` / ``shardbench`` /
+  provenance, the one JSON writer) under the three gated
+  ``BENCH_*.json`` grids ``multiuserbench`` / ``shardbench`` /
   ``replicabench``;
 * :mod:`repro.harness.crashpoints` — the crash-point kernel (counting
   pre-pass, one armed VFS per mutating I/O operation, violation tally)

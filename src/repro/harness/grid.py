@@ -1,7 +1,7 @@
 """The grid-bench kernel: what every ``BENCH_*.json`` writer shares.
 
-A bench module (``batchbench``, ``multiuserbench``, ``shardbench``,
-``replicabench`` and the three crash drills) keeps only what is its
+A bench module (``multiuserbench``, ``shardbench``, ``replicabench``
+and the three crash drills) keeps only what is its
 own — the cell body and the summary table — and takes the rest from
 here:
 
@@ -97,9 +97,7 @@ def out_param(
     )
 
 
-def timeline_param(
-    what: str, clock: str = "virtual clock, deterministic"
-) -> Param:
+def timeline_param(what: str) -> Param:
     return Param(
         "--timeline",
         "timeline",
@@ -108,7 +106,7 @@ def timeline_param(
         header=False,
         help=f"write a flight-recorder timeline ({what}) to this JSONL"
         " path",
-        note=f"timeline written to {{}} ({clock})",
+        note="timeline written to {} (virtual clock, deterministic)",
     )
 
 
@@ -119,8 +117,7 @@ class Bench:
     ``run(**values)`` takes the ``params`` and returns the document,
     which the CLI writes to the ``out`` flag's path; ``summary`` is its
     terminal table.  ``switch`` is the store-true flag gating an
-    optional leg (``crashtest --two-phase``); ``write`` replaces
-    :func:`write_document` for a leg with side files.
+    optional leg (``crashtest --two-phase``).
     """
 
     params: Tuple[Param, ...]
@@ -128,7 +125,6 @@ class Bench:
     run: Callable[..., Dict[str, Any]]
     summary: Callable[[Dict[str, Any]], str]
     switch: Optional[Param] = None
-    write: Optional[Callable[[str, Dict[str, Any]], None]] = None
 
 
 def resolve(
@@ -227,7 +223,6 @@ def latency_leaf(
 @contextlib.contextmanager
 def timeline(
     path: Optional[str],
-    clock: str = "virtual",
     instrumentation: Optional[Instrumentation] = None,
 ) -> Iterator[Optional[FlightRecorder]]:
     """Yield the ``--timeline`` recorder (``None`` when off); write its
@@ -235,6 +230,6 @@ def timeline(
     if path is None:
         yield None
         return
-    recorder = FlightRecorder(instrumentation, capacity=65536, clock=clock)
+    recorder = FlightRecorder(instrumentation, capacity=65536)
     yield recorder
     recorder.write_jsonl(path)

@@ -335,14 +335,12 @@ def full_report(
     results: ResultSet,
     title: Optional[str] = None,
     include_counters: bool = False,
-    include_percentiles: bool = False,
 ) -> str:
-    """Every operation table plus per-level comparisons, concatenated.
+    """Every operation table, the per-level comparisons and a cold-run
+    :func:`percentile_table` per backend and level, concatenated.
 
     With ``include_counters=True`` a cold-run :func:`counter_table` per
-    backend and level is appended (``repro bench --counters``); with
-    ``include_percentiles=True`` a cold-run :func:`percentile_table`
-    per backend and level too (``repro bench``).
+    backend and level is appended (``repro run --counters``).
     """
     sections: List[str] = []
     if title:
@@ -356,16 +354,12 @@ def full_report(
         sections.append("")
         sections.append(backend_comparison_table(results, level, "warm"))
         sections.append("")
-    if include_percentiles:
-        for backend in results.backends:
-            for level in results.select(backend=backend).levels:
-                sections.append(
-                    percentile_table(results, backend, level, "cold")
-                )
-                sections.append("")
+    tables = [percentile_table]
     if include_counters:
+        tables.append(counter_table)
+    for table in tables:
         for backend in results.backends:
             for level in results.select(backend=backend).levels:
-                sections.append(counter_table(results, backend, level, "cold"))
+                sections.append(table(results, backend, level, "cold"))
                 sections.append("")
     return "\n".join(sections)

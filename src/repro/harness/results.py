@@ -3,7 +3,7 @@
 A :class:`ResultSet` accumulates :class:`~repro.harness.protocol.ColdWarmResult`
 records across backends, levels and operations, supports selection and
 grouping for the report tables, and round-trips to JSON so EXPERIMENTS.md
-figures can be regenerated from saved runs.
+tables can be regenerated from saved runs.
 """
 
 from __future__ import annotations

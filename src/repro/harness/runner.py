@@ -104,7 +104,7 @@ class BenchmarkRunner:
 
         ``None`` when the runner was configured without one (backends
         then resolve the process-global default).  The CLI's
-        ``bench --trace`` exports this handle's span ring after the
+        ``run --trace`` exports this handle's span ring after the
         grid finishes.
         """
         return self.config.instrumentation

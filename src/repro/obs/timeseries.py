@@ -22,7 +22,7 @@ like the rest of the package:
   gauge, and computes **windowed** histogram percentiles (the p50/p99
   of the observations that arrived *since the last sample*, by bucket
   subtraction).  The discrete-event scheduler samples it on a virtual
-  cadence and the wall-clock harness samples it once per repetition.
+  cadence; the sharded and replica grids once per closure or update.
 
 Every number in a virtual-time sample is a pure function of the seed,
 so the JSONL export is **byte-identical across runs** — pinned by

@@ -45,7 +45,7 @@ Usage::
     ...  # run something
     write_chrome_trace(instr, "out.json")
 
-or from the CLI: ``repro bench --trace out.json`` / ``repro trace``.
+or from the CLI: ``repro run --trace out.json`` / ``repro trace``.
 """
 
 from __future__ import annotations

@@ -61,10 +61,13 @@ class TestRun:
 
 
 class TestBench:
+    """``run --counters`` / ``--trace`` (the flags of the retired
+    ``bench`` twin of ``run``)."""
+
     def test_counters_prints_headline_counter_table(self, capsys):
         code = main(
             [
-                "bench",
+                "run",
                 "--backends", "memory",
                 "--levels", "2",
                 "--ops", "01,09",
@@ -85,7 +88,7 @@ class TestBench:
     def test_clientserver_round_trips_are_nonzero(self, capsys):
         code = main(
             [
-                "bench",
+                "run",
                 "--backends", "clientserver",
                 "--levels", "2",
                 "--ops", "01",
@@ -106,7 +109,7 @@ class TestBench:
     def test_without_counters_prints_no_counter_tables(self, capsys):
         code = main(
             [
-                "bench",
+                "run",
                 "--backends", "memory",
                 "--levels", "2",
                 "--ops", "01",
@@ -114,7 +117,44 @@ class TestBench:
             ]
         )
         assert code == 0
-        assert "Counters:" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Counters:" not in out
+        assert "Latency percentiles: memory" in out  # always printed
+
+    def test_counters_and_trace_together(self, capsys, tmp_path):
+        import json
+
+        trace = str(tmp_path / "run_trace.json")
+        code = main(
+            [
+                "run",
+                "--backends", "clientserver,clientserver-bfs",
+                "--levels", "2",
+                "--ops", "10",
+                "--repetitions", "2",
+                "--counters",
+                "--trace", trace,
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        # Each preset reports under the registry name it was built from.
+        assert "Counters: clientserver," in out
+        assert "Counters: clientserver-bfs," in out
+        assert f"trace written to {trace}" in out
+        with open(trace, encoding="utf-8") as handle:
+            assert json.load(handle)["traceEvents"]
+
+    @pytest.mark.parametrize("command", ["bench", "bench-closure"])
+    def test_retired_commands_are_rejected_by_the_parser(
+        self, command, capsys
+    ):
+        # One command runs the grid; the closure micro-benchmark is
+        # ``run --ops 10,11,12 --counters``.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestQuery:
@@ -131,34 +171,6 @@ class TestQuery:
     def test_query_scan_plan(self, capsys):
         assert main(["query", "--level", "2", "find text where ten = 5"]) == 0
         assert "plan: scan" in capsys.readouterr().out
-
-
-class TestBenchClosure:
-    def test_writes_json_and_prints_summary(self, capsys, tmp_path):
-        import json
-
-        out_path = str(tmp_path / "BENCH_closure.json")
-        code = main(
-            ["bench-closure", "--level", "2", "--repetitions", "2",
-             "--backends", "memory,clientserver", "--out", out_path]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "closure batch traversal" in out
-        assert f"results written to {out_path}" in out
-        with open(out_path, encoding="utf-8") as handle:
-            document = json.load(handle)
-        assert document["level"] == 2
-        assert set(document["cells"]) == {"memory", "clientserver"}
-        for backend, per_op in document["cells"].items():
-            assert set(per_op) == {"10", "11", "12"}
-            for cell in per_op.values():
-                assert cell["nodes"] == 31  # whole level-2 structure
-                assert cell["median_ms_per_node"] >= 0.0
-        # The point of the batch layer: closing a 31-node closure on
-        # the client/server backend costs O(depth) round trips.
-        cs10 = document["cells"]["clientserver"]["10"]
-        assert 0 < cs10["counters"]["backend.rpc.round_trips"] <= 5
 
 
 class TestBenchMultiuser:
@@ -209,17 +221,6 @@ class TestBenchMultiuser:
 #: the hand-written argparse blocks they replaced (PR 12's parser):
 #: flag -> (dest, default).
 BENCH_COMMAND_SURFACE = {
-    "bench-closure": {
-        "--backends": ("backends", "memory,sqlite,oodb,clientserver"),
-        "--level": ("level", 4),
-        "--repetitions": ("repetitions", 5),
-        "--seed": ("seed", 19880301),
-        "--out": ("out", "BENCH_closure.json"),
-        "--compare-pushdown": ("compare_pushdown", False),
-        "--levels": ("levels", None),
-        "--profile": ("profile", False),
-        "--timeline": ("timeline", None),
-    },
     "bench-multiuser": {
         "--clients": ("clients", "1,2,4,8"),
         "--conflict": ("conflict", "0.0,0.2"),
@@ -275,13 +276,9 @@ BENCH_COMMAND_SURFACE = {
     },
 }
 
-#: Tiny-parameter invocations of the five commands: argv (outputs are
+#: Tiny-parameter invocations of the four commands: argv (outputs are
 #: appended per test) and output flag -> expected ``benchmark`` key.
 BENCH_COMMAND_SMOKES = {
-    "bench-closure": (
-        ["--level", "2", "--repetitions", "1", "--backends", "memory"],
-        {"--out": "closure-batch-traversal"},
-    ),
     "bench-multiuser": (
         ["--clients", "2", "--conflict", "0.0", "--transactions", "2"],
         {"--out": "multiuser"},
@@ -312,7 +309,7 @@ BENCH_COMMAND_SMOKES = {
 
 
 class TestBenchCommands:
-    """The five commands generated from the harness parameter tables."""
+    """The four commands generated from the harness parameter tables."""
 
     @pytest.mark.parametrize("command", sorted(BENCH_COMMAND_SURFACE))
     def test_flag_surface_matches_the_pinned_table(self, command):

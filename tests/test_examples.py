@@ -58,7 +58,8 @@ class TestExamples:
         )
         assert result.returncode == 0, result.stderr
         assert "nameLookup" in result.stdout
-        assert "geometric-mean warm speedup" in result.stdout
+        assert "Level 2, cold run" in result.stdout  # comparison table
+        assert "(cold mean / warm mean)" in result.stdout  # speedup table
 
     def test_level_sweep_small(self):
         result = _run(

@@ -340,6 +340,26 @@ class TestRunner:
         assert "node-internal" in phases
         assert "rel-1-N" in phases
 
+    def test_presets_of_one_class_keep_their_registry_names(self, tmp_path):
+        """A result is labelled with the registry name its cell was
+        built from, so an ablation sits beside its control."""
+        config = RunnerConfig(
+            backends=["clientserver", "clientserver-bfs"], levels=[2],
+            op_ids=["10", "12"], repetitions=2, workdir=str(tmp_path),
+        )
+        with BenchmarkRunner(config) as runner:
+            results, creation = runner.run()
+        assert results.backends == ["clientserver", "clientserver-bfs"]
+        assert set(creation) == {("clientserver", 2), ("clientserver-bfs", 2)}
+        for temperature in ("cold", "warm"):
+            table = backend_comparison_table(results, 2, temperature)
+            header, _rule, *rows = table.splitlines()[1:]
+            assert [c.strip() for c in header.split(" | ")] == [
+                "op", "clientserver", "clientserver-bfs",
+            ]
+            cells = [c.strip() for row in rows for c in row.split(" | ")]
+            assert len(rows) == 2 and "-" not in cells
+
     def test_op02_skipped_for_key_only_backends(self, tmp_path):
         config = RunnerConfig(
             backends=["sqlite"], levels=[2], op_ids=["01", "02"],
@@ -495,7 +515,7 @@ class TestLatencyHistogramCapture:
             run_operation_sequence(db, CATALOG.get("01"), gen,
                                    repetitions=2, seed=7)
         )
-        report = full_report(collected, include_percentiles=True)
+        report = full_report(collected)
         assert "Latency percentiles" in report
 
 

@@ -250,6 +250,24 @@ class TestEditing:
         assert db.get_bitmap(node).is_white()
 
 
+def _closure_size(gen):
+    return gen.config.closure_1n_size(min(3, gen.config.levels - 1))
+
+
+#: What an operation returns when its input comes from the catalog's own
+#: input maker (the section 5.3(a) draw ``repro run`` uses), for the
+#: operations whose tests above pick their inputs by hand.
+CATALOG_SHAPES = {
+    "03": lambda r, gen: len(r) >= 1,  # a 10% window is never empty
+    "07A": lambda r, gen: len(r) == 1,  # the draw excludes the root
+    "10": lambda r, gen: len(r) == _closure_size(gen),  # a level-3 start
+    "11": lambda r, gen: r > 0,
+    "14": lambda r, gen: len(r) == _closure_size(gen),
+    "18": lambda r, gen: len(r) == gen.config.closure_depth
+    and all(distance >= 0 for _node, distance in r),
+}
+
+
 class TestCatalog:
     def test_all_twenty_operations_present(self):
         assert len(CATALOG) == 20
@@ -289,6 +307,18 @@ class TestCatalog:
     def test_unknown_op_id_raises(self):
         with pytest.raises(KeyError):
             CATALOG.get("99")
+
+    @pytest.mark.parametrize("op_id", sorted(CATALOG_SHAPES))
+    def test_catalog_inputs_give_the_papers_result_shape(
+        self, memory_populated, op_id
+    ):
+        db, gen = memory_populated
+        rng = random.Random(1988)
+        operations = Operations(db, gen.config)
+        spec = CATALOG.get(op_id)
+        for _ in range(50):  # the paper's repetition count
+            result = spec.run(operations, spec.make_input(gen, rng, db))
+            assert CATALOG_SHAPES[op_id](result, gen), (op_id, result)
 
     def test_input_makers_produce_valid_inputs(self, memory_populated):
         db, gen = memory_populated

@@ -35,7 +35,7 @@ from repro.errors import (
     RpcDroppedError,
     RpcTimeoutError,
 )
-from repro.harness.batchbench import run_closure_bench
+from repro.harness import BenchmarkRunner, RunnerConfig
 from repro.harness.benchdiff import extract_cells
 from repro.harness.protocol import run_operation_sequence
 from repro.netsim.cache import WorkstationCache
@@ -506,9 +506,10 @@ class TestPushdownFastPath:
     def test_registry_ablation_disables_pushdown(self):
         with create_backend("clientserver-bfs", None) as db:
             assert db.pushdown is False
-            assert db.backend_name == "clientserver"
+            assert db.backend_name == "clientserver-bfs"
         with create_backend("clientserver", None) as db:
             assert db.pushdown is True
+            assert db.backend_name == "clientserver"
 
 
 # ----------------------------------------------------------------------
@@ -727,36 +728,39 @@ class TestFaultedTraverse:
 
 class TestBenchComparison:
     @pytest.mark.parametrize("level", [2, 3, 4])
-    def test_pushdown_beats_bfs_on_simulated_time_per_node(self, level):
-        document = run_closure_bench(
-            backends=("clientserver",),
-            level=level,
-            repetitions=1,
-            compare_pushdown=True,
+    def test_pushdown_beats_bfs_on_simulated_time_per_node(
+        self, level, tmp_path
+    ):
+        """The ablation beside its control in one ``repro run`` grid:
+        cold ``netsim.latency.injected_ms`` per node (virtual time,
+        deterministic) is lower with push-down, over the same nodes."""
+        config = RunnerConfig(
+            backends=["clientserver", "clientserver-bfs"],
+            levels=[level],
+            op_ids=["10", "11", "12"],
+            repetitions=2,
+            workdir=str(tmp_path),
+            instrumentation=Instrumentation(),
         )
-        cells = document["cells"]
-        assert set(cells) == {"clientserver", "clientserver-bfs"}
-        for op_id in ("10", "11", "12"):
-            push = cells["clientserver"][op_id]
-            bfs = cells["clientserver-bfs"][op_id]
-            assert push["mode"] == "pushdown"
-            assert bfs["mode"] == "bfs"
-            assert push["nodes"] == bfs["nodes"]
-            assert 0 < push["sim_ms_per_node"] < bfs["sim_ms_per_node"], (
-                f"level {level} op {op_id}: pushdown "
-                f"{push['sim_ms_per_node']} >= bfs {bfs['sim_ms_per_node']}"
+        with BenchmarkRunner(config) as runner:
+            results, _creation = runner.run()
+        assert results.backends == ["clientserver", "clientserver-bfs"]
+
+        def sim_ms_per_node(cell):
+            return cell.cold_counters["netsim.latency.injected_ms"] / (
+                cell.nodes_per_repetition * cell.repetitions
             )
 
-    def test_mode_tagged_cells_reach_the_bench_diff_gate(self):
-        document = run_closure_bench(
-            backends=("clientserver",),
-            level=2,
-            repetitions=1,
-            compare_pushdown=True,
-        )
-        keys = set(extract_cells(document))
-        assert ("clientserver", "10", "pushdown") in keys
-        assert ("clientserver-bfs", "10", "bfs") in keys
+        for op_id in ("10", "11", "12"):
+            push = results.one("clientserver", level, op_id)
+            bfs = results.one("clientserver-bfs", level, op_id)
+            assert "backend.rpc.pushdown.calls" in push.cold_counters
+            assert "backend.rpc.pushdown.calls" not in bfs.cold_counters
+            assert push.nodes_per_repetition == bfs.nodes_per_repetition
+            assert 0 < sim_ms_per_node(push) < sim_ms_per_node(bfs), (
+                f"level {level} op {op_id}: pushdown "
+                f"{sim_ms_per_node(push)} >= bfs {sim_ms_per_node(bfs)}"
+            )
 
     def test_untagged_cells_are_rejected(self):
         untagged = {

@@ -49,6 +49,20 @@ class TestRegistry:
             assert db.is_open
             db.close()
 
+    def test_backend_is_named_by_its_registry_key(self, tmp_path):
+        """``create_backend`` is the one place a backend is named: every
+        preset reports the key it was built from; a directly
+        constructed backend keeps its class default."""
+        for name in available_backends():
+            path = os.path.join(str(tmp_path), f"{name}.db")
+            assert create_backend(name, path).backend_name == name
+        assert MemoryDatabase().backend_name == "memory"
+        spec = register_backend("test-named", lambda path, **_: MemoryDatabase())
+        try:
+            assert create_backend(spec.name).backend_name == "test-named"
+        finally:
+            unregister_backend("test-named")
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown backend"):
             create_backend("dbase-iii")
