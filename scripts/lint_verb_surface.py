@@ -23,7 +23,11 @@ Fails if
 * a ``VerbRouter`` subclass defines a public method that is neither in
   the ``netsim/verbs.py`` table nor one of its documented extras,
   lists a verb in ``forwards`` that it also defines, or spells out a
-  passthrough (a body that is only ``return self._call(...)``).
+  passthrough (a body that is only ``return self._call(...)``);
+* ``stale_reads(`` is called outside ``netsim/server.py``
+  (first-committer-wins is decided by ``ObjectServer._validate``
+  alone), or a module under ``concurrency/`` imports ``repro.engine``
+  (multi-user code runs on the server stack, not beside it).
 
 Exit status: 0 when clean, 1 otherwise.  Run from the repository root:
 ``python scripts/lint_verb_surface.py``.
@@ -68,6 +72,10 @@ _WAL_FREE = (
 #: Names only the server and the VerbRouter base may define.
 _ENVELOPE = ("accept_trace_context", "take_reply_versions")
 _BASE_ONLY = ("_call", "stats", "use_transport")
+#: The one validation kernel (called by the server alone) and the
+#: package nothing under ``concurrency/`` may import.
+_STALE_READS = "stale_reads"
+_ENGINE = "repro.engine"
 #: Public router members beyond the verb table, by class.
 _EXTRAS = {
     "ShardRouter": {"trace_lane_metadata", "resolve_in_doubt", "wal"},
@@ -122,6 +130,34 @@ def _is_passthrough(func: ast.FunctionDef) -> bool:
     )
 
 
+def _lint_validation(rel: str, tree: ast.AST, errors: list) -> None:
+    """One validator: ``stale_reads`` in the server, no engine in
+    ``concurrency/``."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == _STALE_READS
+            and rel != _SERVER
+        ):
+            errors.append(
+                f"{rel}:{node.lineno}: {_STALE_READS}(...) outside"
+                f" {_SERVER}; only ObjectServer._validate may validate"
+            )
+        if rel.startswith("concurrency/") and isinstance(
+            node, (ast.Import, ast.ImportFrom)
+        ):
+            names = (
+                [alias.name for alias in node.names]
+                if isinstance(node, ast.Import)
+                else [f"{node.module}.{alias.name}" for alias in node.names]
+            )
+            if any((name + ".").startswith(_ENGINE + ".") for name in names):
+                errors.append(
+                    f"{rel}:{node.lineno}: concurrency/ imports {_ENGINE};"
+                    f" multi-user code runs on the server stack"
+                )
+
+
 def _lint_router(rel: str, cls: ast.ClassDef, errors: list) -> None:
     module = importlib.import_module("repro." + rel[:-3].replace("/", "."))
     forwards = getattr(module, cls.name).forwards
@@ -154,6 +190,7 @@ def main() -> int:
     for path in sorted((_SRC / "repro").rglob("*.py")):
         rel = path.relative_to(_SRC / "repro").as_posix()
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        _lint_validation(rel, tree, errors)
         for func, node in _functions(tree):
             if node is func and func.name in _ENVELOPE:
                 if rel not in (_SERVER, _VERBS):

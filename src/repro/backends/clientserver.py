@@ -388,7 +388,7 @@ class ClientServerDatabase(HyperModelDatabase):
         if evicted:
             instr.count("cache.readahead.evicted", evicted)
 
-    def _note_read(self, uid: int) -> None:
+    def _pin_read(self, uid: int) -> None:
         """Pin a uid's first-read version into the transaction read set.
 
         ``setdefault`` keeps the *first* observed version: optimistic
@@ -412,7 +412,7 @@ class ClientServerDatabase(HyperModelDatabase):
             return record
         record = self.cache.get(uid)
         if record is not None:
-            self._note_read(uid)
+            self._pin_read(uid)
             return record
         if self.pushdown and self.readahead_depth > 0:
             self.instrumentation.count("cache.readahead.requests")
@@ -426,11 +426,11 @@ class ClientServerDatabase(HyperModelDatabase):
             if record is None:
                 raise NodeNotFoundError(uid)
             self._admit(reply)
-            self._note_read(uid)
+            self._pin_read(uid)
             return record
         record = self._rpc(self.server.fetch, uid)  # charges the clock
         self.cache.put(uid, record)
-        self._note_read(uid)
+        self._pin_read(uid)
         return record
 
     def _fetch_many(self, uids: Sequence[int]) -> Dict[int, Dict[str, Any]]:
@@ -465,7 +465,7 @@ class ClientServerDatabase(HyperModelDatabase):
                 records.update(fetched)
             if self.optimistic:
                 for uid in remaining:
-                    self._note_read(uid)
+                    self._pin_read(uid)
         return records
 
     # -- closure push-down ------------------------------------------------
@@ -534,7 +534,7 @@ class ClientServerDatabase(HyperModelDatabase):
             raise InvalidOperationError(f"duplicate uniqueId {uid}")
         # Creation reads "uid absent" (version 0): a concurrent creator
         # of the same uid then conflicts at optimistic commit.
-        self._note_read(uid)
+        self._pin_read(uid)
         self._local[uid] = _new_record(data)
         return uid
 

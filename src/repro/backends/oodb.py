@@ -97,8 +97,11 @@ class OodbDatabase(HyperModelDatabase):
             self._store.close()
 
     def commit(self) -> None:
-        self._store.commit()
-        self._pending_uids.clear()
+        try:
+            self._store.commit()
+        finally:
+            # A refused commit ends aborted: its creations are gone too.
+            self._pending_uids.clear()
 
     def abort(self) -> None:
         self._store.abort()

@@ -1,26 +1,23 @@
 """Multi-user support: cooperation and concurrency control (R8/R9).
 
-Three layers reproduce the paper's section 7 multi-user experiments:
+Two modules reproduce the paper's section 7 multi-user experiments:
 
 * :mod:`repro.concurrency.workspace` — **long transactions as
   cooperative workspaces**: users check nodes out of a shared database
   into private workspaces, edit locally, and check back in to make
   their updates shareable (requirement R9's scenario verbatim);
-* :mod:`repro.concurrency.optimistic` — **optimistic concurrency
-  control** over the object engine, with read-set validation at commit
-  (the scheme the systems the authors benchmarked used, and the reason
-  they found conflicting updates hard to stage);
-* :mod:`repro.concurrency.sessions` — deterministic multi-user
-  scenario drivers used by the example application and the tests.
+* :mod:`repro.concurrency.multiuser` — the **section 7 driver**: N
+  simulated workstations on one :class:`~repro.netsim.server.ObjectServer`,
+  running the read mix, disjoint updates (R9's "two users update
+  different nodes") or optimistic transactions.
+
+Optimistic validation itself (R8, first-committer-wins) is not here: it
+is decided in one place, the server's ``commit_batch``/``prepare_batch``
+(``ObjectServer._validate``), which clients reach through
+``NetworkConfig(concurrency="optimistic")``.
 """
 
 from repro.concurrency.workspace import SharedStore, Workspace
-from repro.concurrency.optimistic import OptimisticCoordinator, OptimisticTransaction
-from repro.concurrency.sessions import (
-    CooperativeScenarioResult,
-    run_cooperative_scenario,
-    run_conflicting_scenario,
-)
 from repro.concurrency.multiuser import (
     MultiUserHarness,
     ParallelLoadResult,
@@ -31,11 +28,6 @@ from repro.concurrency.multiuser import (
 __all__ = [
     "SharedStore",
     "Workspace",
-    "OptimisticCoordinator",
-    "OptimisticTransaction",
-    "CooperativeScenarioResult",
-    "run_cooperative_scenario",
-    "run_conflicting_scenario",
     "MultiUserHarness",
     "ParallelLoadResult",
     "TransactionLoadResult",

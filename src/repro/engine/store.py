@@ -714,7 +714,7 @@ class ObjectStore:
 
         Semantically equivalent to ``{oid: store.get(oid, txn, fields)}``
         over the distinct oids (transaction-buffered copies win, shared
-        locks and read notes are taken per oid, deleted oids raise), but
+        locks are taken per oid, deleted oids raise), but
         the residue the decode cache does not hold is fetched in
         *physical* order: its rids are resolved, the oids sorted by heap
         page, and the page set prefetched through the buffer pool in one
@@ -777,7 +777,7 @@ class ObjectStore:
     def _buffered_read(
         self, oid: int, active: Optional[Transaction]
     ) -> Optional[Dict[str, Any]]:
-        """Note a read of ``oid`` by ``active``; its buffered state, if any.
+        """``active``'s buffered state of ``oid``, if any.
 
         None sends the caller to the committed record (under a shared
         lock when there is a transaction).  The returned state is the
@@ -790,7 +790,6 @@ class ObjectStore:
             raise RecordNotFoundError(oid)
         if buffered is None:
             self._lock(active, oid, LockMode.SHARED)
-        active.note_read(oid)
         return buffered
 
     def class_of(self, oid: int, txn: Optional[Transaction] = None) -> str:
@@ -928,6 +927,11 @@ class ObjectStore:
             txn.require_active()
             if txn is not self._current:
                 raise TransactionError("not the current transaction")
+            try:
+                self._check_indexed_values(txn)
+            except SchemaError:
+                self._abort_txn(txn)
+                raise
             try:
                 if txn.write_set:
                     with self.instrumentation.span("store.commit"):
@@ -1177,8 +1181,28 @@ class ObjectStore:
             if old_value is not None:
                 tree.delete(old_value, oid, disc=oid)
             if new_value is not None:
-                self._index_check_int(class_name, field, new_value)
                 tree.insert(new_value, oid, disc=oid)
+
+    def _check_indexed_values(self, txn: Transaction) -> None:
+        """Refuse a write set with a non-int indexed value before the
+        first page is touched: a write set is applied object by object,
+        and a refusal halfway would leave dirty pages for the next
+        commit to log.  The object's class is resolved only for a value
+        that fails, so a write set larger than the decode cache is not
+        read twice."""
+        for oid, state in txn.write_set.items():
+            if state is DELETED:
+                continue
+            for indexed_class, field in self._indexes:
+                value = state.get(field)
+                if value is None:
+                    continue
+                try:
+                    self._index_check_int(indexed_class, field, value)
+                except SchemaError:
+                    class_name = self.class_of(oid, txn)
+                    if self._catalog.is_subclass(class_name, indexed_class):
+                        raise
 
     def index_lookup(self, class_name: str, field: str, value: int) -> List[int]:
         """OIDs with ``field == value`` via the index."""
@@ -1360,13 +1384,15 @@ class ObjectStore:
     def record_timestamp(self, oid: int) -> int:
         """The commit timestamp of an object's current committed state.
 
-        The optimistic concurrency layer validates read sets against
-        this: a changed timestamp means someone committed in between.
+        R5's "when did this object last change", the live-side
+        companion of :meth:`version_at`: at any ``t`` no older than
+        this, ``version_at(oid, t)`` is the live state.  A changed
+        timestamp means someone committed the object in between.
         """
         self._require_open()
         # Served from the decode cache without cloning: "ts" is a
         # scalar read, and the cache is invalidated by every commit
-        # that touches the record — exactly the signal OCC validates.
+        # that touches the record.
         return self._shared_record(oid)[1].get("ts", 0)
 
     # ------------------------------------------------------------------

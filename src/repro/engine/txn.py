@@ -5,7 +5,9 @@ update).  Reads consult the write set first, then the committed store.
 Commit hands the write set to the store, which logs it to the WAL and
 applies it to pages; abort simply discards the buffer.  Locks (if the
 store runs in locking mode) follow strict two-phase locking and are
-released when the transaction ends.
+released when the transaction ends — the engine's concurrency control
+(R8).  Optimistic first-committer-wins is the network server's, and
+:func:`stale_reads` is its kernel.
 
 The store also supports an autocommit mode where every mutating call
 runs in its own implicit transaction — that is what the benchmark
@@ -28,9 +30,9 @@ def stale_reads(
 ) -> List[int]:
     """The read-set entries whose pinned version is no longer current.
 
-    This is the first-committer-wins validation kernel, shared by the
-    engine-level :class:`~repro.concurrency.optimistic.OptimisticCoordinator` and the network
-    server's ``commit_batch``/``prepare_batch`` verbs.  Under sharding
+    This is the first-committer-wins validation kernel, called once:
+    by ``ObjectServer._validate``, behind the network server's
+    ``commit_batch``/``prepare_batch`` verbs.  Under sharding
     each shard validates only the pins of the objects *it* owns (the
     router partitions the read set by placement), so validation stays
     a local comparison against that shard's own version counters — no
@@ -75,8 +77,6 @@ class Transaction:
         self.write_set: Dict[int, Any] = {}
         #: oids created by this transaction (subset of write_set keys)
         self.created: Set[int] = set()
-        #: oids read (for optimistic validation by the concurrency layer)
-        self.read_set: Set[int] = set()
         #: oid -> class name, for objects created by this transaction
         self.new_classes: Dict[int, str] = {}
         #: oid -> OID to cluster near, applied at commit time
@@ -110,10 +110,6 @@ class Transaction:
     def buffered(self, oid: int) -> Optional[Any]:
         """The buffered state of ``oid``: a dict, DELETED, or None."""
         return self.write_set.get(oid)
-
-    def note_read(self, oid: int) -> None:
-        """Track a read for optimistic validation."""
-        self.read_set.add(oid)
 
     # ------------------------------------------------------------------
     # Termination

@@ -1,26 +1,14 @@
-"""Workspaces (R9), optimistic concurrency (R8) and the scenarios."""
+"""Cooperative check-out/check-in workspaces (R9).
 
-import os
+Optimistic validation (R8) is the server's and is tested on the real
+stack in ``test_occ.py``; the section 7 disjoint-update scenario is
+``MultiUserHarness.run_disjoint_updates`` in ``test_multiuser.py``.
+"""
 
 import pytest
 
-from repro.backends.memory import MemoryDatabase
-from repro.concurrency import (
-    SharedStore,
-    run_conflicting_scenario,
-    run_cooperative_scenario,
-)
-from repro.concurrency.optimistic import OptimisticCoordinator
-from repro.core.generator import DatabaseGenerator
-from repro.core.text import VERSION_2
-from repro.engine.catalog import FieldDefinition
-from repro.engine.store import ObjectStore
-from repro.errors import (
-    CheckOutConflictError,
-    ConflictError,
-    TransactionError,
-    WorkspaceError,
-)
+from repro.concurrency import SharedStore
+from repro.errors import CheckOutConflictError, WorkspaceError
 
 
 @pytest.fixture
@@ -115,28 +103,6 @@ class TestWorkspaces:
         assert alice.check_in() == []
 
 
-class TestScenarios:
-    def test_cooperative_scenario_publishes_everything(self, memory_populated):
-        db, gen = memory_populated
-        result = run_cooperative_scenario(db, gen, users=3, nodes_per_user=2)
-        assert result.conflicts == 0
-        assert result.total_published == 6
-        for user_published in result.published:
-            for uid in user_published:
-                assert VERSION_2 in db.get_text(db.lookup(uid))
-
-    def test_conflicting_scenario_detects_the_race(self, memory_populated):
-        db, gen = memory_populated
-        result = run_conflicting_scenario(db, gen)
-        assert result.conflicts == 1
-        assert result.total_published == 1
-
-    def test_scenario_requires_enough_nodes(self, memory_populated):
-        db, gen = memory_populated
-        with pytest.raises(ValueError):
-            run_cooperative_scenario(db, gen, users=100, nodes_per_user=10)
-
-
 class TestWorkspacesOverPersistentBackend:
     def test_check_in_is_durable_on_the_oodb(self, tmp_path):
         """Workspace publication commits through the engine and
@@ -165,82 +131,3 @@ class TestWorkspacesOverPersistentBackend:
         reopened.open()
         assert "durable" in reopened.get_text(reopened.lookup(uid))
         reopened.close()
-
-
-@pytest.fixture
-def opt(tmp_path):
-    store = ObjectStore(os.path.join(str(tmp_path), "opt.hmdb"),
-                        sync_commits=False)
-    store.open()
-    store.define_class("Doc", [FieldDefinition("body", default="")])
-    oid = store.new("Doc", {"body": "v0"})
-    store.commit()
-    coordinator = OptimisticCoordinator(store)
-    yield coordinator, store, oid
-    store.close()
-
-
-class TestOptimistic:
-    def test_disjoint_transactions_both_commit(self, opt):
-        coordinator, store, oid = opt
-        other = store.new("Doc", {"body": "other"})
-        store.commit()
-        t1, t2 = coordinator.begin(), coordinator.begin()
-        t1.write(oid, {"body": "t1"})
-        t2.write(other, {"body": "t2"})
-        t1.commit()
-        t2.commit()
-        assert store.get(oid)["body"] == "t1"
-        assert store.get(other)["body"] == "t2"
-        assert coordinator.conflicts == 0
-
-    def test_first_committer_wins(self, opt):
-        coordinator, store, oid = opt
-        t1, t2 = coordinator.begin(), coordinator.begin()
-        t1.read(oid)
-        t2.read(oid)
-        t1.write(oid, {"body": "winner"})
-        t1.commit()
-        t2.write(oid, {"body": "loser"})
-        with pytest.raises(ConflictError):
-            t2.commit()
-        assert store.get(oid)["body"] == "winner"
-        assert coordinator.conflict_rate == 0.5
-
-    def test_read_only_transaction_never_conflicts_itself(self, opt):
-        coordinator, _store, oid = opt
-        t1 = coordinator.begin()
-        t1.read(oid)
-        t1.commit()  # no writes: validation passes trivially
-
-    def test_write_implies_read_validation(self, opt):
-        coordinator, store, oid = opt
-        t1, t2 = coordinator.begin(), coordinator.begin()
-        t1.write(oid, {"body": "a"})  # implies a validated read
-        t2.write(oid, {"body": "b"})
-        t1.commit()
-        with pytest.raises(ConflictError):
-            t2.commit()
-
-    def test_own_writes_visible(self, opt):
-        coordinator, _store, oid = opt
-        txn = coordinator.begin()
-        txn.write(oid, {"body": "draft"})
-        assert txn.read(oid)["body"] == "draft"
-        txn.abort()
-
-    def test_finished_transaction_unusable(self, opt):
-        coordinator, _store, oid = opt
-        txn = coordinator.begin()
-        txn.abort()
-        with pytest.raises(TransactionError):
-            txn.read(oid)
-        with pytest.raises(TransactionError):
-            txn.commit()
-
-    def test_abort_discards_buffer(self, opt):
-        coordinator, store, oid = opt
-        txn = coordinator.begin()
-        txn.write(oid, {"body": "discarded"})
-        txn.abort()
-        assert store.get(oid)["body"] == "v0"

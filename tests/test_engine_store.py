@@ -470,6 +470,36 @@ class TestIndexes:
             store.commit()
         store.abort()
 
+    def test_rejected_commit_applies_nothing(self, store, tmp_path):
+        """A write set refused by an index is refused whole: the valid
+        object before the bad one must not reach a page that the next
+        commit would make durable."""
+        store.create_index("Item", "value")
+        a, b = store.new("Item", {"value": 6}), store.new("Item", {"value": 6})
+        store.commit()
+        timestamp, aborts = store.commit_timestamp, store.stats.aborts
+        store.update(a, {"value": 7})
+        store.update(b, {"value": "x"})
+        with pytest.raises(SchemaError):
+            store.commit()
+        assert store.current_transaction() is None
+        assert store.stats.aborts == aborts + 1
+        assert store.commit_timestamp == timestamp
+
+        def unchanged(s):
+            assert s.get(a)["value"] == s.get(b)["value"] == 6
+            assert sorted(s.index_lookup("Item", "value", 6)) == [a, b]
+            assert s.index_lookup("Item", "value", 7) == []
+
+        unchanged(store)
+        store.new("Item", {"value": 1})  # an unrelated commit
+        store.commit()
+        store.close()
+        reopened = _make_store(tmp_path)
+        reopened.open()
+        unchanged(reopened)
+        reopened.close()
+
     def test_duplicate_index_rejected(self, store):
         store.create_index("Item", "value")
         with pytest.raises(SchemaError):

@@ -40,7 +40,8 @@ class TestExamples:
     def test_multiuser_collaboration(self):
         result = _run("multiuser_collaboration.py")
         assert result.returncode == 0, result.stderr
-        assert "conflicts: 0" in result.stdout
+        assert "validated commits: 3, conflicts: 0" in result.stdout
+        assert "every edit visible from every workstation: True" in result.stdout
         assert "bob's validation fails" in result.stdout
 
     def test_versions_and_access(self):

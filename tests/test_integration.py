@@ -1,5 +1,6 @@
 """End-to-end integration: cross-backend agreement, level-4 scale,
-clustering locality, crash recovery of a whole benchmark database."""
+clustering locality, crash recovery of a whole benchmark database, a
+refused commit leaving it intact."""
 
 import os
 import random
@@ -11,8 +12,10 @@ from repro.backends.oodb import OodbDatabase
 from repro.backends.sqlite_backend import SqliteDatabase
 from repro.core.config import HyperModelConfig
 from repro.core.generator import DatabaseGenerator
+from repro.core.model import NodeData
 from repro.core.operations import CATALOG, Operations
 from repro.core.verification import verify_database
+from repro.errors import SchemaError
 from repro.obs import Instrumentation
 
 
@@ -148,6 +151,30 @@ class TestCrashRecoveryEndToEnd:
         assert recovered.store.stats.recovered_transactions > 0
         verify_database(recovered, gen, content_sample=5).raise_if_failed()
         recovered.close()
+
+
+class TestRefusedCommitEndToEnd:
+    def test_refused_commit_leaves_a_verifying_structure(self, tmp_path):
+        """A value the oodb's index refuses aborts the whole commit: a
+        node created in it can be created again, and the structure
+        still verifies after a close/reopen."""
+        path = str(tmp_path / "refused.hmdb")
+        db = OodbDatabase(path)
+        db.open()
+        gen = DatabaseGenerator(HyperModelConfig(levels=2, seed=3)).generate(db)
+        db.commit()
+        node = NodeData(unique_id=gen.max_uid + 1, ten=1, hundred=1, million=1)
+        db.create_node(node)
+        db.set_attribute(db.lookup(gen.text_uids[0]), "hundred", "x")
+        with pytest.raises(SchemaError):
+            db.commit()
+        db.create_node(node)
+        db.abort()
+        db.close()
+        reopened = OodbDatabase(path)
+        reopened.open()
+        verify_database(reopened, gen).raise_if_failed()
+        reopened.close()
 
 
 class TestSmallBufferPool:

@@ -6,6 +6,7 @@ from repro.backends.clientserver import ClientServerDatabase
 from repro.concurrency.multiuser import MultiUserHarness
 from repro.core.config import HyperModelConfig
 from repro.core.generator import DatabaseGenerator
+from repro.netsim.config import NetworkConfig
 from repro.netsim.server import ObjectServer
 
 
@@ -25,8 +26,13 @@ def read_mix(shared, users, operations_per_user, seed=1989):
     return harness.run_read_mix(operations_per_user=operations_per_user)
 
 
-def disjoint_updates(shared, users, edits_per_user):
-    harness = MultiUserHarness(*shared, users=users, seed=1990)
+def disjoint_updates(shared, users, edits_per_user, concurrency="none"):
+    harness = MultiUserHarness(
+        *shared,
+        users=users,
+        seed=1990,
+        network=NetworkConfig(concurrency=concurrency),
+    )
     return harness.run_disjoint_updates(edits_per_user=edits_per_user)
 
 
@@ -60,10 +66,23 @@ class TestReadLoad:
 
 
 class TestUpdateLoad:
-    def test_disjoint_edits_all_visible_everywhere(self, shared_server):
-        result = disjoint_updates(shared_server, users=3, edits_per_user=2)
+    @pytest.mark.parametrize("concurrency", ["none", "optimistic"])
+    def test_disjoint_edits_all_visible_everywhere(
+        self, shared_server, concurrency
+    ):
+        """R9: users updating different nodes of one structure never
+        conflict — under optimistic validation each user's commit is
+        one validated ``commit_batch``."""
+        stats = shared_server[0].stats
+        commits, conflicts = stats.commits, stats.commit_conflicts
+        result = disjoint_updates(
+            shared_server, users=3, edits_per_user=2, concurrency=concurrency
+        )
         assert result.total_edits == 6
         assert result.all_edits_visible_everywhere
+        assert stats.commit_conflicts == conflicts
+        validated = 3 if concurrency == "optimistic" else 0
+        assert stats.commits - commits == validated
 
     def test_assignments_are_disjoint(self, shared_server):
         result = disjoint_updates(shared_server, users=4, edits_per_user=2)
@@ -74,5 +93,5 @@ class TestUpdateLoad:
                 seen.add(uid)
 
     def test_too_many_users_rejected(self, shared_server):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="too few text nodes"):
             disjoint_updates(shared_server, users=200, edits_per_user=10)

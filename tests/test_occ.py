@@ -8,15 +8,21 @@ commit raises, its stale cache entries are invalidated, and a retry
 re-reads fresh state.
 """
 
+import os
+
 import pytest
 
 from repro.backends.clientserver import ClientServerDatabase
 from repro.core.config import HyperModelConfig
 from repro.core.generator import DatabaseGenerator
 from repro.core.model import NodeData
+from repro.engine.catalog import FieldDefinition
+from repro.engine.store import ObjectStore
+from repro.engine.txn import stale_reads
 from repro.errors import CommitConflictError, ConflictError
 from repro.netsim.config import NetworkConfig
 from repro.netsim.server import ObjectServer
+from repro.obs import Instrumentation
 
 OPTIMISTIC = NetworkConfig(concurrency="optimistic")
 
@@ -116,12 +122,39 @@ class TestOptimisticCommit:
         with pytest.raises(CommitConflictError):
             b.commit()
 
+    def test_blind_write_race_conflicts(self, shared):
+        """Neither client reads first: the write's own fetch pins the
+        version, so the second committer still loses."""
+        server, gen = shared
+        target = gen.text_uids[4]
+        a, b = _client(server, "a"), _client(server, "b")
+        a.set_text(a.lookup(target), "a's blind write")
+        b.set_text(b.lookup(target), "b's blind write")
+        a.commit()
+        with pytest.raises(CommitConflictError):
+            b.commit()
+        fresh = _client(server, "c")
+        assert fresh.get_text(fresh.lookup(target)) == "a's blind write"
+
+    def test_own_write_visible_before_commit(self, shared):
+        server, gen = shared
+        target = gen.text_uids[5]
+        a, b = _client(server, "a"), _client(server, "b")
+        original = b.get_text(b.lookup(target))
+        a.set_text(a.lookup(target), "a's draft")
+        assert a.get_text(a.lookup(target)) == "a's draft"
+        assert b.get_text(b.lookup(target)) == original
+        a.commit()
+        assert b.get_text(b.lookup(target)) == "a's draft"
+
     def test_abort_clears_pinned_reads(self, shared):
         server, gen = shared
         target = gen.text_uids[0]
         a, b = _client(server, "a"), _client(server, "b")
-        a.get_text(a.lookup(target))
+        original = a.get_text(a.lookup(target))
+        a.set_text(target, "discarded")
         a.abort()
+        assert b.get_text(b.lookup(target)) == original  # nothing landed
         b.set_text(b.lookup(target), "new")
         b.commit()
         # a's aborted transaction pinned nothing: a fresh read-write
@@ -173,26 +206,18 @@ class TestOptimisticCommit:
 
 
 class TestDecodeCacheCoherence:
-    """OCC validation must stay correct with the decode cache enabled.
+    """First-committer-wins must stay correct with the decode cache on.
 
-    The engine-level optimistic coordinator validates read sets through
-    :meth:`ObjectStore.record_timestamp`, which is served from the
-    ``oid -> (rid, lsn, record)`` decode cache.  Two transactions
+    The server's validation kernel, :func:`~repro.engine.txn.stale_reads`,
+    runs here over :meth:`ObjectStore.record_timestamp`, which is served
+    from the ``oid -> (rid, lsn, record)`` decode cache.  Two read sets
     standing in for two clients race on one object: the cache may serve
     the timestamp read, but it must never serve a *stale* one — a
-    committed write invalidates the entry, so first-committer-wins
-    still holds.
+    committed write invalidates the entry, so the loser is still caught.
     """
 
     @pytest.fixture
     def occ_store(self, tmp_path):
-        import os
-
-        from repro.concurrency.optimistic import OptimisticCoordinator
-        from repro.engine.catalog import FieldDefinition
-        from repro.engine.store import ObjectStore
-        from repro.obs import Instrumentation
-
         instr = Instrumentation()
         store = ObjectStore(
             os.path.join(str(tmp_path), "occ.hmdb"),
@@ -203,51 +228,54 @@ class TestDecodeCacheCoherence:
         store.define_class("Doc", [FieldDefinition("body", default="")])
         oid = store.new("Doc", {"body": "v0"})
         store.commit()
-        yield OptimisticCoordinator(store), store, oid, instr
+        yield store, oid, instr
         store.close()
 
+    @staticmethod
+    def _pin(store, oid):
+        """A client's read: the version it based its work on."""
+        return {oid: store.record_timestamp(oid)}
+
     def test_stale_timestamp_never_served_across_clients(self, occ_store):
-        coordinator, store, oid, instr = occ_store
-        a, b = coordinator.begin(), coordinator.begin()
+        store, oid, instr = occ_store
         # Client A's read warms the decode cache with the v0 record.
-        assert a.read(oid)["body"] == "v0"
-        b.write(oid, {"body": "b committed"})
-        b.commit()
+        assert store.get(oid)["body"] == "v0"
+        a = self._pin(store, oid)
+        store.update(oid, {"body": "b committed"})  # client B commits
+        store.commit()
         # A's validation re-reads the timestamp through the cache; the
         # committed write invalidated the entry, so the conflict with
         # A's pinned version is detected, not masked by a stale hit.
-        a.write(oid, {"body": "a stale"})
-        with pytest.raises(ConflictError):
-            a.commit()
+        assert stale_reads(a, store.record_timestamp) == [oid]
         assert store.get(oid)["body"] == "b committed"
 
     def test_validation_is_served_from_cache_when_unchanged(self, occ_store):
-        coordinator, store, oid, instr = occ_store
-        a = coordinator.begin()
-        a.read(oid)  # populates the cache for oid's rid
+        store, oid, instr = occ_store
+        a = self._pin(store, oid)  # populates the cache for oid
         before = instr.snapshot()
-        a.write(oid, {"body": "clean commit"})
-        a.commit()  # validation timestamp read: a cache hit, and correct
+        # The validation timestamp read: a cache hit, and correct.
+        assert stale_reads(a, store.record_timestamp) == []
         delta = instr.snapshot().delta(before)
         assert delta.get("engine.decode_cache.hits", 0) >= 1
+        store.update(oid, {"body": "clean commit"})
+        store.commit()
         assert store.get(oid)["body"] == "clean commit"
 
     def test_repeated_races_stay_coherent(self, occ_store):
         """Each round's loser must observe the winner's committed state
         on re-read — across many invalidate/refill cycles."""
-        coordinator, store, oid, instr = occ_store
+        store, oid, instr = occ_store
+        conflicts = 0
         for round_no in range(5):
-            winner, loser = coordinator.begin(), coordinator.begin()
+            winner, loser = self._pin(store, oid), self._pin(store, oid)
             expected = f"round {round_no}"
-            loser.read(oid)
-            winner.write(oid, {"body": expected})
-            winner.commit()
-            loser.write(oid, {"body": "never lands"})
-            with pytest.raises(ConflictError):
-                loser.commit()
+            assert stale_reads(winner, store.record_timestamp) == []
+            store.update(oid, {"body": expected})
+            store.commit()
+            conflicts += len(stale_reads(loser, store.record_timestamp))
             # A fresh read after the conflict sees the winner's commit:
             # the refilled cache entry carries the new state.
             assert store.get(oid)["body"] == expected
-        assert coordinator.conflicts == 5
+        assert conflicts == 5
         counters = instr.snapshot()
         assert counters.get("engine.decode_cache.invalidations", 0) >= 5
