@@ -9,8 +9,8 @@ cross-backend comparison, the warm-speedup table and the creation
 table.
 
 Defaults are sized for a laptop run (level 4, 10 repetitions); pass
-``--level 5 --repetitions 50`` for a paper-scale run, or set the
-``HYPERMODEL_LEVEL`` environment variable.
+``--level 5 --repetitions 50`` for a paper-scale run.  The same grid
+for any registered preset is ``repro run --backends ... --levels ...``.
 
 Run:  python examples/benchmark_comparison.py [--level N]
       [--backends memory,sqlite,oodb,clientserver] [--repetitions N]
@@ -18,7 +18,6 @@ Run:  python examples/benchmark_comparison.py [--level N]
 """
 
 import argparse
-import os
 
 from repro.harness import BenchmarkRunner, RunnerConfig
 from repro.harness.report import (
@@ -31,11 +30,7 @@ from repro.harness.report import (
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--level",
-        type=int,
-        default=int(os.environ.get("HYPERMODEL_LEVEL", "4")),
-    )
+    parser.add_argument("--level", type=int, default=4)
     parser.add_argument(
         "--backends", default="memory,sqlite,oodb,clientserver"
     )

@@ -5,7 +5,9 @@ grid bench is gated.
 Fails if a ``src/repro/harness/*bench.py`` module's ``BENCH`` table
 writes, by default, a document with no committed twin under
 ``benchmarks/baseline/`` — a timed grid nothing compares is a second
-ungated ruler, and ``repro run`` is the one there is — or if a
+ungated ruler, and ``repro run`` is the one there is — if
+``benchmarks/`` holds anything but ``baseline/*.json`` or the CI
+workflow or ``pyproject.toml`` installs ``_RETIRED_PLUGIN``, or if a
 ``src/repro/harness`` module other than the owning kernel
 
 * calls ``json.dump`` (``grid.write_document`` is the one JSON writer),
@@ -30,6 +32,8 @@ import sys
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
 _HARNESS = _ROOT / "src/repro/harness"
 _BASELINES = _ROOT / "benchmarks/baseline"
+_MANIFESTS = ("pyproject.toml", ".github/workflows/ci.yml")
+_RETIRED_PLUGIN = "pytest-benchmark"
 _SUMMARY = "timing.Stats.from_samples"
 #: pattern -> (the modules allowed to use it, what to call instead)
 _OWNERS = {
@@ -76,7 +80,19 @@ def _default_out(tree: ast.Module) -> tuple[int, str] | None:
 
 
 def main() -> int:
-    errors = []
+    # The retired second ruler: anything in benchmarks/ besides the
+    # committed baselines, or a manifest that still installs the plugin.
+    errors = [
+        f"{path.relative_to(_ROOT)}: benchmarks/ holds baseline/*.json only;"
+        " time it with `repro run` or assert it in tests/"
+        for path in sorted(_BASELINES.parent.rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts
+        and not (path.parent == _BASELINES and path.suffix == ".json")
+    ] + [
+        f"{name}: names {_RETIRED_PLUGIN}, a retired ruler"
+        for name in _MANIFESTS
+        if _RETIRED_PLUGIN in (_ROOT / name).read_text(encoding="utf-8")
+    ]
     for path in sorted(_HARNESS.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         out = _default_out(tree) if path.name.endswith("bench.py") else None

@@ -6,8 +6,8 @@ Subcommands:
 * ``generate``   — build a test database into a backend file;
 * ``verify``     — structurally verify a freshly generated database;
 * ``run``        — run the section 5.3 cold/warm grid (any registered
-  backends × levels × operations) and print the ms-per-node tables
-  with latency percentiles; ``--counters`` adds per-operation
+  backends × levels × operations) and print the ms-per-node tables,
+  latency percentiles and creation phases; ``--counters`` adds per-operation
   instrumentation counter tables and ``--trace`` a Chrome/Perfetto
   trace of the run's tail (see ``docs/observability.md``);
 * ``bench-multiuser`` — run the discrete-event multi-client grid
@@ -328,7 +328,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.harness import BenchmarkRunner, RunnerConfig
-    from repro.harness.report import full_report
+    from repro.harness.report import creation_table, full_report
     from repro.obs import Instrumentation
 
     instrumentation = None
@@ -346,7 +346,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         instrumentation=instrumentation,
     )
     with BenchmarkRunner(config) as runner:
-        results, _creation = runner.run()
+        results, creation = runner.run()
         print(
             full_report(
                 results,
@@ -354,6 +354,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 include_counters=args.counters,
             )
         )
+        for level in config.levels:
+            phases = {b: p for (b, at), p in creation.items() if at == level}
+            print("\n" + creation_table(phases, level=level))
         if args.save:
             results.save(args.save)
             print(f"results written to {args.save}")
@@ -483,6 +486,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_rubenstein(args: argparse.Namespace) -> int:
+    import tempfile
+
     from repro.rubenstein import (
         MemorySimpleDatabase,
         SimpleGenerator,
@@ -490,22 +495,24 @@ def _cmd_rubenstein(args: argparse.Namespace) -> int:
         SqliteSimpleDatabase,
     )
 
-    db = (
-        MemorySimpleDatabase()
-        if args.backend == "memory"
-        else SqliteSimpleDatabase(":memory:")
-    )
-    db.open()
-    info = SimpleGenerator(args.persons, args.documents).generate(db)
-    ops = SimpleOperations(db, info)
-    results = ops.run_all(repetitions=args.repetitions)
-    print(
-        f"RUBE87 baseline on {db.backend_name}: "
-        f"{info.persons} persons, {info.documents} documents"
-    )
-    for name, stats in results.items():
-        print(f"  {name:<16} {stats.mean:9.4f} ms/op  (median {stats.median:.4f})")
-    db.close()
+    # A file, so op 7 (databaseOpen) really reopens the database.
+    with tempfile.TemporaryDirectory() as workdir:
+        db = (
+            MemorySimpleDatabase()
+            if args.backend == "memory"
+            else SqliteSimpleDatabase(f"{workdir}/rube87.db")
+        )
+        db.open()
+        info = SimpleGenerator(args.persons, args.documents).generate(db)
+        ops = SimpleOperations(db, info)
+        results = ops.run_all(repetitions=args.repetitions)
+        print(
+            f"RUBE87 baseline on {db.backend_name}: "
+            f"{info.persons} persons, {info.documents} documents"
+        )
+        for name, stats in results.items():
+            print(f"  {name:<16} {stats.mean:9.4f} ms/op  (median {stats.median:.4f})")
+        db.close()
     return 0
 
 

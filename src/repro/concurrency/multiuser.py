@@ -61,13 +61,6 @@ class ParallelLoadResult:
     server_seconds: float
     per_user_cache_hit_ratio: List[float]
 
-    @property
-    def aggregate_ops_per_second(self) -> float:
-        """Total operations over the simulated makespan."""
-        if self.server_seconds <= 0:
-            return float("inf")
-        return self.total_operations / self.server_seconds
-
 
 @dataclasses.dataclass
 class UpdateLoadResult:

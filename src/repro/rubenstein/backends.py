@@ -115,29 +115,22 @@ CREATE INDEX IF NOT EXISTS idx_auth_document ON authorship(document);
 class SqliteSimpleDatabase(SimpleDatabase):
     """The relational implementation, mirroring /RUBE87/'s tables."""
 
-    def __init__(self, path: str = ":memory:") -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
         self._conn: Optional[sqlite3.Connection] = None
-        self._memory_conn: Optional[sqlite3.Connection] = None
 
     def open(self) -> None:
         if self._conn is not None:
             return
-        if self.path == ":memory:" and self._memory_conn is not None:
-            self._conn = self._memory_conn
-            return
         self._conn = sqlite3.connect(self.path)
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
-        if self.path == ":memory:":
-            self._memory_conn = self._conn
 
     def close(self) -> None:
         if self._conn is None:
             return
         self._conn.commit()
-        if self.path != ":memory:":
-            self._conn.close()
+        self._conn.close()
         self._conn = None
 
     def commit(self) -> None:

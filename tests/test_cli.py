@@ -1,5 +1,8 @@
 """The ``hypermodel`` CLI: every subcommand end to end."""
 
+import sqlite3
+from unittest import mock
+
 import pytest
 
 from repro.cli import main
@@ -55,6 +58,7 @@ class TestRun:
         out = capsys.readouterr().out
         assert "nameLookup" in out
         assert "groupLookup1N" in out
+        assert "Database creation, level 2" in out  # section 5.3 phases
         from repro.harness import ResultSet
 
         assert len(ResultSet.load(save)) == 2
@@ -389,6 +393,15 @@ class TestRubenstein:
              "--documents", "30", "--repetitions", "2"]
         ) == 0
         assert "memory" in capsys.readouterr().out
+
+    def test_sqlite_database_open_reconnects(self):
+        """Op 7 (databaseOpen) opens the database anew every time."""
+        with mock.patch("sqlite3.connect", wraps=sqlite3.connect) as spy:
+            assert main(
+                ["rubenstein", "--backend", "sqlite", "--persons", "30",
+                 "--documents", "30", "--repetitions", "3"]
+            ) == 0
+        assert spy.call_count > 3
 
 
 class TestMaintain:

@@ -48,6 +48,9 @@ class TestExamples:
         result = _run("versions_and_access.py")
         assert result.returncode == 0, result.stderr
         assert "previous version text" in result.stdout
+        # R4: a node written before add_field reads the default.
+        assert "4 ellipses" in result.stdout
+        assert "reads language='en'" in result.stdout
         assert "links across protection boundaries" in result.stdout
 
     def test_benchmark_comparison_small(self):

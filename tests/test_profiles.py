@@ -1,7 +1,15 @@
-"""The R7 latency-profile arithmetic."""
+"""R7: the latency-profile arithmetic, and the rates it predicts as
+measured on the simulated clock."""
+
+import random
 
 import pytest
 
+from repro.backends.clientserver import ClientServerDatabase
+from repro.core.config import HyperModelConfig
+from repro.core.generator import DatabaseGenerator
+from repro.core.operations import Operations
+from repro.netsim.config import NetworkConfig
 from repro.netsim.latency import LatencyModel, ZERO_COST
 from repro.netsim.profiles import (
     LAN_1990,
@@ -63,3 +71,32 @@ class TestR7Assessment:
         for name in PROFILES:
             assert name in table
         assert "needed" in table  # at least one profile needs the cache
+
+    @pytest.mark.parametrize("pushdown", [True, False], ids=["pushdown", "bfs"])
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_measured_cold_closure_rate_matches_the_model(self, name, pushdown):
+        """30 cold ``closure1N`` on the simulated clock, per profile."""
+        network = NetworkConfig(latency=PROFILES[name], pushdown=pushdown)
+        db = ClientServerDatabase(network=network)
+        db.open()
+        gen = DatabaseGenerator(HyperModelConfig(levels=3)).generate(db)
+        db.commit()
+        ops, rng = Operations(db, gen.config), random.Random(31)
+        clock, nodes, seconds = db.simulated_clock, 0, 0.0
+        for _ in range(30):
+            start = db.lookup(gen.random_uid_at_level(rng, 2))
+            db.cache.clear()
+            before = clock.now
+            nodes += len(ops.closure_1n(start))
+            seconds += clock.now - before
+        measured = nodes / seconds
+        assessment = assess_r7(name, PROFILES[name])
+        assert (measured >= R7_MAXIMUM_OBJECTS_PER_SECOND) == (
+            not assessment.cache_required
+        )
+        # Batching never loses to faulting one object per round trip.
+        assert measured >= assessment.uncached_objects_per_second
+        before = clock.now
+        ops.closure_1n(start)  # warm: served by the cache
+        assert clock.now == before
+        db.close()
