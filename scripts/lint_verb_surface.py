@@ -27,7 +27,10 @@ Fails if
 * ``stale_reads(`` is called outside ``netsim/server.py``
   (first-committer-wins is decided by ``ObjectServer._validate``
   alone), or a module under ``concurrency/`` imports ``repro.engine``
-  (multi-user code runs on the server stack, not beside it).
+  (multi-user code runs on the server stack, not beside it);
+* a ``HyperModelDatabase`` subclass defines ``set_attribute`` (the
+  attribute-write check is made once, by the base class; a backend
+  implements ``_set_attribute``).
 
 Exit status: 0 when clean, 1 otherwise.  Run from the repository root:
 ``python scripts/lint_verb_surface.py``.
@@ -82,6 +85,9 @@ _EXTRAS = {
     "ReplicaRouter": {"trace_lane_metadata", "clock", "latency", "wal"},
 }
 _TABLE = set(verbs.SERVED_VERBS + verbs.ADMIN_VERBS + verbs.PLUMBING)
+#: The backend base class and the verb only it may define.
+_BACKEND_BASE = "HyperModelDatabase"
+_CHECKED_VERB = "set_attribute"
 
 
 def _patterns(node: ast.AST):
@@ -185,8 +191,34 @@ def _lint_router(rel: str, cls: ast.ClassDef, errors: list) -> None:
             errors.append(f"{rel}: {cls.name}.forwards names unknown {verb!r}")
 
 
+def _lint_checked_verb(classes: list, errors: list) -> None:
+    """No (transitive) subclass of the backend base defines the verb."""
+    backends = {_BACKEND_BASE}
+    grew = True
+    while grew:
+        size = len(backends)
+        backends |= {
+            cls.name
+            for _rel, cls in classes
+            if any(getattr(b, "id", getattr(b, "attr", "")) in backends
+                   for b in cls.bases)
+        }
+        grew = len(backends) > size
+    for rel, cls in classes:
+        if cls.name == _BACKEND_BASE or cls.name not in backends:
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name == _CHECKED_VERB:
+                errors.append(
+                    f"{rel}:{stmt.lineno}: {cls.name}.{_CHECKED_VERB}"
+                    f" bypasses the one write check in {_BACKEND_BASE};"
+                    f" implement _{_CHECKED_VERB}"
+                )
+
+
 def main() -> int:
     errors: list = []
+    classes: list = []
     for path in sorted((_SRC / "repro").rglob("*.py")):
         rel = path.relative_to(_SRC / "repro").as_posix()
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -220,10 +252,12 @@ def main() -> int:
                         f" server's commit kernels"
                     )
         for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef) and any(
-                getattr(base, "id", "") == "VerbRouter" for base in cls.bases
-            ):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            classes.append((rel, cls))
+            if any(getattr(base, "id", "") == "VerbRouter" for base in cls.bases):
                 _lint_router(rel, cls, errors)
+    _lint_checked_verb(classes, errors)
     print("\n".join(sorted(set(errors))) or "verb surface: clean")
     return 1 if errors else 0
 

@@ -26,7 +26,6 @@ from repro.core.bitmap import Bitmap
 from repro.core.interface import HyperModelDatabase
 from repro.core.generator import DatabaseGenerator, GeneratedDatabase, GenerationStats
 from repro.core.operations import CATALOG, OperationCatalog, Operations
-from repro.core.schema import Schema, build_hypermodel_schema
 from repro.core.verification import verify_database
 from repro.errors import HyperModelError
 
@@ -46,8 +45,6 @@ __all__ = [
     "Operations",
     "OperationCatalog",
     "CATALOG",
-    "Schema",
-    "build_hypermodel_schema",
     "verify_database",
     "HyperModelError",
     "__version__",

@@ -203,7 +203,7 @@ class GuardedDatabase(HyperModelDatabase):
         self._read(ref)
         return self.inner.get_attribute(ref, name)
 
-    def set_attribute(self, ref: NodeRef, name: str, value: int) -> None:
+    def _set_attribute(self, ref: NodeRef, name: str, value: int) -> None:
         self._write(ref)
         self.inner.set_attribute(ref, name, value)
 

@@ -23,6 +23,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.bitmap import Bitmap
 from repro.core.interface import HyperModelDatabase, NodeRef
 from repro.core.model import LinkAttributes, NodeData, NodeKind
+from repro.core.schema import MUTABLE_ATTRIBUTES
 from repro.netsim.cache import WorkstationCache
 from repro.netsim.config import NetworkConfig
 from repro.netsim.latency import SimulatedClock
@@ -576,16 +577,12 @@ class ClientServerDatabase(HyperModelDatabase):
         self._require_open()
         if name == "uniqueId":
             name = "uid"
-        elif name not in ("ten", "hundred", "million"):
+        elif name not in MUTABLE_ATTRIBUTES:
             raise KeyError(f"unknown node attribute {name!r}")
         return self._fetch(ref)[name]
 
-    def set_attribute(self, ref: NodeRef, name: str, value: int) -> None:
+    def _set_attribute(self, ref: NodeRef, name: str, value: int) -> None:
         self._require_open()
-        if name == "uniqueId":
-            raise InvalidOperationError("uniqueId is immutable")
-        if name not in ("ten", "hundred", "million"):
-            raise KeyError(f"unknown node attribute {name!r}")
         self._fetch_for_write(ref)[name] = value
 
     def kind_of(self, ref: NodeRef) -> NodeKind:
@@ -681,7 +678,7 @@ class ClientServerDatabase(HyperModelDatabase):
         self._require_open()
         if name == "uniqueId":
             name = "uid"
-        elif name not in ("ten", "hundred", "million"):
+        elif name not in MUTABLE_ATTRIBUTES:
             raise KeyError(f"unknown node attribute {name!r}")
         if not refs:
             return []

@@ -16,6 +16,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.bitmap import Bitmap
 from repro.core.interface import HyperModelDatabase, NodeRef
 from repro.core.model import LinkAttributes, NodeData, NodeKind
+from repro.core.schema import MUTABLE_ATTRIBUTES
 from repro.obs import Instrumentation, resolve
 from repro.errors import (
     DatabaseClosedError,
@@ -167,19 +168,14 @@ class MemoryDatabase(HyperModelDatabase):
         node = self._node(ref)
         if name == "uniqueId":
             return node.unique_id
-        if name in ("ten", "hundred", "million"):
+        if name in MUTABLE_ATTRIBUTES:
             return getattr(node, name)
         raise KeyError(f"unknown node attribute {name!r}")
 
-    def set_attribute(self, ref: NodeRef, name: str, value: int) -> None:
+    def _set_attribute(self, ref: NodeRef, name: str, value: int) -> None:
         self._require_open()
         self._instr.count("backend.op.writes")
-        node = self._node(ref)
-        if name == "uniqueId":
-            raise InvalidOperationError("uniqueId is immutable")
-        if name not in ("ten", "hundred", "million"):
-            raise KeyError(f"unknown node attribute {name!r}")
-        setattr(node, name, value)
+        setattr(self._node(ref), name, value)
 
     def kind_of(self, ref: NodeRef) -> NodeKind:
         self._require_open()
@@ -253,12 +249,12 @@ class MemoryDatabase(HyperModelDatabase):
         self, refs: Sequence[NodeRef], name: str
     ) -> List[int]:
         self._require_open()
-        if not refs:
-            return []
         if name == "uniqueId":
             name = "unique_id"
-        elif name not in ("ten", "hundred", "million"):
+        elif name not in MUTABLE_ATTRIBUTES:
             raise KeyError(f"unknown node attribute {name!r}")
+        if not refs:
+            return []
         return [getattr(n, name) for n in self._batch(refs)]
 
     # -- inverse traversal ------------------------------------------------------

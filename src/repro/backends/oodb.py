@@ -22,6 +22,12 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from repro.core.bitmap import Bitmap
 from repro.core.interface import HyperModelDatabase, NodeRef
 from repro.core.model import LinkAttributes, NodeData, NodeKind
+from repro.core.schema import (
+    NODE,
+    NODE_ATTRIBUTES,
+    RELATIONSHIPS,
+    RelationshipKind,
+)
 from repro.engine.catalog import FieldDefinition
 from repro.engine.store import ObjectStore
 from repro.obs import Instrumentation, resolve
@@ -37,6 +43,22 @@ _KIND_TO_CLASS = {
     NodeKind.FORM: "FormNode",
 }
 _CLASS_TO_KIND = {name: kind for kind, name in _KIND_TO_CLASS.items()}
+
+
+def _node_fields() -> List[FieldDefinition]:
+    """The engine fields of ``Node``, derived from Figure 1.
+
+    The four attributes, the structure tag, then each relationship's
+    forward and inverse role: OID lists, except the 1-N inverse
+    (``parent``), a single OID with 0 for none.
+    """
+    fields = [FieldDefinition(a.name) for a in NODE.attributes]
+    fields.append(FieldDefinition("structId", default=1))
+    for rel in RELATIONSHIPS:
+        one = rel.kind is RelationshipKind.AGGREGATION_1N
+        fields.append(FieldDefinition(rel.forward_role, default=[]))
+        fields.append(FieldDefinition(rel.inverse_role, default=0 if one else []))
+    return fields
 
 
 class OodbDatabase(HyperModelDatabase):
@@ -120,22 +142,7 @@ class OodbDatabase(HyperModelDatabase):
         catalog = self._store.catalog
         if catalog.has_class("Node"):
             return
-        self._store.define_class(
-            "Node",
-            [
-                FieldDefinition("uniqueId"),
-                FieldDefinition("ten"),
-                FieldDefinition("hundred"),
-                FieldDefinition("million"),
-                FieldDefinition("structId", default=1),
-                FieldDefinition("children", default=[]),
-                FieldDefinition("parent", default=0),
-                FieldDefinition("parts", default=[]),
-                FieldDefinition("partOf", default=[]),
-                FieldDefinition("refTo", default=[]),
-                FieldDefinition("refFrom", default=[]),
-            ],
-        )
+        self._store.define_class("Node", _node_fields())
         self._store.define_class(
             "TextNode", [FieldDefinition("text", default="")], base="Node"
         )
@@ -227,15 +234,11 @@ class OodbDatabase(HyperModelDatabase):
         return oids[0]
 
     def get_attribute(self, ref: NodeRef, name: str) -> int:
-        if name not in ("uniqueId", "ten", "hundred", "million"):
+        if name not in NODE_ATTRIBUTES:
             raise KeyError(f"unknown node attribute {name!r}")
         return self._get(ref, name)[name]
 
-    def set_attribute(self, ref: NodeRef, name: str, value: int) -> None:
-        if name == "uniqueId":
-            raise InvalidOperationError("uniqueId is immutable")
-        if name not in ("ten", "hundred", "million"):
-            raise KeyError(f"unknown node attribute {name!r}")
+    def _set_attribute(self, ref: NodeRef, name: str, value: int) -> None:
         self._get(ref, name)  # existence check with the right error type
         self._store.update(int(ref), {name: value})
 
@@ -313,7 +316,7 @@ class OodbDatabase(HyperModelDatabase):
     def get_attributes_many(
         self, refs: Sequence[NodeRef], name: str
     ) -> List[int]:
-        if name not in ("uniqueId", "ten", "hundred", "million"):
+        if name not in NODE_ATTRIBUTES:
             raise KeyError(f"unknown node attribute {name!r}")
         if not refs:
             return []

@@ -30,6 +30,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from repro.core.bitmap import Bitmap
 from repro.core.interface import HyperModelDatabase, NodeRef
 from repro.core.model import LinkAttributes, NodeData, NodeKind
+from repro.core.schema import NODE_ATTRIBUTES
 from repro.obs import Instrumentation, resolve
 from repro.errors import (
     DatabaseClosedError,
@@ -89,7 +90,9 @@ CREATE TABLE IF NOT EXISTS node_list (
 );
 """
 
-_ATTR_COLUMNS = {"uniqueId": "uid", "ten": "ten", "hundred": "hundred", "million": "million"}
+#: Column of each node attribute: the key is ``uid``, the rest keep
+#: their paper names.
+_ATTR_COLUMNS = {name: name for name in NODE_ATTRIBUTES} | {"uniqueId": "uid"}
 
 _KIND_NAMES = {
     NodeKind.NODE: "node",
@@ -255,11 +258,7 @@ class SqliteDatabase(HyperModelDatabase):
             raise KeyError(f"unknown node attribute {name!r}") from None
         return self._row(f"SELECT {column} FROM node WHERE uid = ?", (ref,))[0]
 
-    def set_attribute(self, ref: NodeRef, name: str, value: int) -> None:
-        if name == "uniqueId":
-            raise InvalidOperationError("uniqueId is immutable")
-        if name not in ("ten", "hundred", "million"):
-            raise KeyError(f"unknown node attribute {name!r}")
+    def _set_attribute(self, ref: NodeRef, name: str, value: int) -> None:
         self._instr.count("backend.op.writes")
         cursor = self._require_open().execute(
             f"UPDATE node SET {name} = ? WHERE uid = ?", (value, ref)
@@ -297,157 +296,124 @@ class SqliteDatabase(HyperModelDatabase):
             )
         ]
 
-    # -- forward traversal -------------------------------------------------
+    # -- navigation --------------------------------------------------------
+    #
+    # Every navigation verb, per item or batched, is one ``node LEFT
+    # JOIN`` query per chunk of keys: a missing node yields no row
+    # (NodeNotFoundError, as on every backend), a node with nothing
+    # related one row of NULLs.  ORDER BY pins the (semantically
+    # unordered) M-N sets, so batch and per-item paths agree.
 
-    def children(self, ref: NodeRef) -> List[NodeRef]:
-        self._instr.count("backend.op.reads")
-        return [
-            row[0]
-            for row in self._require_open().execute(
-                "SELECT uid FROM node WHERE parent = ? ORDER BY seq", (ref,)
-            )
-        ]
-
-    def parts(self, ref: NodeRef) -> List[NodeRef]:
-        self._instr.count("backend.op.reads")
-        # ORDER BY pins the (semantically unordered) M-N set to the same
-        # deterministic order parts_many produces, so batch and per-item
-        # paths are byte-identical.
-        return [
-            row[0]
-            for row in self._require_open().execute(
-                "SELECT part FROM part WHERE whole = ? ORDER BY part", (ref,)
-            )
-        ]
-
-    def refs_to(self, ref: NodeRef) -> List[Tuple[NodeRef, LinkAttributes]]:
-        self._instr.count("backend.op.reads")
-        return [
-            (dst, LinkAttributes(offset_from, offset_to))
-            for dst, offset_from, offset_to in self._require_open().execute(
-                "SELECT dst, offset_from, offset_to FROM ref WHERE src = ?"
-                " ORDER BY rowid",
-                (ref,),
-            )
-        ]
-
-    # -- batched navigation ---------------------------------------------------
+    _CHILDREN = (
+        "SELECT n.uid, c.uid FROM node n LEFT JOIN node c ON c.parent = n.uid"
+        " WHERE n.uid IN ({}) ORDER BY n.uid, c.seq"
+    )
+    _PARTS = (
+        "SELECT n.uid, p.part FROM node n LEFT JOIN part p ON p.whole = n.uid"
+        " WHERE n.uid IN ({}) ORDER BY n.uid, p.part"
+    )
+    _REFS_TO = (
+        "SELECT n.uid, r.dst, r.offset_from, r.offset_to FROM node n"
+        " LEFT JOIN ref r ON r.src = n.uid"
+        " WHERE n.uid IN ({}) ORDER BY n.uid, r.rowid"
+    )
+    _PART_OF = (
+        "SELECT n.uid, p.whole FROM node n LEFT JOIN part p ON p.part = n.uid"
+        " WHERE n.uid IN ({}) ORDER BY n.uid, p.rowid"
+    )
+    _REFS_FROM = (
+        "SELECT n.uid, r.src FROM node n LEFT JOIN ref r ON r.dst = n.uid"
+        " WHERE n.uid IN ({}) ORDER BY n.uid, r.rowid"
+    )
 
     #: Keys per ``IN (...)`` clause; comfortably under SQLite's host
     #: parameter limit (999 in conservative builds).
     _IN_CHUNK = 500
 
-    def _in_chunks(self, keys: List[NodeRef]) -> Iterator[List[NodeRef]]:
-        for start in range(0, len(keys), self._IN_CHUNK):
-            yield keys[start : start + self._IN_CHUNK]
+    def _related(self, query: str, refs: Sequence[NodeRef]) -> dict:
+        """The rows ``query`` relates to each of ``refs``, keyed by ref.
 
-    def _batch_count(self, refs: Sequence[NodeRef]) -> None:
-        self._instr.count("backend.batch.calls")
-        self._instr.count("backend.batch.items", len(refs))
+        Raises:
+            NodeNotFoundError: for the first of ``refs`` that is missing.
+        """
+        conn = self._require_open()
+        keys = sorted(set(refs))
+        found: dict = {}
+        for start in range(0, len(keys), self._IN_CHUNK):
+            chunk = tuple(keys[start : start + self._IN_CHUNK])
+            self._instr.count("backend.op.reads")
+            marks = ",".join("?" * len(chunk))
+            for key, *row in conn.execute(query.format(marks), chunk):
+                rows = found.setdefault(key, [])
+                if row[0] is not None:
+                    rows.append(row)
+        for ref in refs:
+            if ref not in found:
+                raise NodeNotFoundError(ref)
+        return found
+
+    def _batch(self, query: str, refs: Sequence[NodeRef]) -> dict:
+        """:meth:`_related` for a frontier, counted unless it is empty."""
+        if refs:
+            self._instr.count("backend.batch.calls")
+            self._instr.count("backend.batch.items", len(refs))
+        return self._related(query, refs)
+
+    def children(self, ref: NodeRef) -> List[NodeRef]:
+        return [row[0] for row in self._related(self._CHILDREN, [ref])[ref]]
+
+    def parts(self, ref: NodeRef) -> List[NodeRef]:
+        return [row[0] for row in self._related(self._PARTS, [ref])[ref]]
+
+    def refs_to(self, ref: NodeRef) -> List[Tuple[NodeRef, LinkAttributes]]:
+        return [
+            (dst, LinkAttributes(offset_from, offset_to))
+            for dst, offset_from, offset_to in self._related(
+                self._REFS_TO, [ref]
+            )[ref]
+        ]
 
     def children_many(self, refs: Sequence[NodeRef]) -> List[List[NodeRef]]:
         """All frontier children in one ``IN (...)`` query per chunk."""
-        conn = self._require_open()
-        if not refs:
-            return []
-        self._batch_count(refs)
-        by_parent: dict = {ref: [] for ref in refs}
-        for chunk in self._in_chunks(sorted(set(refs))):
-            self._instr.count("backend.op.reads")
-            marks = ",".join("?" * len(chunk))
-            for parent, uid in conn.execute(
-                f"SELECT parent, uid FROM node WHERE parent IN ({marks})"
-                " ORDER BY parent, seq",
-                tuple(chunk),
-            ):
-                by_parent[parent].append(uid)
-        return [list(by_parent[ref]) for ref in refs]
+        found = self._batch(self._CHILDREN, refs)
+        return [[row[0] for row in found[ref]] for ref in refs]
 
     def parts_many(self, refs: Sequence[NodeRef]) -> List[List[NodeRef]]:
-        conn = self._require_open()
-        if not refs:
-            return []
-        self._batch_count(refs)
-        by_whole: dict = {ref: [] for ref in refs}
-        for chunk in self._in_chunks(sorted(set(refs))):
-            self._instr.count("backend.op.reads")
-            marks = ",".join("?" * len(chunk))
-            for whole, part in conn.execute(
-                f"SELECT whole, part FROM part WHERE whole IN ({marks})"
-                " ORDER BY whole, part",
-                tuple(chunk),
-            ):
-                by_whole[whole].append(part)
-        return [list(by_whole[ref]) for ref in refs]
+        found = self._batch(self._PARTS, refs)
+        return [[row[0] for row in found[ref]] for ref in refs]
 
     def refs_to_many(
         self, refs: Sequence[NodeRef]
     ) -> List[List[Tuple[NodeRef, LinkAttributes]]]:
-        conn = self._require_open()
-        if not refs:
-            return []
-        self._batch_count(refs)
-        by_src: dict = {ref: [] for ref in refs}
-        for chunk in self._in_chunks(sorted(set(refs))):
-            self._instr.count("backend.op.reads")
-            marks = ",".join("?" * len(chunk))
-            for src, dst, offset_from, offset_to in conn.execute(
-                f"SELECT src, dst, offset_from, offset_to FROM ref"
-                f" WHERE src IN ({marks}) ORDER BY rowid",
-                tuple(chunk),
-            ):
-                by_src[src].append((dst, LinkAttributes(offset_from, offset_to)))
-        return [list(by_src[ref]) for ref in refs]
+        found = self._batch(self._REFS_TO, refs)
+        return [
+            [
+                (dst, LinkAttributes(offset_from, offset_to))
+                for dst, offset_from, offset_to in found[ref]
+            ]
+            for ref in refs
+        ]
 
     def get_attributes_many(
         self, refs: Sequence[NodeRef], name: str
     ) -> List[int]:
-        conn = self._require_open()
         try:
             column = _ATTR_COLUMNS[name]
         except KeyError:
             raise KeyError(f"unknown node attribute {name!r}") from None
-        if not refs:
-            return []
-        self._batch_count(refs)
-        values: dict = {}
-        for chunk in self._in_chunks(sorted(set(refs))):
-            self._instr.count("backend.op.reads")
-            marks = ",".join("?" * len(chunk))
-            for uid, value in conn.execute(
-                f"SELECT uid, {column} FROM node WHERE uid IN ({marks})",
-                tuple(chunk),
-            ):
-                values[uid] = value
-        out = []
-        for ref in refs:
-            if ref not in values:
-                raise NodeNotFoundError(ref)
-            out.append(values[ref])
-        return out
-
-    # -- inverse traversal ---------------------------------------------------
+        found = self._batch(
+            f"SELECT uid, {column} FROM node WHERE uid IN ({{}})", refs
+        )
+        return [found[ref][0][0] for ref in refs]
 
     def parent(self, ref: NodeRef) -> Optional[NodeRef]:
         return self._row("SELECT parent FROM node WHERE uid = ?", (ref,))[0]
 
     def part_of(self, ref: NodeRef) -> List[NodeRef]:
-        self._instr.count("backend.op.reads")
-        return [
-            row[0]
-            for row in self._require_open().execute(
-                "SELECT whole FROM part WHERE part = ?", (ref,)
-            )
-        ]
+        return [row[0] for row in self._related(self._PART_OF, [ref])[ref]]
 
     def refs_from(self, ref: NodeRef) -> List[NodeRef]:
-        self._instr.count("backend.op.reads")
-        return [
-            row[0]
-            for row in self._require_open().execute(
-                "SELECT src FROM ref WHERE dst = ?", (ref,)
-            )
-        ]
+        return [row[0] for row in self._related(self._REFS_FROM, [ref])[ref]]
 
     # -- scan ------------------------------------------------------------------
 
@@ -507,23 +473,29 @@ class SqliteDatabase(HyperModelDatabase):
 
     # -- result lists ----------------------------------------------------------------
 
+    #: ``pos`` of the row that marks a stored list as existing, so an
+    #: empty list is stored too; entries take ``pos`` 0, 1, ...
+    _LIST_HEADER = -1
+
     def store_node_list(self, name: str, refs: Sequence[NodeRef]) -> None:
         conn = self._require_open()
         self._instr.count("backend.op.writes")
         conn.execute("DELETE FROM node_list WHERE name = ?", (name,))
         conn.executemany(
             "INSERT INTO node_list (name, pos, uid) VALUES (?, ?, ?)",
-            [(name, pos, ref) for pos, ref in enumerate(refs)],
+            [(name, self._LIST_HEADER, len(refs))]
+            + [(name, pos, ref) for pos, ref in enumerate(refs)],
         )
 
     def load_node_list(self, name: str) -> List[NodeRef]:
         self._instr.count("backend.op.reads")
         rows = self._require_open().execute(
-            "SELECT uid FROM node_list WHERE name = ? ORDER BY pos", (name,)
+            "SELECT pos, uid FROM node_list WHERE name = ? ORDER BY pos",
+            (name,),
         ).fetchall()
         if not rows:
             raise NodeNotFoundError(name)
-        return [row[0] for row in rows]
+        return [uid for pos, uid in rows if pos != self._LIST_HEADER]
 
     # -- introspection ------------------------------------------------------------------
 

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 from repro.core.bitmap import Bitmap
 from repro.core.interface import HyperModelDatabase, NodeRef
 from repro.core.model import NodeKind
+from repro.core.schema import MUTABLE_ATTRIBUTES
 from repro.errors import CheckOutConflictError, WorkspaceError
 
 
@@ -114,7 +115,7 @@ class Workspace:
             kind = db.kind_of(ref)
             attributes = {
                 name: db.get_attribute(ref, name)
-                for name in ("ten", "hundred", "million")
+                for name in MUTABLE_ATTRIBUTES
             }
             draft = _Draft(uid, ref, kind, attributes)
             if kind is NodeKind.TEXT:

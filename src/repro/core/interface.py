@@ -21,7 +21,9 @@ import abc
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.bitmap import Bitmap
-from repro.core.model import LinkAttributes, NodeData, NodeKind
+from repro.core.model import LinkAttributes, NodeData, NodeKind, check_int
+from repro.core.schema import MUTABLE_ATTRIBUTES, NODE_ATTRIBUTES
+from repro.errors import InvalidOperationError
 from repro.obs import NO_OP, Instrumentation
 
 #: An opaque, backend-specific node reference (key value or object id).
@@ -147,9 +149,29 @@ class HyperModelDatabase(abc.ABC):
     def get_attribute(self, ref: NodeRef, name: str) -> int:
         """Read one of the integer attributes of a node by reference."""
 
-    @abc.abstractmethod
     def set_attribute(self, ref: NodeRef, name: str, value: int) -> None:
-        """Write one of the integer attributes of a node (op 12)."""
+        """Write one of the integer attributes of a node (op 12).
+
+        The one attribute-write check of every backend, made before
+        anything is touched: a refused write leaves the node and the
+        transaction as they were.
+
+        Raises:
+            KeyError: for a name Figure 1 does not declare.
+            InvalidOperationError: for ``uniqueId`` (the key) or a
+                value that is not an ``int``.
+        """
+        if name not in MUTABLE_ATTRIBUTES:
+            if name in NODE_ATTRIBUTES:
+                raise InvalidOperationError(f"{name} is immutable")
+            raise KeyError(f"unknown node attribute {name!r}")
+        if value.__class__ is not int:  # an exact int needs no call
+            check_int(name, value)
+        self._set_attribute(ref, name, value)
+
+    @abc.abstractmethod
+    def _set_attribute(self, ref: NodeRef, name: str, value: int) -> None:
+        """Store a checked attribute write (see :meth:`set_attribute`)."""
 
     @abc.abstractmethod
     def kind_of(self, ref: NodeRef) -> NodeKind:

@@ -25,6 +25,8 @@ import enum
 from typing import Optional
 
 from repro.core.bitmap import Bitmap
+from repro.core.schema import NODE_ATTRIBUTES
+from repro.errors import InvalidOperationError
 
 
 class NodeKind(enum.Enum):
@@ -40,8 +42,20 @@ class NodeKind(enum.Enum):
         return self is not NodeKind.NODE
 
 
-#: Names of the integer attributes every node carries (Figure 1).
-NODE_ATTRIBUTES = ("uniqueId", "ten", "hundred", "million")
+def check_int(name: str, value: object) -> None:
+    """Refuse a value an integer attribute cannot hold.
+
+    The one type check of a node attribute write: ``bool`` is refused
+    although Python makes it an ``int``.  Domains (``ten`` in 1..10 and
+    so on) are not checked here; they describe the generator.
+
+    Raises:
+        InvalidOperationError: if ``value`` is not an ``int``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidOperationError(
+            f"attribute {name!r} takes an int, not {value!r}"
+        )
 
 
 @dataclasses.dataclass
@@ -72,6 +86,8 @@ class NodeData:
     structure_id: int = 1
 
     def __post_init__(self) -> None:
+        for name in NODE_ATTRIBUTES:
+            check_int(name, self.attribute(name))
         if self.kind is NodeKind.TEXT and self.text is None:
             raise ValueError("TextNode requires a text body")
         if self.kind is NodeKind.FORM and self.bitmap is None:
@@ -81,16 +97,9 @@ class NodeData:
 
     def attribute(self, name: str) -> int:
         """Return one of the four integer attributes by paper name."""
-        mapping = {
-            "uniqueId": self.unique_id,
-            "ten": self.ten,
-            "hundred": self.hundred,
-            "million": self.million,
-        }
-        try:
-            return mapping[name]
-        except KeyError:
-            raise KeyError(f"unknown node attribute {name!r}") from None
+        if name not in NODE_ATTRIBUTES:
+            raise KeyError(f"unknown node attribute {name!r}")
+        return getattr(self, "unique_id" if name == "uniqueId" else name)
 
 
 @dataclasses.dataclass(frozen=True)

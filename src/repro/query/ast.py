@@ -11,8 +11,10 @@ from __future__ import annotations
 import dataclasses
 from typing import FrozenSet, Optional, Set, Union
 
+from repro.core.schema import NODE_ATTRIBUTES
+
 #: Attribute names a predicate may reference.
-ATTRIBUTES = frozenset({"uniqueId", "ten", "hundred", "million"})
+ATTRIBUTES = frozenset(NODE_ATTRIBUTES)
 
 #: Comparison operators.
 OPERATORS = frozenset({"=", "!=", "<", "<=", ">", ">="})

@@ -13,33 +13,26 @@ import os
 import pytest
 
 from repro.backends.memory import MemoryDatabase
-from repro.backends.oodb import OodbDatabase
-from repro.backends.registry import available_backends, create_backend
-from repro.backends.sqlite_backend import SqliteDatabase
+from repro.backends.registry import (
+    available_backends,
+    create_backend,
+    get_backend_spec,
+)
 from repro.core.config import HyperModelConfig
 from repro.core.generator import DatabaseGenerator
 
-#: The file/in-memory backends are spelled out (they need paths); the
-#: client/server deployments come from the registry, so a newly
-#: registered ``clientserver-*`` preset joins the matrix by itself.
-BACKEND_NAMES = ["memory", "sqlite", "sqlite-file", "oodb"] + [
-    name for name in available_backends() if name.startswith("clientserver")
-]
+#: Every registered preset: a newly registered backend joins the
+#: conformance matrix by itself.
+BACKEND_NAMES = available_backends()
 
 
-def make_backend(name: str, tmp_path, suffix: str = "db"):
-    """Construct a closed backend of the given kind."""
-    if name == "memory":
-        return MemoryDatabase()
-    if name == "sqlite":
-        return SqliteDatabase(":memory:")
-    if name == "sqlite-file":
-        return SqliteDatabase(os.path.join(str(tmp_path), f"{suffix}.sqlite"))
-    if name == "oodb":
-        return OodbDatabase(os.path.join(str(tmp_path), f"{suffix}.hmdb"))
-    if name.startswith("clientserver"):
-        return create_backend(name)
-    raise ValueError(name)
+def make_backend(name: str, tmp_path, suffix: str = "db", **options):
+    """Construct a closed backend of the given preset through the
+    registry, on a file under ``tmp_path`` when the preset needs one."""
+    path = None
+    if get_backend_spec(name).needs_path:
+        path = os.path.join(str(tmp_path), f"{suffix}-{name}")
+    return create_backend(name, path, **options)
 
 
 @pytest.fixture

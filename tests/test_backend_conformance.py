@@ -1,16 +1,15 @@
 """Backend conformance: every backend honours the interface contract.
 
-These tests run parametrized over all four backends (see the
+These tests run parametrized over every registered preset (see the
 ``any_backend`` / ``populated`` fixtures) so a new backend gets the
 full contract for free.
 """
 
-import os
 import random
 
 import pytest
 
-from repro.backends import available_backends, create_backend
+from repro.backends import available_backends
 from repro.core.bitmap import Bitmap
 from repro.core.model import LinkAttributes, NodeData, NodeKind
 from repro.core.verification import verify_database
@@ -24,6 +23,7 @@ from repro.obs import (
     get_instrumentation,
     set_instrumentation,
 )
+from tests.conftest import make_backend
 
 
 def _node(uid, **kw):
@@ -81,6 +81,40 @@ class TestAttributes:
             db.get_attribute(ref, "thousand")
         with pytest.raises(KeyError):
             db.set_attribute(ref, "thousand", 1)
+        with pytest.raises(KeyError):
+            db.get_attributes_many([], "thousand")
+
+
+#: Values no integer attribute holds (``True`` is an int to Python).
+NON_INTS = ("x", 1.5, True, None)
+
+
+class TestAttributeWrites:
+    """One write check on every preset: types are refused before any
+    change; the section 5.1 domains are not write constraints (op 12
+    writes ``99 - hundred``)."""
+
+    def test_non_int_values_refused_before_any_change(self, populated):
+        db, gen = populated
+        ref = db.lookup(gen.text_uids[0])
+        for name in ("ten", "hundred", "million"):
+            before = db.get_attribute(ref, name)
+            for value in NON_INTS:
+                with pytest.raises(InvalidOperationError):
+                    db.set_attribute(ref, name, value)
+                assert db.get_attribute(ref, name) == before
+        db.commit()
+        verify_database(db, gen, content_sample=5).raise_if_failed()
+
+    @pytest.mark.parametrize("value", (-1, 0, 9999))
+    def test_out_of_domain_ints_accepted(self, any_backend, value):
+        db = any_backend
+        ref = db.create_node(_node(1))
+        for name in ("ten", "hundred", "million"):
+            db.set_attribute(ref, name, value)
+        db.commit()
+        assert db.get_attributes_many([ref] * 3, "hundred") == [value] * 3
+        assert db.get_attribute(ref, "million") == value
 
 
 class TestRelationships:
@@ -125,6 +159,30 @@ class TestRelationships:
         referrers = db.refs_from(dst)
         assert [db.get_attribute(r, "uniqueId") for r in referrers] == [1]
         assert db.refs_from(src) == []
+
+
+#: The navigation verbs, each called with a missing node among its refs.
+NAVIGATION = {
+    "children": lambda db, ref, missing: db.children(missing),
+    "parts": lambda db, ref, missing: db.parts(missing),
+    "refs_to": lambda db, ref, missing: db.refs_to(missing),
+    "part_of": lambda db, ref, missing: db.part_of(missing),
+    "refs_from": lambda db, ref, missing: db.refs_from(missing),
+    "children_many": lambda db, ref, missing: db.children_many([ref, missing]),
+    "parts_many": lambda db, ref, missing: db.parts_many([ref, missing]),
+    "refs_to_many": lambda db, ref, missing: db.refs_to_many([ref, missing]),
+}
+
+
+class TestMissingNode:
+    @pytest.mark.parametrize("verb", sorted(NAVIGATION))
+    def test_navigation_of_a_missing_node_raises(self, any_backend, verb):
+        db = any_backend
+        ref = db.create_node(_node(1))
+        db.commit()
+        missing = 987_654_321  # no backend ever allocates this ref
+        with pytest.raises(NodeNotFoundError):
+            NAVIGATION[verb](db, ref, missing)
 
 
 class TestContent:
@@ -204,6 +262,15 @@ class TestNodeLists:
         loaded = db.load_node_list("toc")
         assert [db.get_attribute(r, "uniqueId") for r in loaded] == [2, 3]
 
+    def test_empty_list_round_trips(self, populated):
+        db, _gen = populated
+        db.store_node_list("none", [])
+        assert db.load_node_list("none") == []
+        db.commit()
+        db.close()
+        db.open()
+        assert db.load_node_list("none") == []
+
     def test_missing_list_raises(self, populated):
         db, _gen = populated
         with pytest.raises(NodeNotFoundError):
@@ -233,7 +300,7 @@ class TestFullStructure:
 
 class TestContextManager:
     def test_with_block_opens_and_closes(self, any_backend_name, tmp_path):
-        db = _registry_backend(any_backend_name, tmp_path)
+        db = make_backend(any_backend_name, tmp_path)
         assert not db.is_open
         with db as entered:
             assert entered is db
@@ -243,7 +310,7 @@ class TestContextManager:
         assert not db.is_open
 
     def test_exception_aborts_and_closes(self, any_backend_name, tmp_path):
-        db = _registry_backend(any_backend_name, tmp_path)
+        db = make_backend(any_backend_name, tmp_path)
         with pytest.raises(RuntimeError):
             with db:
                 db.create_node(_node(1))
@@ -255,15 +322,6 @@ class TestContextManager:
         with db:
             with pytest.raises(NodeNotFoundError):
                 db.lookup(1)
-
-
-def _registry_backend(name, tmp_path, **options):
-    path = None
-    if name in ("oodb", "oodb-unclustered"):
-        path = os.path.join(str(tmp_path), f"{name}.hmdb")
-    elif name == "sqlite-file":
-        path = os.path.join(str(tmp_path), "conf.sqlite")
-    return create_backend(name, path, **options)
 
 
 @pytest.fixture(params=sorted(set(["memory", "sqlite", "sqlite-file",
@@ -292,7 +350,7 @@ class TestInstrumentedConformance:
 
     def test_explicit_instrumentation_records(self, any_backend_name, tmp_path):
         instr = Instrumentation()
-        with _registry_backend(
+        with make_backend(
             any_backend_name, tmp_path, instrumentation=instr
         ) as db:
             assert db.instrumentation is instr
@@ -302,7 +360,7 @@ class TestInstrumentedConformance:
         )
 
     def test_noop_instrumentation_stays_silent(self, any_backend_name, tmp_path):
-        with _registry_backend(
+        with make_backend(
             any_backend_name, tmp_path, instrumentation=NO_OP
         ) as db:
             assert db.instrumentation is NO_OP
@@ -316,7 +374,7 @@ class TestInstrumentedConformance:
         live = Instrumentation()
         previous = set_instrumentation(live)
         try:
-            with _registry_backend(any_backend_name, tmp_path) as db:
+            with make_backend(any_backend_name, tmp_path) as db:
                 assert db.instrumentation is live
                 _tiny_workload(db)
         finally:
@@ -327,14 +385,14 @@ class TestInstrumentedConformance:
         self, any_backend_name, tmp_path
     ):
         assert get_instrumentation() is NO_OP  # the suite never leaks one
-        with _registry_backend(any_backend_name, tmp_path) as db:
+        with make_backend(any_backend_name, tmp_path) as db:
             assert db.instrumentation is NO_OP
             _tiny_workload(db)
 
     def test_expected_counter_families(self, any_backend_name, tmp_path):
         """Each backend emits the counter family its docs promise."""
         instr = Instrumentation()
-        with _registry_backend(
+        with make_backend(
             any_backend_name, tmp_path, instrumentation=instr
         ) as db:
             _tiny_workload(db)

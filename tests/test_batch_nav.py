@@ -115,9 +115,8 @@ class TestBatchConformance:
     def test_unknown_ref_behaves_like_per_item(self, populated):
         """Whatever the per-item verb does for a bogus ref, batch does.
 
-        Backends differ here by design — the relational backend's
-        ``children(unknown)`` is an empty join result, the record-store
-        backends raise :class:`NodeNotFoundError` — and the batch verb
+        Every backend raises :class:`NodeNotFoundError` per item
+        (``test_backend_conformance.TestMissingNode``); the batch verb
         must mirror its own backend, not impose a new contract.
         """
 

@@ -15,7 +15,7 @@ from repro.core.generator import DatabaseGenerator
 from repro.core.model import NodeData
 from repro.core.operations import CATALOG, Operations
 from repro.core.verification import verify_database
-from repro.errors import SchemaError
+from repro.errors import InvalidOperationError, SchemaError
 from repro.obs import Instrumentation
 
 
@@ -157,7 +157,8 @@ class TestRefusedCommitEndToEnd:
     def test_refused_commit_leaves_a_verifying_structure(self, tmp_path):
         """A value the oodb's index refuses aborts the whole commit: a
         node created in it can be created again, and the structure
-        still verifies after a close/reopen."""
+        still verifies after a close/reopen.  The value goes in through
+        the engine store, beneath the backend's write check."""
         path = str(tmp_path / "refused.hmdb")
         db = OodbDatabase(path)
         db.open()
@@ -165,7 +166,7 @@ class TestRefusedCommitEndToEnd:
         db.commit()
         node = NodeData(unique_id=gen.max_uid + 1, ten=1, hundred=1, million=1)
         db.create_node(node)
-        db.set_attribute(db.lookup(gen.text_uids[0]), "hundred", "x")
+        db.store.update(int(db.lookup(gen.text_uids[0])), {"hundred": "x"})
         with pytest.raises(SchemaError):
             db.commit()
         db.create_node(node)
@@ -175,6 +176,22 @@ class TestRefusedCommitEndToEnd:
         reopened.open()
         verify_database(reopened, gen).raise_if_failed()
         reopened.close()
+
+    def test_backend_refuses_the_value_before_the_engine(self, tmp_path):
+        """Through ``set_attribute`` the same value never reaches the
+        store: nothing is aborted and the next commit goes through."""
+        db = OodbDatabase(str(tmp_path / "boundary.hmdb"))
+        db.open()
+        gen = DatabaseGenerator(HyperModelConfig(levels=2, seed=3)).generate(db)
+        db.commit()
+        aborts = db.store.stats.aborts
+        ref = db.lookup(gen.text_uids[0])
+        with pytest.raises(InvalidOperationError):
+            db.set_attribute(ref, "hundred", "x")
+        db.commit()
+        assert db.store.stats.aborts == aborts
+        verify_database(db, gen).raise_if_failed()
+        db.close()
 
 
 class TestSmallBufferPool:

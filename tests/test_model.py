@@ -10,6 +10,7 @@ from repro.core.model import (
     NodeKind,
     Reference,
 )
+from repro.errors import InvalidOperationError
 
 
 def _plain(uid=1, **overrides):
@@ -48,6 +49,15 @@ class TestNodeData:
     def test_attribute_accessor_rejects_unknown(self):
         with pytest.raises(KeyError):
             _plain().attribute("thousand")
+
+    @pytest.mark.parametrize("field", ("unique_id", "ten", "hundred", "million"))
+    @pytest.mark.parametrize("value", ("x", 1.5, True, None))
+    def test_non_int_attribute_refused(self, field, value):
+        with pytest.raises(InvalidOperationError):
+            _plain(**{field: value})
+
+    def test_out_of_domain_ints_accepted(self):
+        assert _plain(ten=-1, hundred=0, million=9999).hundred == 0
 
     def test_default_structure_id_is_one(self):
         assert _plain().structure_id == 1

@@ -1,129 +1,176 @@
-"""Figure 1 as data: the OMT schema description and R4 evolution."""
+"""Figure 1 as one frozen declaration, and R4 evolution on the catalog
+the object engine derives from it."""
+
+import dataclasses
 
 import pytest
 
+from repro.backends.oodb import OodbDatabase
+from repro.core import model
 from repro.core.schema import (
-    AttributeDef,
-    ClassDef,
-    RelationshipDef,
+    CLASSES,
+    MUTABLE_ATTRIBUTES,
+    NODE,
+    NODE_ATTRIBUTES,
+    RELATIONSHIPS,
     RelationshipKind,
-    Schema,
-    add_draw_node_class,
-    build_hypermodel_schema,
 )
+from repro.engine.catalog import FieldDefinition
 from repro.errors import SchemaError
+from repro.query import ast
 
-
-@pytest.fixture
-def schema():
-    return build_hypermodel_schema()
+CLASS = {cls.name: cls for cls in CLASSES}
+RELATIONSHIP = {rel.name: rel for rel in RELATIONSHIPS}
 
 
 class TestFigure1Structure:
-    def test_three_classes(self, schema):
-        assert schema.class_names == ["Node", "TextNode", "FormNode"]
+    def test_three_classes(self):
+        assert list(CLASS) == ["Node", "TextNode", "FormNode"]
 
-    def test_generalization_edges(self, schema):
-        assert schema.get_class("TextNode").base == "Node"
-        assert schema.get_class("FormNode").base == "Node"
-        assert schema.subclasses("Node") == ["TextNode", "FormNode"]
+    def test_generalization_edges(self):
+        assert CLASS["Node"].base is None
+        assert CLASS["TextNode"].base == "Node"
+        assert CLASS["FormNode"].base == "Node"
 
-    def test_node_has_the_four_attributes(self, schema):
-        names = [a.name for a in schema.get_class("Node").attributes]
-        assert names == ["uniqueId", "ten", "hundred", "million"]
+    def test_node_has_the_four_attributes(self):
+        assert NODE_ATTRIBUTES == ("uniqueId", "ten", "hundred", "million")
+        assert {a.type_name for a in NODE.attributes} == {"int"}
 
-    def test_subtype_attributes_inherited(self, schema):
-        names = [a.name for a in schema.all_attributes("TextNode")]
-        assert names == ["uniqueId", "ten", "hundred", "million", "text"]
+    def test_subtype_attributes_inherited(self):
+        for name, own in (("TextNode", "text"), ("FormNode", "bitMap")):
+            cls = CLASS[name]
+            inherited = CLASS[cls.base].attributes + cls.attributes
+            assert [a.name for a in inherited] == [*NODE_ATTRIBUTES, own]
 
-    def test_three_relationships(self, schema):
-        assert schema.relationship_names == [
+    def test_three_relationships(self):
+        assert list(RELATIONSHIP) == [
             "parentChildren", "partOfParts", "refToRefFrom",
         ]
 
-    def test_only_the_1n_aggregation_is_ordered(self, schema):
-        assert schema.get_relationship("parentChildren").ordered
-        assert not schema.get_relationship("partOfParts").ordered
-        assert not schema.get_relationship("refToRefFrom").ordered
+    def test_only_the_1n_aggregation_is_ordered(self):
+        assert RELATIONSHIP["parentChildren"].ordered
+        assert not RELATIONSHIP["partOfParts"].ordered
+        assert not RELATIONSHIP["refToRefFrom"].ordered
 
-    def test_relationship_kinds(self, schema):
-        assert (
-            schema.get_relationship("parentChildren").kind
-            is RelationshipKind.AGGREGATION_1N
-        )
-        assert (
-            schema.get_relationship("partOfParts").kind
-            is RelationshipKind.AGGREGATION_MN
-        )
-        assert (
-            schema.get_relationship("refToRefFrom").kind
-            is RelationshipKind.ASSOCIATION_MN
-        )
+    def test_relationship_kinds(self):
+        assert [rel.kind for rel in RELATIONSHIPS] == [
+            RelationshipKind.AGGREGATION_1N,
+            RelationshipKind.AGGREGATION_MN,
+            RelationshipKind.ASSOCIATION_MN,
+        ]
 
-    def test_only_the_association_carries_attributes(self, schema):
-        offsets = schema.get_relationship("refToRefFrom").attributes
+    def test_only_the_association_carries_attributes(self):
+        offsets = RELATIONSHIP["refToRefFrom"].attributes
         assert [a.name for a in offsets] == ["offsetFrom", "offsetTo"]
-        assert schema.get_relationship("parentChildren").attributes == ()
+        assert RELATIONSHIP["parentChildren"].attributes == ()
+        assert RELATIONSHIP["partOfParts"].attributes == ()
 
-    def test_roles_match_the_paper(self, schema):
-        one_n = schema.get_relationship("parentChildren")
-        assert (one_n.forward_role, one_n.inverse_role) == ("children", "parent")
-        assoc = schema.get_relationship("refToRefFrom")
-        assert (assoc.forward_role, assoc.inverse_role) == ("refTo", "refFrom")
+    def test_roles_match_the_paper(self):
+        assert [(r.forward_role, r.inverse_role) for r in RELATIONSHIPS] == [
+            ("children", "parent"), ("parts", "partOf"), ("refTo", "refFrom"),
+        ]
+
+
+class TestDeclaration:
+    def test_declaration_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            NODE.base = "Other"  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            NODE.attributes[1].mutable = False  # type: ignore[misc]
+        assert isinstance(CLASSES, tuple) and isinstance(RELATIONSHIPS, tuple)
+
+    def test_only_the_key_is_immutable(self):
+        assert MUTABLE_ATTRIBUTES == ("ten", "hundred", "million")
+
+    def test_names_are_read_from_the_declaration(self):
+        assert model.NODE_ATTRIBUTES is NODE_ATTRIBUTES
+        assert ast.ATTRIBUTES == frozenset(NODE_ATTRIBUTES)
+
+
+@pytest.fixture
+def catalog(tmp_path):
+    """The engine catalog of a fresh oodb database (Figure 1 derived)."""
+    db = OodbDatabase(str(tmp_path / "schema.hmdb"))
+    db.open()
+    yield db.store.catalog, db.store
+    db.close()
+
+
+class TestDerivedCatalog:
+    def test_node_fields_follow_the_declaration(self, catalog):
+        cat, _store = catalog
+        fields = cat.get("Node").fields
+        roles = [
+            role
+            for rel in RELATIONSHIPS
+            for role in (rel.forward_role, rel.inverse_role)
+        ]
+        assert [f.name for f in fields] == [*NODE_ATTRIBUTES, "structId", *roles]
+        defaults = {f.name: f.default for f in fields}
+        assert defaults["parent"] == 0
+        assert all(defaults[role] == [] for role in roles if role != "parent")
+
+    def test_classes_follow_the_declaration(self, catalog):
+        cat, _store = catalog
+        for cls in CLASSES:
+            assert cat.get(cls.name).base == cls.base
 
 
 class TestSubclassing:
-    def test_is_subclass_reflexive_and_transitive(self, schema):
-        assert schema.is_subclass("Node", "Node")
-        assert schema.is_subclass("TextNode", "Node")
-        assert not schema.is_subclass("Node", "TextNode")
-        assert not schema.is_subclass("TextNode", "FormNode")
+    def test_is_subclass_reflexive_and_transitive(self, catalog):
+        cat, _store = catalog
+        assert cat.is_subclass("Node", "Node")
+        assert cat.is_subclass("TextNode", "Node")
+        assert not cat.is_subclass("Node", "TextNode")
+        assert not cat.is_subclass("TextNode", "FormNode")
 
 
 class TestEvolution:
-    def test_add_draw_node_class(self, schema):
+    """R4 (section 6.8) on the engine catalog of a Figure 1 database."""
+
+    def test_add_draw_node_class(self, catalog):
         """The R4 experiment: a DrawNode with circles/rectangles/ellipses."""
-        draw = add_draw_node_class(schema)
+        cat, store = catalog
+        draw = store.define_class(
+            "DrawNode",
+            [
+                FieldDefinition("circles", default=0),
+                FieldDefinition("rectangles", default=0),
+                FieldDefinition("ellipses", default=0),
+            ],
+            base="Node",
+        )
         assert draw.base == "Node"
-        assert schema.is_subclass("DrawNode", "Node")
-        names = [a.name for a in schema.all_attributes("DrawNode")]
+        assert cat.is_subclass("DrawNode", "Node")
+        names = cat.all_field_names("DrawNode")
         assert names[-3:] == ["circles", "rectangles", "ellipses"]
-        assert names[:4] == ["uniqueId", "ten", "hundred", "million"]
+        assert names[:4] == list(NODE_ATTRIBUTES)
 
-    def test_add_attribute_dynamically(self, schema):
-        schema.add_attribute("TextNode", AttributeDef("language", "str"))
-        assert schema.all_attributes("TextNode")[-1].name == "language"
+    def test_add_attribute_dynamically(self, catalog):
+        cat, store = catalog
+        store.add_field("TextNode", FieldDefinition("language", default="en"))
+        assert cat.all_field_names("TextNode")[-1] == "language"
 
-    def test_duplicate_attribute_rejected(self, schema):
+    def test_duplicate_attribute_rejected(self, catalog):
+        _cat, store = catalog
         with pytest.raises(SchemaError):
-            schema.add_attribute("Node", AttributeDef("ten", "int"))
+            store.add_field("Node", FieldDefinition("ten"))
 
 
 class TestErrors:
-    def test_duplicate_class_rejected(self, schema):
-        with pytest.raises(SchemaError):
-            schema.add_class(ClassDef("Node"))
+    """The refusals of the Figure 1 catalog, the one place classes are defined."""
 
-    def test_unknown_base_rejected(self):
-        fresh = Schema()
+    def test_duplicate_class_rejected(self, catalog):
+        _cat, store = catalog
         with pytest.raises(SchemaError):
-            fresh.add_class(ClassDef("Child", base="Ghost"))
+            store.define_class("Node", [])
 
-    def test_unknown_class_lookup(self, schema):
+    def test_unknown_base_rejected(self, catalog):
+        _cat, store = catalog
         with pytest.raises(SchemaError):
-            schema.get_class("Ghost")
+            store.define_class("Child", [], base="Ghost")
 
-    def test_duplicate_relationship_rejected(self, schema):
+    def test_unknown_class_lookup(self, catalog):
+        cat, _store = catalog
         with pytest.raises(SchemaError):
-            schema.add_relationship(
-                RelationshipDef(
-                    "parentChildren",
-                    RelationshipKind.AGGREGATION_1N,
-                    "children",
-                    "parent",
-                )
-            )
-
-    def test_unknown_relationship_lookup(self, schema):
-        with pytest.raises(SchemaError):
-            schema.get_relationship("ghost")
+            cat.get("Ghost")
