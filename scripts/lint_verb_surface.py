@@ -30,7 +30,11 @@ Fails if
   (multi-user code runs on the server stack, not beside it);
 * a ``HyperModelDatabase`` subclass defines ``set_attribute`` (the
   attribute-write check is made once, by the base class; a backend
-  implements ``_set_attribute``).
+  implements ``_set_attribute``);
+* a verb in ``SERVED_VERBS`` has no caller: it is referenced, as
+  ``.verb`` or ``"verb"``, nowhere under ``src/repro/`` outside
+  ``netsim/server.py``, ``netsim/verbs.py`` and functions themselves
+  named ``verb`` (a served verb nobody sends is dead surface).
 
 Exit status: 0 when clean, 1 otherwise.  Run from the repository root:
 ``python scripts/lint_verb_surface.py``.
@@ -88,6 +92,10 @@ _TABLE = set(verbs.SERVED_VERBS + verbs.ADMIN_VERBS + verbs.PLUMBING)
 #: The backend base class and the verb only it may define.
 _BACKEND_BASE = "HyperModelDatabase"
 _CHECKED_VERB = "set_attribute"
+#: The verbs that need a caller, and the files that define rather
+#: than send them.
+_SERVED = set(verbs.SERVED_VERBS)
+_VERB_HOMES = (_SERVER, _VERBS)
 
 
 def _patterns(node: ast.AST):
@@ -191,6 +199,20 @@ def _lint_router(rel: str, cls: ast.ClassDef, errors: list) -> None:
             errors.append(f"{rel}: {cls.name}.forwards names unknown {verb!r}")
 
 
+def _verb_references(node: ast.AST, inside: frozenset = frozenset()):
+    """Served verbs referenced under ``node`` as ``.verb`` or
+    ``"verb"``, except inside a function named after the verb."""
+    if isinstance(node, ast.FunctionDef):
+        inside = inside | {node.name}
+    name = getattr(node, "attr", None)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        name = node.value
+    if name in _SERVED and name not in inside:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _verb_references(child, inside)
+
+
 def _lint_checked_verb(classes: list, errors: list) -> None:
     """No (transitive) subclass of the backend base defines the verb."""
     backends = {_BACKEND_BASE}
@@ -219,10 +241,13 @@ def _lint_checked_verb(classes: list, errors: list) -> None:
 def main() -> int:
     errors: list = []
     classes: list = []
+    referenced: set = set()
     for path in sorted((_SRC / "repro").rglob("*.py")):
         rel = path.relative_to(_SRC / "repro").as_posix()
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         _lint_validation(rel, tree, errors)
+        if rel not in _VERB_HOMES:
+            referenced.update(_verb_references(tree))
         for func, node in _functions(tree):
             if node is func and func.name in _ENVELOPE:
                 if rel not in (_SERVER, _VERBS):
@@ -258,6 +283,11 @@ def main() -> int:
             if any(getattr(base, "id", "") == "VerbRouter" for base in cls.bases):
                 _lint_router(rel, cls, errors)
     _lint_checked_verb(classes, errors)
+    for verb in sorted(_SERVED - referenced):
+        errors.append(
+            f"{_VERBS}: served verb {verb!r} has no caller under"
+            f" src/repro/; delete it or send it"
+        )
     print("\n".join(sorted(set(errors))) or "verb surface: clean")
     return 1 if errors else 0
 

@@ -18,9 +18,8 @@ object store built from first principles —
   optional group commit (:mod:`repro.engine.wal`);
 * a pluggable **virtual file system** seam with I/O counting and
   deterministic fault injection (:mod:`repro.engine.vfs`);
-* a **lock manager** (S/X, deadlock detection) and **transactions**
-  with deferred write sets (:mod:`repro.engine.locks`,
-  :mod:`repro.engine.txn`);
+* one implicit **transaction** per store handle, a deferred write set
+  that commits whole or not at all (:mod:`repro.engine.txn`);
 * a persistent **class catalog** with dynamic schema evolution
   (:mod:`repro.engine.catalog`);
 * **version chains** for temporal access (:mod:`repro.engine.versioning`);

@@ -10,7 +10,7 @@ function extracting the outgoing references from one object's state.
 1. **Mark** — breadth-first traversal from the roots through the
    extracted references;
 2. **Sweep** — scan every class extent and delete unmarked objects
-   (in one engine transaction, so the sweep is atomic and logged).
+   (in one commit, so the sweep is atomic and logged).
 
 The HyperModel backend wraps this with its own reference semantics
 (children, parts and refTo keep a node alive; the inverse ends do not)
@@ -23,6 +23,7 @@ import dataclasses
 from typing import Callable, Dict, Iterable, List, Set
 
 from repro.engine.store import ObjectStore
+from repro.errors import TransactionError
 
 #: Extracts outgoing reference OIDs from (class name, state).
 RefExtractor = Callable[[str, Dict], Iterable[int]]
@@ -76,7 +77,7 @@ def collect_garbage(
     """Mark from ``roots`` and sweep the extents of ``classes``.
 
     Args:
-        store: the open object store (no transaction may be active).
+        store: the open object store, with no pending writes.
         roots: OIDs that are live by definition.
         extract_refs: outgoing-reference extractor.
         classes: class names whose extents are swept (subclasses
@@ -84,7 +85,14 @@ def collect_garbage(
 
     Returns:
         A :class:`GcStats` with live/collected counts.
+
+    Raises:
+        TransactionError: if the store has pending writes.
     """
+    if store.current_transaction() is not None:
+        raise TransactionError(
+            "cannot collect garbage with uncommitted writes"
+        )
     root_list = list(roots)
     marked = mark(store, root_list, extract_refs)
 
@@ -94,13 +102,12 @@ def collect_garbage(
 
     garbage = sorted(candidates - marked)
     if garbage:
-        txn = store.begin()
         try:
             for oid in garbage:
-                store.delete(oid, txn=txn)
-            txn.commit()
+                store.delete(oid)
+            store.commit()
         except Exception:
-            txn.abort()
+            store.abort()
             raise
     return GcStats(
         live=len(candidates) - len(garbage),

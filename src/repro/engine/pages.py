@@ -87,6 +87,12 @@ class PageFile:
             self._file.close()
             self._file = None
 
+    def discard(self) -> None:
+        """Close without writing the header (drop unlogged changes)."""
+        if self._file is not None:
+            self._file.close()
+            self._file = None
+
     @property
     def is_open(self) -> bool:
         """Whether the underlying file handle is open."""

@@ -18,7 +18,6 @@ counts) surface through :class:`StoreStats`.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine import serializer, wal as wal_mod
@@ -27,9 +26,8 @@ from repro.engine.buffer import BufferPool
 from repro.engine.catalog import Catalog, ClassDefinition, FieldDefinition
 from repro.engine.clustering import ClusteringPolicy
 from repro.engine.heap import HeapFile, Rid, rid_page
-from repro.engine.locks import LockManager, LockMode
 from repro.engine.pages import PageFile
-from repro.engine.txn import DELETED, Transaction, TxnStatus
+from repro.engine.txn import DELETED, Transaction
 from repro.engine.versioning import VersionChain, preserve_version
 from repro.engine.vfs import VFS, CountingVFS, RealVFS
 from repro.engine.wal import WriteAheadLog
@@ -205,13 +203,18 @@ class DecodeCache:
 class ObjectStore:
     """A single-file object database.
 
+    One handle, one thread, one implicit transaction: the handle's
+    first write after a commit or abort starts a transaction whose
+    writes stay buffered, visible to this handle's reads, until
+    :meth:`commit` applies them all or :meth:`abort` drops them.  A
+    handle is used by one thread; concurrent users each talk to the
+    network server, whose optimistic validation decides R8.
+
     Args:
         path: the database file (a ``.wal`` sibling is created).
         cache_pages: buffer pool capacity in pages.
         clustered: honour clustering hints (the 1-N policy).
         versioned: preserve pre-states of updated objects (R5).
-        locking: acquire S/X object locks per transaction (R8); off by
-            default because the benchmark proper is single-user.
         sync_commits: fsync the WAL at commit.  Tests may disable it.
         checkpoint_after_bytes: WAL size that triggers an automatic
             checkpoint at the next commit boundary.
@@ -243,7 +246,6 @@ class ObjectStore:
         cache_pages: int = 256,
         clustered: bool = True,
         versioned: bool = False,
-        locking: bool = False,
         sync_commits: bool = True,
         checkpoint_after_bytes: int = 8 * 1024 * 1024,
         instrumentation: Optional[Instrumentation] = None,
@@ -257,7 +259,6 @@ class ObjectStore:
         self.decode_cache_size = decode_cache_size
         self.clustering = ClusteringPolicy(enabled=clustered)
         self.versioned = versioned
-        self.locking = locking
         self.sync_commits = sync_commits
         self.checkpoint_after_bytes = checkpoint_after_bytes
         self.group_commit = group_commit
@@ -270,8 +271,6 @@ class ObjectStore:
         self.vfs: VFS = CountingVFS(self._base_vfs, self.instrumentation)
 
         self.stats = StoreStats()
-        self.locks = LockManager()
-        self._mutex = threading.RLock()
         self._next_txid = 1
         self._current: Optional[Transaction] = None
 
@@ -300,48 +299,47 @@ class ObjectStore:
         closed state before the exception propagates, so a failed open
         neither leaks file descriptors nor leaves a half-open store.
         """
-        with self._mutex:
-            if self.is_open:
-                return
-            try:
-                self._wal = WriteAheadLog(
-                    self.path + ".wal",
-                    sync_on_commit=self.sync_commits,
-                    instrumentation=self.instrumentation,
-                    vfs=self.vfs,
-                    group_commit=self.group_commit,
-                    group_commit_size=self.group_commit_size,
+        if self.is_open:
+            return
+        try:
+            self._wal = WriteAheadLog(
+                self.path + ".wal",
+                sync_on_commit=self.sync_commits,
+                instrumentation=self.instrumentation,
+                vfs=self.vfs,
+                group_commit=self.group_commit,
+                group_commit_size=self.group_commit_size,
+            )
+            self._recover_if_needed()
+            self._file = PageFile(self.path, vfs=self.vfs)
+            self._pool = BufferPool(
+                self._file, self.cache_pages,
+                instrumentation=self.instrumentation,
+            )
+            self._heap = HeapFile(self._pool, "data")
+            self._catalog = Catalog(self._heap)
+            self._directory = BTree(
+                self._pool, self._file.get_root(self._DIR_ROOT, 0)
+            )
+            self._extent = BTree(
+                self._pool, self._file.get_root(self._EXTENT_ROOT, 0)
+            )
+            self._load_meta()
+            self._load_indexes()
+            # Always fresh at open: recovery (which just ran if
+            # needed) must never be able to serve a pre-crash
+            # decode under a stale (rid, lsn) identity.
+            self._decode_cache = (
+                DecodeCache(
+                    self.decode_cache_size, self._pool,
+                    self.instrumentation,
                 )
-                self._recover_if_needed()
-                self._file = PageFile(self.path, vfs=self.vfs)
-                self._pool = BufferPool(
-                    self._file, self.cache_pages,
-                    instrumentation=self.instrumentation,
-                )
-                self._heap = HeapFile(self._pool, "data")
-                self._catalog = Catalog(self._heap)
-                self._directory = BTree(
-                    self._pool, self._file.get_root(self._DIR_ROOT, 0)
-                )
-                self._extent = BTree(
-                    self._pool, self._file.get_root(self._EXTENT_ROOT, 0)
-                )
-                self._load_meta()
-                self._load_indexes()
-                # Always fresh at open: recovery (which just ran if
-                # needed) must never be able to serve a pre-crash
-                # decode under a stale (rid, lsn) identity.
-                self._decode_cache = (
-                    DecodeCache(
-                        self.decode_cache_size, self._pool,
-                        self.instrumentation,
-                    )
-                    if self.decode_cache_size > 0
-                    else None
-                )
-            except BaseException:
-                self._dispose_handles()
-                raise
+                if self.decode_cache_size > 0
+                else None
+            )
+        except BaseException:
+            self._dispose_handles()
+            raise
 
     def _dispose_handles(self) -> None:
         """Close any open file handles and reset to the closed state.
@@ -403,7 +401,7 @@ class ObjectStore:
         self.stats.checkpoints += 1
 
     def close(self) -> None:
-        """Checkpoint and close.  An open transaction is **aborted**.
+        """Checkpoint and close.  Pending writes are **aborted**.
 
         Contract note: ``close()`` *silently discards* uncommitted
         writes — closing is a deliberate end-of-session action and the
@@ -414,13 +412,11 @@ class ObjectStore:
         because dropping the cache mid-transaction is almost always a
         harness sequencing bug.  Both behaviours are pinned by tests.
         """
-        with self._mutex:
-            if not self.is_open:
-                return
-            if self._current is not None:
-                self._abort_txn(self._current)
-            self.checkpoint()
-            self._dispose_handles()
+        if not self.is_open:
+            return
+        self.abort()
+        self.checkpoint()
+        self._dispose_handles()
 
     @property
     def is_open(self) -> bool:
@@ -450,6 +446,12 @@ class ObjectStore:
         if not self.is_open:
             raise DatabaseClosedError(f"store {self.path} is not open")
 
+    def _require_idle(self, action: str) -> None:
+        """Refuse ``action`` while writes are pending."""
+        self._require_open()
+        if self._current is not None:
+            raise TransactionError(f"cannot {action} with uncommitted writes")
+
     def checkpoint(self) -> None:
         """Force all pages, fsync the data file, truncate the WAL."""
         self._require_open()
@@ -469,21 +471,18 @@ class ObjectStore:
         This is the hook behind the protocol's section 5.3(e) close
         step; it also resets the pool's hit/miss statistics.
 
-        Contract note: unlike :meth:`close` (which silently aborts an
-        open transaction), ``drop_cache`` **raises**
-        :class:`~repro.errors.TransactionError` when the current
-        transaction has uncommitted writes.  A cache drop is a
+        Contract note: unlike :meth:`close` (which silently aborts
+        pending writes), ``drop_cache`` **raises**
+        :class:`~repro.errors.TransactionError` when writes are
+        pending.  A cache drop is a
         measurement-protocol step, not a session end: reaching it with
         buffered writes means the harness forgot a commit, and eating
         the writes would silently corrupt the measurement.
 
         Raises:
-            TransactionError: if the active transaction has buffered
-                writes.
+            TransactionError: if writes are pending.
         """
-        self._require_open()
-        if self._current is not None and self._current.write_set:
-            raise TransactionError("cannot drop cache with uncommitted writes")
+        self._require_idle("drop cache")
         if self._wal.pending_commits:
             self._wal.sync(force=True)  # write-ahead: log before pages
         self._save_roots()
@@ -589,51 +588,47 @@ class ObjectStore:
     # Transactions
     # ------------------------------------------------------------------
 
-    def begin(self) -> Transaction:
-        """Start an explicit transaction.
-
-        Only one transaction can be current per store handle; the
-        multi-user layers each hold their own workspace and merge
-        through explicit check-in instead.
-        """
-        with self._mutex:
-            self._require_open()
-            if self._current is not None:
-                raise TransactionError("a transaction is already active")
-            txn = Transaction(self._next_txid)
-            self._next_txid += 1
-            txn._store = self
-            self._current = txn
-            return txn
-
     def current_transaction(self) -> Optional[Transaction]:
-        """The active transaction, if any."""
+        """The implicit transaction's pending writes, if there are any."""
         return self._current
 
-    def _ensure_txn(self, txn: Optional[Transaction]) -> Transaction:
-        if txn is not None:
-            txn.require_active()
-            return txn
+    def _txn(self) -> Transaction:
+        """The implicit transaction, started by the first write."""
         if self._current is None:
-            self.begin()
+            self._current = Transaction(self._next_txid)
+            self._next_txid += 1
         return self._current
 
     def commit(self) -> None:
-        """Commit the current transaction (no-op when none is active)."""
-        with self._mutex:
-            self._require_open()
-            if self._current is not None:
-                self._commit_txn(self._current)
+        """Commit the pending writes (no-op when there are none).
+
+        A refused commit applies nothing and ends aborted: a write set
+        with a non-int indexed value is refused before any page is
+        touched, and any other failure while the pages are built
+        reopens the handle at the last commit (see
+        :meth:`_reopen_at_last_commit`).
+        """
+        self._require_open()
+        txn = self._current
+        if txn is None:
+            return
+        try:
+            self._check_indexed_values(txn)
+        except SchemaError:
+            self.abort()
+            raise
+        self._current = None
+        with self.instrumentation.span("store.commit"):
+            self._apply_and_force(txn)
+        self.stats.commits += 1
+        self.instrumentation.count("engine.store.commits")
 
     def abort(self) -> None:
-        """Abort the current transaction (no-op when none is active)."""
-        with self._mutex:
-            if self._current is not None:
-                self._abort_txn(self._current)
-
-    def _lock(self, txn: Transaction, oid: int, mode: LockMode) -> None:
-        if self.locking:
-            self.locks.acquire(txn.txid, oid, mode)
+        """Drop the pending writes (no-op when there are none)."""
+        if self._current is not None:
+            self._current = None
+            self.stats.aborts += 1
+            self.instrumentation.count("engine.store.aborts")
 
     # ------------------------------------------------------------------
     # Object operations
@@ -644,7 +639,6 @@ class ObjectStore:
         class_name: str,
         state: Dict[str, Any],
         near: Optional[int] = None,
-        txn: Optional[Transaction] = None,
     ) -> int:
         """Create an object; returns its OID.
 
@@ -652,34 +646,31 @@ class ObjectStore:
         missing from ``state`` take their catalog defaults.  ``near``
         is a clustering hint (place on the same page as that object).
         """
-        with self._mutex:
-            self._require_open()
-            txn = self._ensure_txn(txn)
-            definition = self._catalog.get(class_name)
-            valid = set(self._catalog.all_field_names(class_name))
-            unknown = set(state) - valid
-            if unknown:
-                raise SchemaError(
-                    f"unknown fields for {class_name}: {sorted(unknown)}"
-                )
-            full_state = {
-                f.name: state.get(f.name, f.default)
-                for f in self._catalog.all_fields(class_name)
-            }
-            oid = self._meta["next_oid"]
-            self._meta["next_oid"] += 1
-            self._lock(txn, oid, LockMode.EXCLUSIVE)
-            txn.buffer_put(oid, full_state, created=True)
-            txn.new_classes[oid] = definition.name
-            hint = self.clustering.hint_for_new(near)
-            if hint is not None:
-                txn.place_near[oid] = hint
-            return oid
+        self._require_open()
+        definition = self._catalog.get(class_name)
+        valid = set(self._catalog.all_field_names(class_name))
+        unknown = set(state) - valid
+        if unknown:
+            raise SchemaError(
+                f"unknown fields for {class_name}: {sorted(unknown)}"
+            )
+        full_state = {
+            f.name: state.get(f.name, f.default)
+            for f in self._catalog.all_fields(class_name)
+        }
+        oid = self._meta["next_oid"]
+        self._meta["next_oid"] += 1
+        txn = self._txn()
+        txn.buffer_put(oid, full_state, created=True)
+        txn.new_classes[oid] = definition.name
+        hint = self.clustering.hint_for_new(near)
+        if hint is not None:
+            txn.place_near[oid] = hint
+        return oid
 
     def get(
         self,
         oid: int,
-        txn: Optional[Transaction] = None,
         fields: Optional[Sequence[str]] = None,
     ) -> Dict[str, Any]:
         """Read an object's state (a private copy).
@@ -694,32 +685,30 @@ class ObjectStore:
                 deleted in the current transaction).
             SchemaError: if ``fields`` names a field the object lacks.
         """
-        with self._mutex:
-            self._require_open()
-            buffered = self._buffered_read(oid, txn or self._current)
-            if buffered is not None:
-                return _copy_state(oid, buffered, fields)
-            record = self._shared_record(oid)[1]
-            self.stats.objects_read += 1
-            self.instrumentation.count("engine.store.objects_read")
-            return _copy_state(oid, record["s"], fields)
+        self._require_open()
+        buffered = self._buffered_read(oid)
+        if buffered is not None:
+            return _copy_state(oid, buffered, fields)
+        record = self._shared_record(oid)[1]
+        self.stats.objects_read += 1
+        self.instrumentation.count("engine.store.objects_read")
+        return _copy_state(oid, record["s"], fields)
 
     def get_many(
         self,
         oids: List[int],
-        txn: Optional[Transaction] = None,
         fields: Optional[Sequence[str]] = None,
     ) -> Dict[int, Dict[str, Any]]:
         """Read a batch of objects' states, clustered-fetch style.
 
-        Semantically equivalent to ``{oid: store.get(oid, txn, fields)}``
-        over the distinct oids (transaction-buffered copies win, shared
-        locks are taken per oid, deleted oids raise), but
-        the residue the decode cache does not hold is fetched in
-        *physical* order: its rids are resolved, the oids sorted by heap
-        page, and the page set prefetched through the buffer pool in one
-        pass — so a frontier of clustered objects costs sequential page
-        reads instead of one random fault per object.
+        Semantically equivalent to ``{oid: store.get(oid, fields)}``
+        over the distinct oids (buffered copies win, deleted oids
+        raise), but the residue the decode cache does not hold is
+        fetched in *physical* order: its rids are resolved, the oids
+        sorted by heap page, and the page set prefetched through the
+        buffer pool in one pass — so a frontier of clustered objects
+        costs sequential page reads instead of one random fault per
+        object.
 
         Returns a dict keyed by oid (duplicates collapse).
 
@@ -727,146 +716,113 @@ class ObjectStore:
             RecordNotFoundError: for any missing or deleted oid.
             SchemaError: if ``fields`` names a field an object lacks.
         """
-        with self._mutex:
-            self._require_open()
-            active = txn or self._current
-            out: Dict[int, Dict[str, Any]] = {}
-            committed: List[int] = []
-            for oid in dict.fromkeys(oids):
-                buffered = self._buffered_read(oid, active)
-                if buffered is not None:
-                    out[oid] = _copy_state(oid, buffered, fields)
-                else:
-                    committed.append(oid)
-            if not committed:
-                return out
-            cache = self._decode_cache
-            to_fetch = committed
-            if cache is not None:
-                # Serve decode-cache hits first; only the misses cost a
-                # directory probe, page prefetch, pin and decode below.
-                to_fetch = []
-                for oid in committed:
-                    entry = cache.get(oid)
-                    if entry is None:
-                        to_fetch.append(oid)
-                    else:
-                        out[oid] = _copy_state(oid, entry[1]["s"], fields)
-            if to_fetch:
-                rids = {oid: self._rid_of(oid) for oid in to_fetch}
-                to_fetch.sort(key=rids.__getitem__)
-                pages = dict.fromkeys(rid_page(rids[oid]) for oid in to_fetch)
-                self._pool.prefetch(list(pages))
-                raws = self._heap.read_many([rids[oid] for oid in to_fetch])
-                for oid in to_fetch:
-                    rid = rids[oid]
-                    record = self._upgraded(serializer.decode(raws[rid]))
-                    if cache is not None:
-                        cache.put(oid, rid, record)
-                    out[oid] = _copy_state(oid, record["s"], fields)
-            self.instrumentation.count("engine.store.batch_reads")
-            self.instrumentation.count(
-                "engine.store.batch_objects", len(committed)
-            )
-            self.stats.objects_read += len(committed)
-            self.instrumentation.count(
-                "engine.store.objects_read", len(committed)
-            )
+        self._require_open()
+        out: Dict[int, Dict[str, Any]] = {}
+        committed: List[int] = []
+        for oid in dict.fromkeys(oids):
+            buffered = self._buffered_read(oid)
+            if buffered is not None:
+                out[oid] = _copy_state(oid, buffered, fields)
+            else:
+                committed.append(oid)
+        if not committed:
             return out
+        cache = self._decode_cache
+        to_fetch = committed
+        if cache is not None:
+            # Serve decode-cache hits first; only the misses cost a
+            # directory probe, page prefetch, pin and decode below.
+            to_fetch = []
+            for oid in committed:
+                entry = cache.get(oid)
+                if entry is None:
+                    to_fetch.append(oid)
+                else:
+                    out[oid] = _copy_state(oid, entry[1]["s"], fields)
+        if to_fetch:
+            rids = {oid: self._rid_of(oid) for oid in to_fetch}
+            to_fetch.sort(key=rids.__getitem__)
+            pages = dict.fromkeys(rid_page(rids[oid]) for oid in to_fetch)
+            self._pool.prefetch(list(pages))
+            raws = self._heap.read_many([rids[oid] for oid in to_fetch])
+            for oid in to_fetch:
+                rid = rids[oid]
+                record = self._upgraded(serializer.decode(raws[rid]))
+                if cache is not None:
+                    cache.put(oid, rid, record)
+                out[oid] = _copy_state(oid, record["s"], fields)
+        self.instrumentation.count("engine.store.batch_reads")
+        self.instrumentation.count(
+            "engine.store.batch_objects", len(committed)
+        )
+        self.stats.objects_read += len(committed)
+        self.instrumentation.count(
+            "engine.store.objects_read", len(committed)
+        )
+        return out
 
-    def _buffered_read(
-        self, oid: int, active: Optional[Transaction]
-    ) -> Optional[Dict[str, Any]]:
-        """``active``'s buffered state of ``oid``, if any.
+    def _buffered_read(self, oid: int) -> Optional[Dict[str, Any]]:
+        """The pending state of ``oid``, if any.
 
-        None sends the caller to the committed record (under a shared
-        lock when there is a transaction).  The returned state is the
-        write set's own: copy before handing it out.
+        None sends the caller to the committed record.  The returned
+        state is the write set's own: copy before handing it out.
         """
+        active = self._current
         if active is None:
             return None
         buffered = active.buffered(oid)
         if buffered is DELETED:
             raise RecordNotFoundError(oid)
-        if buffered is None:
-            self._lock(active, oid, LockMode.SHARED)
         return buffered
 
-    def class_of(self, oid: int, txn: Optional[Transaction] = None) -> str:
+    def class_of(self, oid: int) -> str:
         """The class name of an object."""
-        with self._mutex:
-            self._require_open()
-            active = txn or self._current
-            if active is not None and oid in active.new_classes:
-                return active.new_classes[oid]
-            record = self._shared_record(oid)[1]
-            return self._catalog.get_by_id(record["c"]).name
+        self._require_open()
+        active = self._current
+        if active is not None and oid in active.new_classes:
+            return active.new_classes[oid]
+        record = self._shared_record(oid)[1]
+        return self._catalog.get_by_id(record["c"]).name
 
-    def exists(self, oid: int, txn: Optional[Transaction] = None) -> bool:
+    def exists(self, oid: int) -> bool:
         """Whether an OID resolves to a live object."""
-        with self._mutex:
-            self._require_open()
-            active = txn or self._current
-            if active is not None:
-                buffered = active.buffered(oid)
-                if buffered is DELETED:
-                    return False
-                if buffered is not None:
-                    return True
-            return self._directory.search_unique(oid) is not None
+        self._require_open()
+        active = self._current
+        if active is not None:
+            buffered = active.buffered(oid)
+            if buffered is DELETED:
+                return False
+            if buffered is not None:
+                return True
+        return self._directory.search_unique(oid) is not None
 
-    def put(
-        self,
-        oid: int,
-        state: Dict[str, Any],
-        txn: Optional[Transaction] = None,
-    ) -> None:
+    def put(self, oid: int, state: Dict[str, Any]) -> None:
         """Replace an object's whole state."""
-        with self._mutex:
-            self._require_open()
-            txn = self._ensure_txn(txn)
-            if txn.buffered(oid) is None and not self.exists(oid, txn):
-                raise RecordNotFoundError(oid)
-            self._lock(txn, oid, LockMode.EXCLUSIVE)
-            txn.buffer_put(oid, dict(state))
+        if not self.exists(oid):
+            raise RecordNotFoundError(oid)
+        self._txn().buffer_put(oid, dict(state))
 
-    def update(
-        self,
-        oid: int,
-        changes: Dict[str, Any],
-        txn: Optional[Transaction] = None,
-    ) -> None:
+    def update(self, oid: int, changes: Dict[str, Any]) -> None:
         """Apply a partial update to an object."""
-        with self._mutex:
-            self._require_open()
-            txn = self._ensure_txn(txn)
-            state = self.get(oid, txn)
-            state.update(changes)
-            self._lock(txn, oid, LockMode.EXCLUSIVE)
-            txn.buffer_put(oid, state)
+        state = self.get(oid)
+        state.update(changes)
+        self._txn().buffer_put(oid, state)
 
-    def delete(self, oid: int, txn: Optional[Transaction] = None) -> None:
+    def delete(self, oid: int) -> None:
         """Delete an object."""
-        with self._mutex:
-            self._require_open()
-            txn = self._ensure_txn(txn)
-            if txn.buffered(oid) is None and not self.exists(oid, txn):
-                raise RecordNotFoundError(oid)
-            self._lock(txn, oid, LockMode.EXCLUSIVE)
-            txn.buffer_delete(oid)
+        if not self.exists(oid):
+            raise RecordNotFoundError(oid)
+        self._txn().buffer_delete(oid)
 
-    def relocate_near(
-        self, oid: int, near: int, txn: Optional[Transaction] = None
-    ) -> None:
+    def relocate_near(self, oid: int, near: int) -> None:
         """Re-cluster an existing object next to another (1-N policy)."""
-        with self._mutex:
-            self._require_open()
-            if not self.clustering.should_relocate(near):
-                return
-            txn = self._ensure_txn(txn)
-            state = self.get(oid, txn)
-            txn.buffer_put(oid, state)
-            txn.place_near[oid] = near
+        self._require_open()
+        if not self.clustering.should_relocate(near):
+            return
+        state = self.get(oid)
+        txn = self._txn()
+        txn.buffer_put(oid, state)
+        txn.place_near[oid] = near
 
     # ------------------------------------------------------------------
     # Record I/O
@@ -921,53 +877,54 @@ class ObjectStore:
     # Commit machinery
     # ------------------------------------------------------------------
 
-    def _commit_txn(self, txn: Transaction) -> None:
-        with self._mutex:
-            self._require_open()
-            txn.require_active()
-            if txn is not self._current:
-                raise TransactionError("not the current transaction")
-            try:
-                self._check_indexed_values(txn)
-            except SchemaError:
-                self._abort_txn(txn)
-                raise
-            try:
-                if txn.write_set:
-                    with self.instrumentation.span("store.commit"):
-                        self._apply_and_force(txn)
-                txn.status = TxnStatus.COMMITTED
-            finally:
-                self.locks.release_all(txn.txid)
-                self._current = None
-            self.stats.commits += 1
-            self.instrumentation.count("engine.store.commits")
-
     def _apply_and_force(self, txn: Transaction) -> None:
-        self._meta["commit_ts"] += 1
-        timestamp = self._meta["commit_ts"]
-        for oid, buffered in txn.write_set.items():
-            if buffered is DELETED:
-                if oid in txn.new_classes:
-                    # Created and deleted inside this very transaction:
-                    # it never reached the directory, so there is
-                    # nothing to remove (dropping it *is* the delete).
-                    continue
-                self._apply_delete(oid)
-            elif oid in txn.created:
-                self._apply_insert(
-                    oid, txn.new_classes[oid], buffered,
-                    txn.place_near.get(oid), timestamp,
-                )
-            else:
-                self._apply_update(
-                    oid, buffered, txn.place_near.get(oid), timestamp
-                )
-            self.stats.objects_written += 1
-            self.instrumentation.count("engine.store.objects_written")
-        self._save_meta()
-        self._save_roots()
+        try:
+            self._meta["commit_ts"] += 1
+            timestamp = self._meta["commit_ts"]
+            for oid, buffered in txn.write_set.items():
+                if buffered is DELETED:
+                    if oid in txn.new_classes:
+                        # Created and deleted inside this very
+                        # transaction: it never reached the directory,
+                        # so dropping it *is* the delete.
+                        continue
+                    self._apply_delete(oid)
+                elif oid in txn.created:
+                    self._apply_insert(
+                        oid, txn.new_classes[oid], buffered,
+                        txn.place_near.get(oid), timestamp,
+                    )
+                else:
+                    self._apply_update(
+                        oid, buffered, txn.place_near.get(oid), timestamp
+                    )
+                self.stats.objects_written += 1
+                self.instrumentation.count("engine.store.objects_written")
+            self._save_meta()
+            self._save_roots()
+        except BaseException:
+            self._reopen_at_last_commit()
+            raise
         self._log_and_force(txn.txid)
+
+    def _reopen_at_last_commit(self) -> None:
+        """Throw away a half-built commit: reopen from the WAL.
+
+        Nothing of the failed write set is logged, and the pool is
+        no-steal, so none of its pages reached the data file — but its
+        dirty frames and in-memory header (roots, page count) would be
+        logged by the next commit.  Make the pending group commits
+        durable (as :meth:`checkpoint` does), drop every handle without
+        writing the header, and reopen: WAL recovery rebuilds the last
+        committed state.
+        """
+        if self._wal.pending_commits:
+            self._wal.sync(force=True)
+        self._file.discard()
+        self._dispose_handles()
+        self.stats.aborts += 1
+        self.instrumentation.count("engine.store.aborts")
+        self.open()
 
     def _log_and_force(self, txid: int) -> None:
         """WAL the dirty page images + roots, fsync, then force pages.
@@ -1063,17 +1020,6 @@ class ObjectStore:
         class_name = self._catalog.get_by_id(old["c"]).name
         self._index_replace(class_name, oid, old["s"], {})
 
-    def _abort_txn(self, txn: Transaction) -> None:
-        with self._mutex:
-            txn.write_set.clear()
-            txn.place_near.clear()
-            txn.status = TxnStatus.ABORTED
-            self.locks.release_all(txn.txid)
-            if txn is self._current:
-                self._current = None
-            self.stats.aborts += 1
-            self.instrumentation.count("engine.store.aborts")
-
     # ------------------------------------------------------------------
     # Extents
     # ------------------------------------------------------------------
@@ -1082,7 +1028,6 @@ class ObjectStore:
         self,
         class_name: str,
         include_subclasses: bool = True,
-        txn: Optional[Transaction] = None,
     ) -> Iterator[int]:
         """Iterate the OIDs of a class extent.
 
@@ -1092,7 +1037,7 @@ class ObjectStore:
         own work.
         """
         self._require_open()
-        active = txn or self._current
+        active = self._current
         names = [class_name]
         if include_subclasses:
             names += [
@@ -1123,31 +1068,30 @@ class ObjectStore:
 
         The index covers the class and its subclasses.
         """
-        with self._mutex:
-            self._require_open()
-            if (class_name, field) in self._indexes:
-                raise SchemaError(
-                    f"index on {class_name}.{field} already exists"
-                )
-            if field not in self._catalog.all_field_names(class_name):
-                raise SchemaError(f"{class_name} has no field {field!r}")
-            tree = BTree(self._pool, 0)
-            self._indexes[(class_name, field)] = tree
-            self._meta["indexes"].append([class_name, field])
-            # Back-fill with a sorted bottom-up bulk load: O(n) instead
-            # of n top-down inserts over the existing extent.
-            rows = []
-            for oid in list(self.scan_class(class_name)):
-                value = self._shared_record(oid)[1]["s"].get(field)
-                if value is not None:
-                    self._index_check_int(class_name, field, value)
-                    rows.append((value, oid, oid))
-            rows.sort()
-            tree.bulk_load(rows)
-            self._save_meta()
-            self._save_roots()
-            self._log_and_force(self._next_txid)
-            self._next_txid += 1
+        self._require_open()
+        if (class_name, field) in self._indexes:
+            raise SchemaError(
+                f"index on {class_name}.{field} already exists"
+            )
+        if field not in self._catalog.all_field_names(class_name):
+            raise SchemaError(f"{class_name} has no field {field!r}")
+        tree = BTree(self._pool, 0)
+        self._indexes[(class_name, field)] = tree
+        self._meta["indexes"].append([class_name, field])
+        # Back-fill with a sorted bottom-up bulk load: O(n) instead
+        # of n top-down inserts over the existing extent.
+        rows = []
+        for oid in list(self.scan_class(class_name)):
+            value = self._shared_record(oid)[1]["s"].get(field)
+            if value is not None:
+                self._index_check_int(class_name, field, value)
+                rows.append((value, oid, oid))
+        rows.sort()
+        tree.bulk_load(rows)
+        self._save_meta()
+        self._save_roots()
+        self._log_and_force(self._next_txid)
+        self._next_txid += 1
 
     @staticmethod
     def _index_check_int(class_name: str, field: str, value: Any) -> None:
@@ -1200,7 +1144,7 @@ class ObjectStore:
                 try:
                     self._index_check_int(indexed_class, field, value)
                 except SchemaError:
-                    class_name = self.class_of(oid, txn)
+                    class_name = self.class_of(oid)
                     if self._catalog.is_subclass(class_name, indexed_class):
                         raise
 
@@ -1268,43 +1212,40 @@ class ObjectStore:
         and version chains) into a fresh store, then atomically swaps
         the files.  Indexes are re-created and back-filled.
 
-        Requires no active transaction.  Returns before/after sizes.
+        Requires no pending writes.  Returns before/after sizes.
         """
-        with self._mutex:
-            self._require_open()
-            if self._current is not None and self._current.write_set:
-                raise TransactionError("cannot vacuum with uncommitted writes")
-            self.checkpoint()
-            size_before = self.vfs.size(self.path)
+        self._require_idle("vacuum")
+        self.checkpoint()
+        size_before = self.vfs.size(self.path)
 
-            compact_path = self.path + ".vacuum"
-            for stale in (compact_path, compact_path + ".wal"):
-                if self.vfs.exists(stale):
-                    self.vfs.remove(stale)
-            target = ObjectStore(
-                compact_path,
-                cache_pages=self.cache_pages,
-                clustered=self.clustering.enabled,
-                versioned=self.versioned,
-                sync_commits=False,
-                instrumentation=self.instrumentation,
-                vfs=self._base_vfs,
-            )
-            target.open()
-            self._copy_contents_into(target)
-            target.close()
+        compact_path = self.path + ".vacuum"
+        for stale in (compact_path, compact_path + ".wal"):
+            if self.vfs.exists(stale):
+                self.vfs.remove(stale)
+        target = ObjectStore(
+            compact_path,
+            cache_pages=self.cache_pages,
+            clustered=self.clustering.enabled,
+            versioned=self.versioned,
+            sync_commits=False,
+            instrumentation=self.instrumentation,
+            vfs=self._base_vfs,
+        )
+        target.open()
+        self._copy_contents_into(target)
+        target.close()
 
-            self.close()
-            self.vfs.replace(compact_path, self.path)
-            wal_path = self.path + ".wal"
-            if self.vfs.exists(wal_path):
-                self.vfs.remove(wal_path)
-            vacuum_wal = compact_path + ".wal"
-            if self.vfs.exists(vacuum_wal):
-                self.vfs.remove(vacuum_wal)
-            self.open()
-            size_after = self.vfs.size(self.path)
-            return VacuumStats(size_before, size_after)
+        self.close()
+        self.vfs.replace(compact_path, self.path)
+        wal_path = self.path + ".wal"
+        if self.vfs.exists(wal_path):
+            self.vfs.remove(wal_path)
+        vacuum_wal = compact_path + ".wal"
+        if self.vfs.exists(vacuum_wal):
+            self.vfs.remove(vacuum_wal)
+        self.open()
+        size_after = self.vfs.size(self.path)
+        return VacuumStats(size_before, size_after)
 
     def _copy_contents_into(self, target: "ObjectStore") -> None:
         """Copy catalog, objects (with history) and indexes to ``target``."""
@@ -1356,14 +1297,11 @@ class ObjectStore:
         A checkpoint forces every committed page to the data file and
         truncates the WAL, after which the file alone *is* the
         database; the snapshot is a plain copy of it.  Requires no
-        active transaction.
+        pending writes.
         """
-        with self._mutex:
-            self._require_open()
-            if self._current is not None and self._current.write_set:
-                raise TransactionError("cannot back up with uncommitted writes")
-            self.checkpoint()
-            self.vfs.copy(self.path, path)
+        self._require_idle("back up")
+        self.checkpoint()
+        self.vfs.copy(self.path, path)
 
     @staticmethod
     def restore(

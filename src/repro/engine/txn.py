@@ -1,25 +1,15 @@
-"""Transactions over the object store: deferred write sets + 2PL.
+"""The write set of a store handle's implicit transaction.
 
-A :class:`Transaction` buffers all of its writes in memory (deferred
-update).  Reads consult the write set first, then the committed store.
-Commit hands the write set to the store, which logs it to the WAL and
-applies it to pages; abort simply discards the buffer.  Locks (if the
-store runs in locking mode) follow strict two-phase locking and are
-released when the transaction ends — the engine's concurrency control
-(R8).  Optimistic first-committer-wins is the network server's, and
-:func:`stale_reads` is its kernel.
-
-The store also supports an autocommit mode where every mutating call
-runs in its own implicit transaction — that is what the benchmark
-backends use between explicit commits.
+:class:`~repro.engine.store.ObjectStore` states the contract (one
+handle, one thread, one implicit transaction); a :class:`Transaction`
+is only the writes it buffers until commit (deferred update).
+Concurrency control is the network server's optimistic
+first-committer-wins, and :func:`stale_reads` is its kernel.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set
-
-from repro.errors import TransactionError
 
 #: Sentinel distinguishing "buffered delete" from "not buffered".
 DELETED = object()
@@ -52,27 +42,11 @@ def stale_reads(
     ]
 
 
-class TxnStatus(enum.Enum):
-    """Lifecycle states of a transaction."""
-
-    ACTIVE = "active"
-    COMMITTED = "committed"
-    ABORTED = "aborted"
-
-
 class Transaction:
-    """One unit of work against an :class:`~repro.engine.store.ObjectStore`.
-
-    Obtained from ``store.begin()``; usable as a context manager that
-    commits on success and aborts on exception::
-
-        with store.begin() as txn:
-            oid = store.new("Node", {...}, txn=txn)
-    """
+    """The pending writes of one implicit transaction, and nothing else."""
 
     def __init__(self, txid: int) -> None:
         self.txid = txid
-        self.status = TxnStatus.ACTIVE
         #: oid -> new state dict, or DELETED
         self.write_set: Dict[int, Any] = {}
         #: oids created by this transaction (subset of write_set keys)
@@ -81,70 +55,18 @@ class Transaction:
         self.new_classes: Dict[int, str] = {}
         #: oid -> OID to cluster near, applied at commit time
         self.place_near: Dict[int, int] = {}
-        self._store = None  # set by the store at begin()
-
-    # ------------------------------------------------------------------
-    # Write-set bookkeeping (called by the store)
-    # ------------------------------------------------------------------
-
-    def require_active(self) -> None:
-        """Raise unless the transaction can still be used."""
-        if self.status is not TxnStatus.ACTIVE:
-            raise TransactionError(
-                f"transaction {self.txid} is {self.status.value}"
-            )
 
     def buffer_put(self, oid: int, state: dict, created: bool = False) -> None:
         """Record a pending insert/update."""
-        self.require_active()
         self.write_set[oid] = state
         if created:
             self.created.add(oid)
 
     def buffer_delete(self, oid: int) -> None:
         """Record a pending delete."""
-        self.require_active()
         self.write_set[oid] = DELETED
         self.created.discard(oid)
 
     def buffered(self, oid: int) -> Optional[Any]:
         """The buffered state of ``oid``: a dict, DELETED, or None."""
         return self.write_set.get(oid)
-
-    # ------------------------------------------------------------------
-    # Termination
-    # ------------------------------------------------------------------
-
-    def commit(self) -> None:
-        """Commit through the owning store."""
-        self.require_active()
-        if self._store is None:
-            raise TransactionError("transaction is not bound to a store")
-        self._store._commit_txn(self)
-
-    def abort(self) -> None:
-        """Abort: discard the write set and release locks."""
-        if self.status is not TxnStatus.ACTIVE:
-            return
-        if self._store is None:
-            raise TransactionError("transaction is not bound to a store")
-        self._store._abort_txn(self)
-
-    # ------------------------------------------------------------------
-    # Context-manager protocol
-    # ------------------------------------------------------------------
-
-    def __enter__(self) -> "Transaction":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None and self.status is TxnStatus.ACTIVE:
-            self.commit()
-        elif self.status is TxnStatus.ACTIVE:
-            self.abort()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Transaction {self.txid} {self.status.value} "
-            f"writes={len(self.write_set)}>"
-        )

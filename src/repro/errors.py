@@ -51,10 +51,6 @@ class TransactionError(StorageError):
     """A transaction was used incorrectly (not active, already ended)."""
 
 
-class DeadlockError(TransactionError):
-    """Lock acquisition aborted because it would deadlock (or timed out)."""
-
-
 class ConflictError(TransactionError):
     """Optimistic validation failed: another transaction committed first."""
 

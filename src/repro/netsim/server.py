@@ -1171,18 +1171,6 @@ class ObjectServer:
             self._reply_uids(len(result))
             return result
 
-    def referrers_of(self, uid: int) -> List[int]:
-        """Server-side inverse-reference query (op 08's index)."""
-        with self._serve("referrers_of"):
-            self.stats.queries += 1
-            result = [
-                src
-                for src, record in self._records.items()
-                if any(dst == uid for dst, _f, _t in record["refTo"])
-            ]
-            self._charge(_PROBE_BYTES + _UID_BYTES * len(result))
-            return result
-
     # ------------------------------------------------------------------
     # Named lists
     # ------------------------------------------------------------------

@@ -35,7 +35,6 @@ QUERY_VERBS = (
     "exists",
     "range_query",
     "scan_structure",
-    "referrers_of",
     "store_list",
     "load_list",
 )

@@ -593,9 +593,6 @@ class ShardRouter(VerbRouter):
     def scan_structure(self, structure_id: int) -> List[int]:
         return sorted(self._gather("scan_structure", structure_id))
 
-    def referrers_of(self, uid: int) -> List[int]:
-        return self._gather("referrers_of", uid)
-
     # ------------------------------------------------------------------
     # Administration (uncharged, like the single server's)
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ from repro.core.model import LinkAttributes, NodeData
 from repro.engine.catalog import FieldDefinition
 from repro.engine.gc import collect_garbage, mark
 from repro.engine.store import ObjectStore
-from repro.errors import NodeNotFoundError
+from repro.errors import NodeNotFoundError, TransactionError
 
 
 def _node(uid):
@@ -71,6 +71,18 @@ class TestEngineGc:
         stats = collect_garbage(store, [a], _extract, classes=["Cell"])
         assert stats.collected == 0
         assert store.exists(b)
+
+    def test_pending_writes_refused(self, store):
+        keep = store.new("Cell", {})
+        lose = store.new("Cell", {})
+        store.commit()
+        store.update(keep, {"tag": "pending"})
+        with pytest.raises(TransactionError):
+            collect_garbage(store, [keep], _extract, classes=["Cell"])
+        assert store.exists(lose)
+        store.commit()
+        stats = collect_garbage(store, [keep], _extract, classes=["Cell"])
+        assert stats.collected == 1
 
     def test_dangling_reference_in_root_set_ignored(self, store):
         keep = store.new("Cell", {})

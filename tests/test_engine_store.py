@@ -4,6 +4,12 @@ import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.engine.catalog import FieldDefinition
 from repro.engine.store import ObjectStore
@@ -12,6 +18,7 @@ from repro.errors import (
     DatabaseClosedError,
     RecordNotFoundError,
     SchemaError,
+    StorageError,
     TransactionError,
 )
 
@@ -373,30 +380,81 @@ def test_no_read_form_shares_state_with_the_store(a, b):
 
 class TestTransactions:
     def test_explicit_commit_and_abort(self, store):
-        with store.begin() as txn:
-            oid = store.new("Item", {"value": 5}, txn=txn)
+        oid = store.new("Item", {"value": 5})
+        store.commit()
         assert store.get(oid)["value"] == 5
 
-        txn = store.begin()
-        store.update(oid, {"value": 6}, txn=txn)
-        assert store.get(oid, txn=txn)["value"] == 6  # own writes visible
-        txn.abort()
+        store.update(oid, {"value": 6})
+        assert store.get(oid)["value"] == 6  # own writes visible
+        store.abort()
+        assert store.current_transaction() is None
         assert store.get(oid)["value"] == 5
 
     def test_context_manager_aborts_on_exception(self, store):
         oid = store.new("Item", {"value": 1})
         store.commit()
         with pytest.raises(RuntimeError):
-            with store.begin() as txn:
-                store.update(oid, {"value": 2}, txn=txn)
+            with store:
+                store.update(oid, {"value": 2})
                 raise RuntimeError("boom")
+        assert not store.is_open
+        store.open()
         assert store.get(oid)["value"] == 1
 
     def test_only_one_active_transaction(self, store):
-        store.begin()
-        with pytest.raises(TransactionError):
-            store.begin()
+        """Every write until commit or abort joins the handle's one
+        implicit transaction; the next write starts a fresh one."""
+        assert store.current_transaction() is None
+        a = store.new("Item", {})
+        txn = store.current_transaction()
+        store.update(a, {"value": 2})
+        b = store.new("Item", {})
+        assert store.current_transaction() is txn
+        assert set(txn.write_set) == {a, b}
+        store.commit()
+        assert store.current_transaction() is None
+        store.delete(a)
+        assert store.current_transaction().txid > txn.txid
         store.abort()
+
+    @pytest.mark.parametrize(
+        "index, bad",
+        [pytest.param(True, "x", id="index-refused"),
+         pytest.param(False, {1, 2}, id="unencodable")],
+    )
+    def test_rejected_commit_applies_nothing(self, store, tmp_path, index, bad):
+        """A refused write set is refused whole: the valid object before
+        the bad one must not reach a page that the next commit would
+        make durable — whether an index refuses the bad value before
+        any page is touched or the serializer fails halfway through."""
+        if index:
+            store.create_index("Item", "value")
+        a, b = store.new("Item", {"value": 6}), store.new("Item", {"value": 6})
+        store.commit()
+        timestamp, aborts = store.commit_timestamp, store.stats.aborts
+        store.update(a, {"value": 7})
+        store.update(b, {"value": bad})
+        with pytest.raises(StorageError):
+            store.commit()
+        assert store.current_transaction() is None
+        assert store.stats.aborts == aborts + 1
+        assert store.commit_timestamp == timestamp
+
+        def unchanged(s):
+            assert s.get(a)["value"] == s.get(b)["value"] == 6
+            if index:
+                assert sorted(s.index_lookup("Item", "value", 6)) == [a, b]
+                assert s.index_lookup("Item", "value", 7) == []
+
+        unchanged(store)
+        store.new("Item", {"value": 1})  # an unrelated commit
+        store.commit()
+        unchanged(store)
+        store.close()
+        reopened = _make_store(tmp_path)
+        reopened.open()
+        unchanged(reopened)
+        reopened.close()
 
     def test_created_object_visible_in_scan_before_commit(self, store):
         oid = store.new("Item", {})
@@ -407,6 +465,8 @@ class TestTransactions:
         store.commit()
         store.delete(oid)
         assert oid not in list(store.scan_class("Item"))
+        with pytest.raises(RecordNotFoundError):
+            store.delete(oid)  # already deleted by this transaction
         store.abort()
         assert oid in list(store.scan_class("Item"))
 
@@ -469,36 +529,6 @@ class TestIndexes:
             store.new("Item", {"name": "text"})
             store.commit()
         store.abort()
-
-    def test_rejected_commit_applies_nothing(self, store, tmp_path):
-        """A write set refused by an index is refused whole: the valid
-        object before the bad one must not reach a page that the next
-        commit would make durable."""
-        store.create_index("Item", "value")
-        a, b = store.new("Item", {"value": 6}), store.new("Item", {"value": 6})
-        store.commit()
-        timestamp, aborts = store.commit_timestamp, store.stats.aborts
-        store.update(a, {"value": 7})
-        store.update(b, {"value": "x"})
-        with pytest.raises(SchemaError):
-            store.commit()
-        assert store.current_transaction() is None
-        assert store.stats.aborts == aborts + 1
-        assert store.commit_timestamp == timestamp
-
-        def unchanged(s):
-            assert s.get(a)["value"] == s.get(b)["value"] == 6
-            assert sorted(s.index_lookup("Item", "value", 6)) == [a, b]
-            assert s.index_lookup("Item", "value", 7) == []
-
-        unchanged(store)
-        store.new("Item", {"value": 1})  # an unrelated commit
-        store.commit()
-        store.close()
-        reopened = _make_store(tmp_path)
-        reopened.open()
-        unchanged(reopened)
-        reopened.close()
 
     def test_duplicate_index_rejected(self, store):
         store.create_index("Item", "value")
@@ -627,56 +657,6 @@ class TestClustering:
         store.commit()
         assert store.page_of(stray) == page_before
         store.close()
-
-
-class TestLockingMode:
-    @pytest.fixture
-    def locking_store(self, tmp_path):
-        s = _make_store(tmp_path, "lock.hmdb", locking=True)
-        s.open()
-        s.define_class("Item", [FieldDefinition("value", default=0)])
-        yield s
-        if s.is_open:
-            s.close()
-
-    def test_reads_take_shared_locks(self, locking_store):
-        s = locking_store
-        oid = s.new("Item", {"value": 1})
-        s.commit()
-        txn = s.begin()
-        s.get(oid, txn=txn)
-        assert oid in s.locks.locks_held(txn.txid)
-        assert s.locks.holders_of(oid) == {txn.txid}
-        txn.commit()
-        assert s.locks.holders_of(oid) == set()
-
-    def test_writes_take_exclusive_locks_until_end(self, locking_store):
-        s = locking_store
-        oid = s.new("Item", {"value": 1})
-        s.commit()
-        txn = s.begin()
-        s.update(oid, {"value": 2}, txn=txn)
-        assert s.locks.holders_of(oid) == {txn.txid}
-        txn.abort()
-        assert s.locks.holders_of(oid) == set()
-        assert s.get(oid)["value"] == 1
-
-    def test_foreign_holder_blocks_then_times_out(self, locking_store):
-        from repro.errors import DeadlockError
-
-        s = locking_store
-        s.locks.timeout = 0.1
-        oid = s.new("Item", {"value": 1})
-        s.commit()
-        # Simulate another session holding the X lock.
-        from repro.engine.locks import LockMode
-
-        s.locks.acquire(9999, oid, LockMode.EXCLUSIVE)
-        txn = s.begin()
-        with pytest.raises(DeadlockError):
-            s.get(oid, txn=txn)
-        txn.abort()
-        s.locks.release_all(9999)
 
 
 class TestSchemaEvolutionOnLiveData:
@@ -895,3 +875,94 @@ class TestVfsThreading:
         assert values in ([1], [1, 2])  # atomic: never a torn mix
         assert recovered.get(oid)["value"] == 1  # durable: commit 1 held
         recovered.close()
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """One store handle against a dict model: ``committed`` is what a
+    reopen must find, ``current`` what this handle reads meanwhile.
+
+    A commit carrying an unencodable value is refused, and the model
+    treats it as an abort: nothing of its write set may survive, not
+    even the writes buffered before the bad one.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.store = ObjectStore("m.hmdb", vfs=MemoryVFS(), sync_commits=False)
+        self.store.open()
+        self.store.define_class("Item", [FieldDefinition("value", default=0)])
+        self.committed = {}
+        self.current = {}
+
+    def _pending(self):
+        return self.store.current_transaction() is not None
+
+    def _end(self, committed):
+        if committed:
+            self.committed = dict(self.current)
+        else:
+            self.current = dict(self.committed)
+
+    @rule(value=st.integers(-3, 3))
+    def new(self, value):
+        oid = self.store.new("Item", {"value": value})
+        assert oid not in self.current
+        self.current[oid] = value
+
+    @precondition(lambda self: self.current)
+    @rule(data=st.data(), value=st.integers(-3, 3))
+    def update(self, data, value):
+        oid = data.draw(st.sampled_from(sorted(self.current)))
+        self.store.update(oid, {"value": value})
+        self.current[oid] = value
+
+    @precondition(lambda self: self.current)
+    @rule(data=st.data())
+    def delete(self, data):
+        oid = data.draw(st.sampled_from(sorted(self.current)))
+        self.store.delete(oid)
+        del self.current[oid]
+
+    @rule()
+    def commit(self):
+        self.store.commit()
+        self._end(committed=True)
+
+    @rule()
+    def abort(self):
+        self.store.abort()
+        self._end(committed=False)
+
+    @precondition(lambda self: not self._pending())
+    @rule()
+    def drop_cache(self):
+        self.store.drop_cache()
+
+    @rule()
+    def reopen(self):
+        self.store.close()
+        self.store.open()
+        self._end(committed=False)
+
+    @rule()
+    def commit_unencodable(self):
+        self.store.new("Item", {"value": {1, 2}})
+        with pytest.raises(StorageError):
+            self.store.commit()
+        assert not self._pending()
+        self._end(committed=False)
+
+    @invariant()
+    def reads_match_model(self):
+        for oid, value in self.current.items():
+            assert self.store.get(oid) == {"value": value}
+        assert sorted(self.store.scan_class("Item")) == sorted(self.current)
+
+    def teardown(self):
+        self.store.close()
+
+
+TestStoreStateMachine = StoreMachine.TestCase
+TestStoreStateMachine.settings = settings(
+    derandomize=True, max_examples=30, stateful_step_count=25, deadline=None
+)

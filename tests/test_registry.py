@@ -18,7 +18,7 @@ from repro.core.interface import HyperModelDatabase
 from repro.errors import (
     AccessDeniedError,
     ConfigurationError,
-    DeadlockError,
+    ConflictError,
     HyperModelError,
     NodeNotFoundError,
     QuerySyntaxError,
@@ -169,7 +169,6 @@ class TestErrorHierarchy:
             RecordNotFoundError,
             StorageError,
             TransactionError,
-            DeadlockError,
             SchemaError,
             QuerySyntaxError,
             AccessDeniedError,
@@ -180,7 +179,7 @@ class TestErrorHierarchy:
         assert issubclass(error_type, HyperModelError)
 
     def test_storage_refinements(self):
-        assert issubclass(DeadlockError, TransactionError)
+        assert issubclass(ConflictError, TransactionError)
         assert issubclass(TransactionError, StorageError)
         assert issubclass(RecordNotFoundError, StorageError)
 
