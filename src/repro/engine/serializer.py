@@ -21,16 +21,37 @@ tag       payload
 Field names are encoded as strings inside the top-level dict.  The
 format round-trips everything the engine stores: node attributes, OID
 lists, (OID, offset, offset) link triples, text bodies and packed
-bitmap bytes.
+bitmap bytes.  Varints are little-endian base-128, at most ten bytes,
+and never reach 2**64; the bytes are frozen by the golden vectors in
+``tests/test_engine_serializer.py``.
 
-Decoding is *zero-copy friendly*: :func:`decode_view` accepts any
-bytes-like buffer (``bytes``, ``bytearray``, ``memoryview``) and only
-materialises owned objects for the values themselves — a record can be
-decoded straight out of a pinned page frame without an intermediate
-``bytes`` copy.  The decoder drives an explicit work stack instead of
-recursing, so nesting depth is bounded by memory, not by the
-interpreter's recursion limit, and the per-value call overhead of the
-old recursive decoder is gone.
+**The kernel.**  Both directions spend their time per element, so the
+common shapes skip the per-value Python call:
+
+* :func:`_encode_value` dispatches on the exact type (``dict``,
+  ``list``/``tuple``, ``int``, ``str``) and writes a container's
+  ``int`` elements, and a dict's ``str`` keys, inline — a varint below
+  2**14 is appended byte by byte.  Everything else (``bool``, ``None``,
+  ``float``, bytes, subclasses such as an ``IntEnum``, refusals) takes
+  the general path, so ``True`` never encodes as an ``int``.
+* :func:`_decode_value` is iterative: the open container lives in
+  locals and fills itself in a tight loop (one for lists, one for
+  dicts), reading one- and two-byte varints inline; only a nested
+  container pushes its parent onto an explicit stack.  Nesting depth is
+  bounded by memory, not by the interpreter's recursion limit.
+
+:func:`decode_view` accepts any bytes-like buffer (``bytes``,
+``bytearray``, ``memoryview``, e.g. a slice of a page frame); a view is
+copied to ``bytes`` once per record, and every decoded value owns its
+memory.
+
+**Errors.**  Every failure is a :class:`~repro.errors.StorageError`:
+``encode``/``encoded_size`` refuse an unserializable type, an integer
+outside 64 bits and a string that is not UTF-8-encodable (a lone
+surrogate); ``decode``/``decode_view`` refuse truncation, an unknown
+tag, an over-long or over-wide varint, invalid UTF-8, a list or dict
+used as a dict key, and trailing bytes.  Whatever they return,
+``encode`` accepts.
 """
 
 from __future__ import annotations
@@ -65,12 +86,11 @@ import struct as _struct
 
 _DOUBLE = _struct.Struct("<d")
 
-#: Sentinel for "dict frame is waiting for a key" (``None`` is a
-#: legitimate decoded key, so a private object is required).
-_MISSING = object()
+#: The tags that open a container on the decoder's stack.
+_T_PUSH = (_T_LIST, _T_DICT)
 
-_KIND_LIST = 0
-_KIND_DICT = 1
+#: ``encode`` and ``encoded_size`` refuse a lone surrogate alike.
+_NOT_UTF8 = "string is not UTF-8-encodable"
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -87,19 +107,23 @@ def _write_varint(out: bytearray, value: int) -> None:
 
 
 def _read_varint(data: Any, pos: int) -> Tuple[int, int]:
+    """Read the varint at ``pos``; returns ``(value, end)``.
+
+    At most ten bytes, and the value must stay below 2**64: the widest
+    varint :func:`encode` writes is a zigzagged 64-bit integer.
+    Running off the buffer raises ``IndexError``, which
+    :func:`_decode_value` reports as truncation.
+    """
     result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise StorageError("truncated varint")
+    for shift in range(0, 70, 7):
         byte = data[pos]
         pos += 1
         result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
+        if byte < 0x80:
+            if result >> 64:
+                raise StorageError("varint outside 64 bits")
             return result, pos
-        shift += 7
-        if shift > 70:
-            raise StorageError("varint too long")
+    raise StorageError("varint longer than 10 bytes")
 
 
 def _zigzag(value: int) -> int:
@@ -110,11 +134,82 @@ def _overflow(value: int) -> int:
     raise StorageError(f"integer {value} outside 64-bit range")
 
 
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
 def _encode_value(out: bytearray, value: Any) -> None:
+    """Append the encoding of ``value`` to ``out``.
+
+    Exact ``int``, ``str``, ``list``, ``tuple`` and ``dict`` take the
+    fast branches; a container writes its ``int`` elements, and a dict
+    its ``str`` keys, inline (a varint below 2**14 is appended byte by
+    byte).  Everything else — ``bool``, ``None``, ``float``, bytes,
+    subclasses such as an ``IntEnum`` member, and every refusal — goes
+    through :func:`_encode_other`, so ``True`` never encodes as an
+    ``int``.
+    """
+    cls = type(value)
+    if cls is dict:
+        count = len(value)
+        if count < 0x80:
+            out.append(_T_DICT)
+            out.append(count)
+        else:
+            out += _TAG_DICT
+            _write_varint(out, count)
+        for key, item in value.items():
+            if type(key) is str:
+                raw = key.encode("utf-8")
+                size = len(raw)
+                if size < 0x80:
+                    out.append(_T_STR)
+                    out.append(size)
+                else:
+                    out += _TAG_STR
+                    _write_varint(out, size)
+                out += raw
+            else:
+                _encode_value(out, key)
+            if type(item) is int and -8192 <= item < 8192:
+                item = (item << 1) ^ (item >> 63)
+                out.append(_T_INT)
+                if item < 0x80:
+                    out.append(item)
+                else:
+                    out.append(item & 0x7F | 0x80)
+                    out.append(item >> 7)
+            else:
+                _encode_value(out, item)
+    elif cls is list or cls is tuple:
+        count = len(value)
+        if count < 0x80:
+            out.append(_T_LIST)
+            out.append(count)
+        else:
+            out += _TAG_LIST
+            _write_varint(out, count)
+        for item in value:
+            if type(item) is int and -8192 <= item < 8192:
+                item = (item << 1) ^ (item >> 63)
+                out.append(_T_INT)
+                if item < 0x80:
+                    out.append(item)
+                else:
+                    out.append(item & 0x7F | 0x80)
+                    out.append(item >> 7)
+            else:
+                _encode_value(out, item)
+    elif cls is int:
+        out += _TAG_INT
+        _write_varint(out, _zigzag(value))
+    elif cls is str:
+        raw = value.encode("utf-8")
+        out += _TAG_STR
+        _write_varint(out, len(raw))
+        out += raw
+    else:
+        _encode_other(out, value)
+
+
+def _encode_other(out: bytearray, value: Any) -> None:
+    """The general path: every value the exact-type branches skip."""
     if value is None:
         out += _TAG_NONE
     elif value is True:
@@ -151,95 +246,180 @@ def _encode_value(out: bytearray, value: Any) -> None:
         raise StorageError(f"unserializable value of type {type(value).__name__}")
 
 
+def _decode_scalar(data: bytes, pos: int, tag: int, n: int) -> Tuple[Any, int]:
+    """Decode the non-container value whose tag byte ended at ``pos``."""
+    if tag == _T_INT:
+        raw, pos = _read_varint(data, pos)
+        return (raw >> 1) ^ -(raw & 1), pos
+    if tag == _T_STR:
+        length, pos = _read_varint(data, pos)
+        end = pos + length
+        if end > n:
+            raise StorageError("truncated string")
+        return str(data[pos:end], "utf-8"), end
+    if tag == _T_NONE:
+        return None, pos
+    if tag == _T_TRUE:
+        return True, pos
+    if tag == _T_FALSE:
+        return False, pos
+    if tag == _T_FLOAT:
+        if pos + 8 > n:
+            raise StorageError("truncated float")
+        return _DOUBLE.unpack_from(data, pos)[0], pos + 8
+    if tag == _T_BYTES:
+        length, pos = _read_varint(data, pos)
+        end = pos + length
+        if end > n:
+            raise StorageError("truncated bytes")
+        return data[pos:end], end
+    raise StorageError(f"unknown serializer tag {bytes((tag,))!r}")
+
+
 def _decode_value(data: Any, pos: int) -> Tuple[Any, int]:
     """Decode one value starting at ``pos``; returns ``(value, end)``.
 
-    Iterative: containers push a frame onto an explicit work stack
-    instead of recursing, so the hot path pays one loop iteration per
-    value rather than a Python call, and pathologically nested input
-    cannot blow the interpreter's recursion limit.  ``data`` may be any
-    bytes-like buffer; only the decoded values themselves own memory.
+    The open container lives in locals (``container``, ``remaining``):
+    a list fills itself in one tight loop and a dict in another, each
+    decoding an ``int`` element — and a dict its ``str`` key — inline,
+    with one- and two-byte varints read without a call.  Other scalars
+    go through :func:`_decode_scalar`.  Only a non-empty nested
+    container suspends its parent: ``(container, remaining, key)`` goes
+    on ``stack`` and comes back when the child completes, so nesting
+    depth is bounded by memory, not by the interpreter's recursion
+    limit.
+
+    A view is copied to ``bytes`` first (indexing ``bytes`` is cheaper
+    than indexing a ``memoryview``).  Running off the end, invalid
+    UTF-8 and a container used as a dict key raise
+    :class:`StorageError`.
     """
+    if type(data) is not bytes:
+        data = bytes(data)
     n = len(data)
-    # A frame is [kind, container, remaining, pending_key].
-    stack: List[List[Any]] = []
-    while True:
-        if pos >= n:
-            raise StorageError("truncated value")
+    try:
         tag = data[pos]
         pos += 1
-        if tag == _T_INT:
-            raw, pos = _read_varint(data, pos)
-            value: Any = _unzigzag(raw)
-        elif tag == _T_STR:
-            length, pos = _read_varint(data, pos)
-            end = pos + length
-            if end > n:
-                raise StorageError("truncated string")
-            value = str(data[pos:end], "utf-8")
-            pos = end
-        elif tag == _T_LIST:
-            count, pos = _read_varint(data, pos)
-            if count:
-                stack.append([_KIND_LIST, [], count, _MISSING])
-                continue
-            value = []
-        elif tag == _T_DICT:
-            count, pos = _read_varint(data, pos)
-            if count:
-                stack.append([_KIND_DICT, {}, count, _MISSING])
-                continue
-            value = {}
-        elif tag == _T_NONE:
-            value = None
-        elif tag == _T_TRUE:
-            value = True
-        elif tag == _T_FALSE:
-            value = False
-        elif tag == _T_FLOAT:
-            if pos + 8 > n:
-                raise StorageError("truncated float")
-            value = _DOUBLE.unpack_from(data, pos)[0]
-            pos += 8
-        elif tag == _T_BYTES:
-            length, pos = _read_varint(data, pos)
-            end = pos + length
-            if end > n:
-                raise StorageError("truncated bytes")
-            value = bytes(data[pos:end])
-            pos = end
+        if tag not in _T_PUSH:
+            return _decode_scalar(data, pos, tag, n)
+        remaining = data[pos]
+        if remaining < 0x80:
+            pos += 1
         else:
-            raise StorageError(
-                f"unknown serializer tag {bytes(data[pos - 1 : pos])!r}"
-            )
-        # Fold the completed value into the enclosing containers; a
-        # container that becomes full is itself a completed value.
-        while stack:
-            frame = stack[-1]
-            if frame[0] == _KIND_LIST:
-                frame[1].append(value)
-                frame[2] -= 1
-                if frame[2]:
-                    break
+            remaining, pos = _read_varint(data, pos)
+        container: Any = [] if tag == _T_LIST else {}
+        stack: List[Tuple[Any, int, Any]] = []
+        while True:
+            if type(container) is list:
+                append = container.append
+                while remaining:
+                    tag = data[pos]
+                    if tag == _T_INT:
+                        value = data[pos + 1]
+                        if value < 0x80:
+                            pos += 2
+                        else:
+                            high = data[pos + 2]
+                            if high < 0x80:
+                                value = value & 0x7F | high << 7
+                                pos += 3
+                            else:
+                                value, pos = _read_varint(data, pos + 1)
+                        append((value >> 1) ^ -(value & 1))
+                    elif tag in _T_PUSH:
+                        count = data[pos + 1]
+                        if count < 0x80:
+                            pos += 2
+                        else:
+                            count, pos = _read_varint(data, pos + 1)
+                        remaining -= 1
+                        if count:
+                            stack.append((container, remaining, None))
+                            container = [] if tag == _T_LIST else {}
+                            remaining = count
+                            break
+                        append([] if tag == _T_LIST else {})
+                        continue
+                    else:
+                        value, pos = _decode_scalar(data, pos + 1, tag, n)
+                        append(value)
+                    remaining -= 1
             else:
-                if frame[3] is _MISSING:
-                    frame[3] = value
-                    break
-                frame[1][frame[3]] = value
-                frame[3] = _MISSING
-                frame[2] -= 1
-                if frame[2]:
-                    break
-            value = frame[1]
-            stack.pop()
-        else:
-            return value, pos
+                while remaining:
+                    tag = data[pos]
+                    if tag == _T_STR:
+                        end = data[pos + 1]
+                        if end < 0x80:
+                            pos += 2
+                        else:
+                            end, pos = _read_varint(data, pos + 1)
+                        end += pos
+                        if end > n:
+                            raise StorageError("truncated string")
+                        key = str(data[pos:end], "utf-8")
+                        pos = end
+                    elif tag in _T_PUSH:
+                        raise StorageError("list or dict used as a dict key")
+                    else:
+                        key, pos = _decode_scalar(data, pos + 1, tag, n)
+                    tag = data[pos]
+                    if tag == _T_INT:
+                        value = data[pos + 1]
+                        if value < 0x80:
+                            pos += 2
+                        else:
+                            high = data[pos + 2]
+                            if high < 0x80:
+                                value = value & 0x7F | high << 7
+                                pos += 3
+                            else:
+                                value, pos = _read_varint(data, pos + 1)
+                        container[key] = (value >> 1) ^ -(value & 1)
+                    elif tag in _T_PUSH:
+                        count = data[pos + 1]
+                        if count < 0x80:
+                            pos += 2
+                        else:
+                            count, pos = _read_varint(data, pos + 1)
+                        remaining -= 1
+                        if count:
+                            stack.append((container, remaining, key))
+                            container = [] if tag == _T_LIST else {}
+                            remaining = count
+                            break
+                        container[key] = [] if tag == _T_LIST else {}
+                        continue
+                    else:
+                        container[key], pos = _decode_scalar(data, pos + 1, tag, n)
+                    remaining -= 1
+            if remaining:
+                continue  # a nested container was opened
+            value = container
+            if not stack:
+                return value, pos
+            container, remaining, key = stack.pop()
+            if type(container) is list:
+                container.append(value)
+            else:
+                container[key] = value
+    except IndexError:
+        raise StorageError("truncated value") from None
+    except UnicodeDecodeError as exc:
+        raise StorageError(f"invalid UTF-8 in string: {exc.reason}") from None
 
 
 def encode(value: Any) -> bytes:
-    """Serialize any supported value to bytes."""
+    """Serialize any supported value to bytes.
+
+    Raises:
+        StorageError: for an unserializable type, an integer outside
+            64 bits or a string that is not UTF-8-encodable.
+    """
     out = bytearray()
-    _encode_value(out, value)
+    try:
+        _encode_value(out, value)
+    except UnicodeEncodeError:
+        raise StorageError(_NOT_UTF8) from None
     return bytes(out)
 
 
@@ -249,13 +429,14 @@ def encoded_size(value: Any) -> int:
     Every value costs its tag byte; all but ``None``, the booleans and
     floats then carry one varint — the zigzagged integer itself, or the
     length/count of a string, bytes, list or dict — followed by the
-    payload or the elements.  The type tests are :func:`_encode_value`'s
+    payload or the elements.  The type tests are :func:`_encode_other`'s
     (only ``bool`` overlaps another branch, and it is split off inside
     the ``int`` one), tried most-frequent first.
 
     Raises:
         StorageError: for a value :func:`encode` rejects — an
-            unserializable type or an integer outside 64 bits.
+            unserializable type, an integer outside 64 bits or a string
+            that is not UTF-8-encodable.
     """
     size = 0
     pending = [value]
@@ -267,9 +448,13 @@ def encoded_size(value: Any) -> int:
                 continue
             varint = _zigzag(value)
         elif isinstance(value, str):
-            varint = (
-                len(value) if value.isascii() else len(value.encode("utf-8"))
-            )
+            if value.isascii():
+                varint = len(value)
+            else:
+                try:
+                    varint = len(value.encode("utf-8"))
+                except UnicodeEncodeError:
+                    raise StorageError(_NOT_UTF8) from None
             size += varint
         elif isinstance(value, (list, tuple)):
             varint = len(value)
@@ -299,7 +484,8 @@ def decode(data: bytes) -> Any:
     """Deserialize bytes produced by :func:`encode`.
 
     Raises:
-        StorageError: on truncation, unknown tags or trailing garbage.
+        StorageError: on any malformed input (see the module docstring);
+            no other exception escapes.
     """
     return decode_view(data)
 
@@ -307,15 +493,14 @@ def decode(data: bytes) -> Any:
 def decode_view(data: Any) -> Any:
     """Deserialize any bytes-like buffer produced by :func:`encode`.
 
-    Unlike :func:`decode`'s historical contract this accepts
-    ``memoryview`` (e.g. a slice of a pinned page frame) and
-    ``bytearray`` directly, decoding in place without first copying the
-    buffer.  The caller must keep the underlying buffer alive and
-    unmodified for the duration of the call only — every decoded value
-    owns its memory.
+    Accepts ``memoryview`` (e.g. a slice of a pinned page frame) and
+    ``bytearray`` as well as ``bytes``.  The caller must keep the
+    underlying buffer alive and unmodified for the duration of the call
+    only — every decoded value owns its memory.
 
     Raises:
-        StorageError: on truncation, unknown tags or trailing garbage.
+        StorageError: on any malformed input (see the module docstring);
+            no other exception escapes.
     """
     value, pos = _decode_value(data, 0)
     if pos != len(data):
