@@ -128,9 +128,7 @@ class ClientServerDatabase(HyperModelDatabase):
                 # group in its *own* router — the session LSN token and
                 # the round-robin cursor are per-client state.
                 self.server = ReplicaRouter(
-                    server,
-                    policy=(replication or server.config).policy,
-                    instrumentation=self.instrumentation,
+                    server, instrumentation=self.instrumentation
                 )
             else:
                 self.server = server
@@ -147,9 +145,7 @@ class ClientServerDatabase(HyperModelDatabase):
                 fault_model=network.fault_model,
             )
             self.server = ReplicaRouter(
-                group,
-                policy=replication.policy,
-                instrumentation=self.instrumentation,
+                group, instrumentation=self.instrumentation
             )
         elif sharding is not None and sharding.shards > 1:
             # N-server deployment: the router presents the ObjectServer

@@ -74,8 +74,7 @@ class OodbDatabase(HyperModelDatabase):
     ``vfs`` injects the engine's file-system seam (see
     :mod:`repro.engine.vfs`): ``create_backend("oodb", path, vfs=...)``
     threads a fault-injecting or counting VFS through the page file,
-    the WAL and the buffer-pool flush paths.  ``group_commit`` batches
-    consecutive commit fsyncs (``docs/durability.md``).
+    the WAL and the buffer-pool flush paths.
     """
 
     def __init__(
@@ -87,8 +86,6 @@ class OodbDatabase(HyperModelDatabase):
         versioned: bool = False,
         instrumentation: Optional[Instrumentation] = None,
         vfs=None,
-        group_commit: bool = False,
-        group_commit_size: int = 8,
     ) -> None:
         self.path = path
         self.instrumentation = resolve(instrumentation)
@@ -100,8 +97,6 @@ class OodbDatabase(HyperModelDatabase):
             versioned=versioned,
             instrumentation=self.instrumentation,
             vfs=vfs,
-            group_commit=group_commit,
-            group_commit_size=group_commit_size,
         )
         self._clustered = clustered
         self._pending_uids: set = set()

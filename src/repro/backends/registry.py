@@ -17,13 +17,11 @@ functions.  Every built-in backend accepts an ``instrumentation``
 option (see :mod:`repro.obs`).  The engine-file backends (``oodb``,
 ``oodb-unclustered``) additionally accept ``vfs=`` (the storage I/O
 seam of :mod:`repro.engine.vfs`, used for deterministic fault
-injection and I/O counting) and ``group_commit=`` /
-``group_commit_size=`` (batched commit fsyncs); the ``clientserver``
-backend takes one typed ``network=``
-:class:`~repro.netsim.config.NetworkConfig` bundling the latency and
-fault models, cache size, retry policy, closure push-down and the
-concurrency mode (``clientserver-bfs`` is the
-``NetworkConfig(pushdown=False)`` ablation, mirroring
+injection and I/O counting); the ``clientserver`` backend takes one
+typed ``network=`` :class:`~repro.netsim.config.NetworkConfig`
+bundling the latency and fault models, cache size, retry policy,
+closure push-down and the concurrency mode (``clientserver-bfs`` is
+the ``NetworkConfig(pushdown=False)`` ablation, mirroring
 ``oodb-unclustered``).
 """
 

@@ -19,9 +19,9 @@ Subcommands:
 * ``bench-replica`` — run the replica-count × write-rate × staleness
   grid (WAL-shipping replicas, session-token read routing) and write
   ``BENCH_replica.json`` (see ``docs/replication.md``);
-* ``bench-diff`` — tabulate two ``BENCH_*.json`` documents cell by
-  cell with percentile-aware thresholds; exits non-zero when a cell
-  moved past its threshold (wall-clock gating lives in ``bench/``);
+* ``bench-diff`` — compare the ``cells`` of two ``BENCH_*.json``
+  documents leaf by leaf; prints every differing leaf and exits
+  non-zero on any difference (wall-clock gating lives in ``bench/``);
 * ``trace``      — run one operation cold under full instrumentation
   and export a Chrome trace-event JSON for Perfetto;
 * ``dash``       — render ``BENCH_*.json`` documents, a flight-recorder
@@ -177,15 +177,11 @@ def _build_parser(
 
     diff = sub.add_parser(
         "bench-diff",
-        help="compare two BENCH_*.json documents; exit 1 on regression",
+        help="compare the cells of two BENCH_*.json documents leaf by "
+        "leaf; exit 1 on any difference",
     )
     diff.add_argument("baseline", help="baseline BENCH_*.json")
     diff.add_argument("candidate", help="candidate BENCH_*.json")
-    diff.add_argument(
-        "--all",
-        action="store_true",
-        help="print every compared cell, not just regressions",
-    )
 
     trace = sub.add_parser(
         "trace",
@@ -377,7 +373,7 @@ def _cmd_bench_diff(args: argparse.Namespace) -> int:
     from repro.harness.benchdiff import diff_files, format_diff
 
     rows, exit_code = diff_files(args.baseline, args.candidate)
-    print(format_diff(rows, only_regressions=not args.all))
+    print(format_diff(rows))
     return exit_code
 
 

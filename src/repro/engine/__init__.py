@@ -15,7 +15,7 @@ object store built from first principles —
 * a tag-based binary **serializer** for object state
   (:mod:`repro.engine.serializer`);
 * a redo-only **write-ahead log** with checkpoints, recovery and
-  optional group commit (:mod:`repro.engine.wal`);
+  the network server's optional group commit (:mod:`repro.engine.wal`);
 * a pluggable **virtual file system** seam with I/O counting and
   deterministic fault injection (:mod:`repro.engine.vfs`);
 * one implicit **transaction** per store handle, a deferred write set

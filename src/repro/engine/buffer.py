@@ -22,12 +22,17 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import struct
 import time
 from typing import Dict, Iterable, Iterator, Optional
 
 from repro.engine.pages import PAGE_SIZE, PageFile, PageId
 from repro.errors import PageError
 from repro.obs import Instrumentation, resolve
+
+#: A free page holds only the id of the next free page, in its first
+#: 8 bytes.
+_FREE_NEXT = struct.Struct("<Q")
 
 
 @dataclasses.dataclass
@@ -241,7 +246,19 @@ class BufferPool:
         return loaded
 
     def new_page(self) -> PageId:
-        """Allocate a fresh zeroed page and cache it (unpinned)."""
+        """Allocate a zeroed page and cache it (dirty, unpinned).
+
+        The free list is recycled before the file grows.  The head's
+        link is read through the pool, so a page freed earlier in the
+        same commit is reused straight from its frame.
+        """
+        pid = self._file.free_head
+        if pid:
+            data = self.get(pid)
+            (self._file.free_head,) = _FREE_NEXT.unpack_from(data, 0)
+            data[:] = bytes(PAGE_SIZE)
+            self.unpin(pid, dirty=True)
+            return pid
         pid = self._file.allocate()
         self._ensure_room()
         frame = _Frame(pid, bytearray(PAGE_SIZE), self._next_lsn())
@@ -250,12 +267,21 @@ class BufferPool:
         return pid
 
     def free_page(self, pid: PageId) -> None:
-        """Drop a page from the cache and return it to the file free list."""
-        frame = self._frames.pop(pid, None)
+        """Push a page onto the file's free list.
+
+        The page becomes a dirty frame holding only the link to the
+        old head, so the link is logged and forced with its commit like
+        every other page: a free never writes the data file ahead of
+        the log.
+        """
+        frame = self._frames.get(pid)
         if frame is not None and frame.pin_count:
             raise PageError(f"freeing pinned page {pid}")
-        self._clean_lru.pop(pid, None)
-        self._file.free(pid)
+        data = self.get(pid)
+        data[:] = bytes(PAGE_SIZE)
+        _FREE_NEXT.pack_into(data, 0, self._file.free_head)
+        self.unpin(pid, dirty=True)
+        self._file.free_head = pid
 
     # ------------------------------------------------------------------
     # Eviction and flushing

@@ -5,9 +5,10 @@ holding the magic number, the format version, the page count and a
 small number of named root pointers (catalog root, directory root,
 next OID, ...) that the upper layers bootstrap from.
 
-:class:`PageFile` does raw page reads/writes and allocation;
-free-page recycling is handled here through a simple free-list whose
-head lives in the header.
+:class:`PageFile` does raw page reads/writes and grows the file.  The
+head of the free-page list lives in the header; the list itself is
+chained through the freed pages by the buffer pool, so each link is
+logged and forced with its commit like any other page.
 
 All file access goes through an injected :class:`~repro.engine.vfs.VFS`
 (defaulting to :class:`~repro.engine.vfs.RealVFS`), so fault-injection
@@ -43,9 +44,6 @@ _MAX_ROOTS = 32
 #: A page id; 0 is the header and is never handed to upper layers.
 PageId = int
 
-#: Free pages are chained through their first 8 bytes.
-_FREE_NEXT = struct.Struct("<Q")
-
 
 class PageFile:
     """Raw page-granular access to one database file.
@@ -61,7 +59,9 @@ class PageFile:
         self.vfs = vfs or RealVFS()
         self._file: Optional[VFSFile] = None
         self._page_count = 0
-        self._free_head: PageId = 0
+        #: First page of the free list (0: empty); the buffer pool
+        #: pushes and pops it.
+        self.free_head: PageId = 0
         self._roots: Dict[str, int] = {}
         self._open()
 
@@ -74,7 +74,7 @@ class PageFile:
         self._file = self.vfs.open(self.path, "r+b" if not fresh else "w+b")
         if fresh:
             self._page_count = 1
-            self._free_head = 0
+            self.free_head = 0
             self._roots = {}
             self._write_header()
         else:
@@ -117,7 +117,7 @@ class PageFile:
             MAGIC,
             FORMAT_VERSION,
             self._page_count,
-            self._free_head,
+            self.free_head,
             len(self._roots),
         )
         offset = _HEADER_PREFIX.size
@@ -142,7 +142,7 @@ class PageFile:
                 f"{self.path}: format version {version}, expected {FORMAT_VERSION}"
             )
         self._page_count = count
-        self._free_head = free_head
+        self.free_head = free_head
         self._roots = {}
         offset = _HEADER_PREFIX.size
         for _ in range(root_count):
@@ -175,9 +175,10 @@ class PageFile:
         """Copy of the whole root-pointer table (logged at commit)."""
         return dict(self._roots)
 
-    def restore_roots(self, roots: Dict[str, int]) -> None:
-        """Replace the root table (recovery replay)."""
+    def restore_roots(self, roots: Dict[str, int], free_head: PageId) -> None:
+        """Replace the root table and the free-list head (recovery replay)."""
         self._roots = dict(roots)
+        self.free_head = free_head
 
     # ------------------------------------------------------------------
     # Page I/O
@@ -227,25 +228,12 @@ class PageFile:
         self._file.write(data)
 
     def allocate(self) -> PageId:
-        """Allocate a page, recycling the free list before growing."""
-        if self._free_head:
-            pid = self._free_head
-            page = self.read_page(pid)
-            (self._free_head,) = _FREE_NEXT.unpack_from(page, 0)
-            return pid
+        """Grow the file by one zeroed page and return its id."""
         pid = self._page_count
         self._page_count += 1
         self._file.seek(pid * PAGE_SIZE)
         self._file.write(b"\x00" * PAGE_SIZE)
         return pid
-
-    def free(self, pid: PageId) -> None:
-        """Return a page to the free list."""
-        self._check_pid(pid)
-        page = bytearray(PAGE_SIZE)
-        _FREE_NEXT.pack_into(page, 0, self._free_head)
-        self.write_page(pid, page)
-        self._free_head = pid
 
     @property
     def page_count(self) -> int:

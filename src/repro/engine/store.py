@@ -66,6 +66,9 @@ class StoreStats:
     recovered_transactions: int = 0
 
 
+#: WAL size that triggers a checkpoint at the next commit boundary.
+CHECKPOINT_AFTER_BYTES = 8 * 1024 * 1024
+
 #: Types :func:`_clone_value` shares instead of copying (immutable).
 _SCALARS = frozenset({int, str, float, bytes, bool, type(None)})
 
@@ -216,21 +219,12 @@ class ObjectStore:
         clustered: honour clustering hints (the 1-N policy).
         versioned: preserve pre-states of updated objects (R5).
         sync_commits: fsync the WAL at commit.  Tests may disable it.
-        checkpoint_after_bytes: WAL size that triggers an automatic
-            checkpoint at the next commit boundary.
         vfs: the file-system seam every byte of I/O crosses (see
             :mod:`repro.engine.vfs`).  Defaults to the real filesystem;
             tests inject a :class:`~repro.engine.vfs.FaultInjectingVFS`
             to crash the store at chosen I/O operations.  Whatever is
             passed is wrapped in a :class:`~repro.engine.vfs.CountingVFS`
             feeding ``engine.io.*`` counters.
-        group_commit: batch consecutive commits into one WAL fsync (and
-            one page-force).  Bounded durability relaxation — at most
-            ``group_commit_size - 1`` trailing commits can be lost to a
-            power failure, each atomically; crash *consistency* is
-            unaffected.  See ``docs/durability.md``.
-        group_commit_size: commits per durability point when
-            ``group_commit`` is on.
         decode_cache_size: capacity (records) of the :class:`DecodeCache`
             serving unchanged records without re-decoding; ``0``
             disables it.
@@ -247,11 +241,8 @@ class ObjectStore:
         clustered: bool = True,
         versioned: bool = False,
         sync_commits: bool = True,
-        checkpoint_after_bytes: int = 8 * 1024 * 1024,
         instrumentation: Optional[Instrumentation] = None,
         vfs: Optional[VFS] = None,
-        group_commit: bool = False,
-        group_commit_size: int = 8,
         decode_cache_size: int = 8192,
     ) -> None:
         self.path = path
@@ -260,9 +251,6 @@ class ObjectStore:
         self.clustering = ClusteringPolicy(enabled=clustered)
         self.versioned = versioned
         self.sync_commits = sync_commits
-        self.checkpoint_after_bytes = checkpoint_after_bytes
-        self.group_commit = group_commit
-        self.group_commit_size = group_commit_size
         #: Shared by the buffer pool, the WAL and every B+tree below.
         self.instrumentation = resolve(instrumentation)
         #: The raw injected VFS (shared with vacuum's target store).
@@ -307,8 +295,6 @@ class ObjectStore:
                 sync_on_commit=self.sync_commits,
                 instrumentation=self.instrumentation,
                 vfs=self.vfs,
-                group_commit=self.group_commit,
-                group_commit_size=self.group_commit_size,
             )
             self._recover_if_needed()
             self._file = PageFile(self.path, vfs=self.vfs)
@@ -390,9 +376,7 @@ class ObjectStore:
                             record.oid, wal_mod.page_image(record)
                         )
                     elif record.kind == wal_mod.ROOTS:
-                        file.restore_roots(
-                            {k: v for k, v in record.state.items()}
-                        )
+                        file.restore_roots(record.state, record.oid)
                 self.stats.recovered_transactions += 1
             file.sync()
         finally:
@@ -456,8 +440,6 @@ class ObjectStore:
         """Force all pages, fsync the data file, truncate the WAL."""
         self._require_open()
         with self.instrumentation.span("store.checkpoint"):
-            if self._wal.pending_commits:
-                self._wal.sync(force=True)  # write-ahead: log before pages
             self._save_roots()
             self._pool.flush_all()
             self._file.sync()
@@ -483,8 +465,6 @@ class ObjectStore:
             TransactionError: if writes are pending.
         """
         self._require_idle("drop cache")
-        if self._wal.pending_commits:
-            self._wal.sync(force=True)  # write-ahead: log before pages
         self._save_roots()
         self._pool.drop_cache()
         self._pool.stats.reset()
@@ -910,16 +890,16 @@ class ObjectStore:
     def _reopen_at_last_commit(self) -> None:
         """Throw away a half-built commit: reopen from the WAL.
 
-        Nothing of the failed write set is logged, and the pool is
-        no-steal, so none of its pages reached the data file — but its
-        dirty frames and in-memory header (roots, page count) would be
-        logged by the next commit.  Make the pending group commits
-        durable (as :meth:`checkpoint` does), drop every handle without
-        writing the header, and reopen: WAL recovery rebuilds the last
-        committed state.
+        Nothing of the failed write set is logged.  The pool is
+        no-steal and a freed page's free-list link is a dirty frame
+        like any other, so no page the write set touched reached the
+        data file; a page the commit newly allocated past the end of
+        the file was zero-filled there, which no committed state
+        references.  But the dirty frames and the in-memory header
+        (roots, page count, free-list head) would be logged by the
+        next commit, so drop every handle without writing the header
+        and reopen: WAL recovery rebuilds the last committed state.
         """
-        if self._wal.pending_commits:
-            self._wal.sync(force=True)
         self._file.discard()
         self._dispose_handles()
         self.stats.aborts += 1
@@ -929,12 +909,7 @@ class ObjectStore:
     def _log_and_force(self, txid: int) -> None:
         """WAL the dirty page images + roots, fsync, then force pages.
 
-        With group commit, the WAL defers the fsync until a batch of
-        commits has accumulated; page-forcing is deferred in lockstep —
-        dirty pages stay in the pool (re-logged by the next commit, so
-        replay still sees every committed image) and are flushed only
-        when the batch reaches its durability point.  This preserves
-        the write-ahead rule: no page image reaches the data file
+        The write-ahead rule: no page image reaches the data file
         before the log records that can recreate it are durable.
         """
         records = [
@@ -942,13 +917,13 @@ class ObjectStore:
             for pid, image in self._pool.dirty_pages().items()
         ]
         records.append(
-            wal_mod.roots_record(txid, self._file.roots_snapshot())
+            wal_mod.roots_record(
+                txid, self._file.roots_snapshot(), self._file.free_head
+            )
         )
-        synced = self._wal.log_commit(txid, records)
-        if not synced:
-            return  # group commit: pages force at the batch boundary
+        self._wal.log_commit(txid, records)
         self._pool.flush_all()
-        if self._wal_size() > self.checkpoint_after_bytes:
+        if self._wal_size() > CHECKPOINT_AFTER_BYTES:
             self._file.sync()
             self._wal.log_checkpoint()
             self.stats.checkpoints += 1

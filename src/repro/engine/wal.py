@@ -15,10 +15,10 @@ write (the classic crash mode) is detected and cleanly ignored.
 Record types:
 
 * ``BEGIN txid``
-* ``PUT txid oid state``   — logical: insert-or-update an object
-* ``DELETE txid oid``      — logical: remove an object
+* ``PUT txid oid state``   — logical: the post-state of an object
 * ``PAGE txid pid image``  — physical: post-image of a dirtied page
 * ``ROOTS txid roots``     — physical: the header root-pointer table
+  and free-list head
 * ``PREPARE txid``         — two-phase commit vote: the transaction's
   operations are durable but the *decision* belongs to a coordinator
 * ``COMMIT txid``
@@ -28,8 +28,8 @@ Record types:
 One framing, two redo vocabularies, never mixed in one log.  The
 engine (``ObjectStore._log_and_force``) writes and replays **only** the
 physical records: ``BEGIN``, one ``PAGE`` per dirtied page, ``ROOTS``,
-``COMMIT``.  The logical ``PUT``/``DELETE`` records are the format of
-the layers that keep records rather than pages — the netsim
+``COMMIT``.  The logical ``PUT`` record is the format of the layers
+that keep records rather than pages — the netsim
 ``ObjectServer``, its two-phase participants and the replication log
 shipper — which replay them from :meth:`WriteAheadLog.recover` /
 :meth:`WriteAheadLog.read_from`.
@@ -39,11 +39,11 @@ distributed commit logs ``BEGIN + operations + PREPARE`` (force-synced
 — a yes vote must survive a crash) and only applies the operations
 when the coordinator's decision arrives as a ``COMMIT`` or ``ABORT``
 record.  A transaction whose log ends at ``PREPARE`` is **in doubt**:
-:meth:`WriteAheadLog.recover_operations` never replays it (so plain
+:meth:`WriteAheadLog.recover` never lists it as committed (so plain
 recovery follows *presumed abort* — an undecided transaction is not
-redone), and :meth:`WriteAheadLog.recover_in_doubt` surfaces it so a
-recovery driver can ask the coordinator's decision log and either
-replay (``COMMIT``) or forget (``ABORT``) it deterministically.
+redone) but lists it apart, so a recovery driver can ask the
+coordinator's decision log and either replay (``COMMIT``) or forget
+(``ABORT``) it deterministically.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from repro.obs import Instrumentation, resolve
 
 BEGIN = "B"
 PUT = "P"
-DELETE = "D"
 PAGE = "G"
 ROOTS = "R"
 PREPARE = "E"
@@ -69,7 +68,7 @@ COMMIT = "C"
 ABORT = "A"
 CHECKPOINT = "K"
 
-_DATA_KINDS = (PUT, DELETE, PAGE, ROOTS)
+_DATA_KINDS = (PUT, PAGE, ROOTS)
 
 _FRAME = struct.Struct("<II")  # payload length, crc32
 
@@ -312,32 +311,6 @@ class WriteAheadLog:
                 except Exception as exc:  # corrupt but checksummed? bail out
                     raise RecoveryError(f"undecodable log record: {exc}") from exc
 
-    def recover_operations(self) -> List[Tuple[int, List[LogRecord]]]:
-        """Return the redo work list: committed transactions in order.
-
-        Scans the log after the last checkpoint, collects each
-        transaction's PUT/DELETE records, and returns only those whose
-        COMMIT made it to disk, in commit order.  Incomplete or aborted
-        transactions are dropped (their changes never touched data
-        pages, so dropping them *is* the undo).  A transaction whose
-        log ends at PREPARE is in doubt and likewise **not** returned —
-        presumed abort; :meth:`recover_in_doubt` lists those separately
-        for a coordinator-aware recovery driver.
-        """
-        return self.recover()[0]
-
-    def recover_in_doubt(self) -> List[Tuple[int, List[LogRecord]]]:
-        """Prepared-but-undecided transactions, in prepare order.
-
-        These are the transactions whose PREPARE record is on disk but
-        whose COMMIT/ABORT is not: a two-phase-commit participant that
-        crashed between voting and learning the outcome.  The caller
-        resolves each against the coordinator's decision log — replay
-        on COMMIT, forget on ABORT (and an unknown transaction *is* an
-        abort: presumed abort).
-        """
-        return self.recover()[1]
-
     def recover(
         self,
     ) -> Tuple[
@@ -345,11 +318,16 @@ class WriteAheadLog:
     ]:
         """One scan, both work lists: ``(committed, in_doubt)``.
 
-        Recovery drivers need both the redo list and the in-doubt list;
-        calling :meth:`recover_operations` and :meth:`recover_in_doubt`
-        separately used to decode the whole log twice per reopen.  This
-        runs the two state machines over a single :meth:`read_from`
-        pass.
+        ``committed`` is the redo work list: the data records of every
+        transaction whose COMMIT follows the last checkpoint, in commit
+        order.  Incomplete or aborted transactions are dropped (their
+        changes never touched data pages, so dropping them *is* the
+        undo).  ``in_doubt`` lists, in prepare order, the transactions
+        whose PREPARE is on disk but whose COMMIT/ABORT is not: a
+        two-phase-commit participant that crashed between voting and
+        learning the outcome.  The caller resolves each against the
+        coordinator's decision log — replay on COMMIT, forget on ABORT
+        (and an unknown transaction *is* an abort: presumed abort).
         """
         pending: Dict[int, List[LogRecord]] = {}
         committed: List[Tuple[int, List[LogRecord]]] = []
@@ -391,11 +369,6 @@ def put_record(txid: int, oid: int, state: Any) -> LogRecord:
     return LogRecord(PUT, txid=txid, oid=oid, state=state)
 
 
-def delete_record(txid: int, oid: int) -> LogRecord:
-    """Build a DELETE record for an object."""
-    return LogRecord(DELETE, txid=txid, oid=oid)
-
-
 def page_record(txid: int, pid: int, image: bytes) -> LogRecord:
     """Build a PAGE record holding a zlib-compressed page post-image."""
     return LogRecord(
@@ -408,6 +381,9 @@ def page_image(record: LogRecord) -> bytes:
     return zlib.decompress(record.state["z"])
 
 
-def roots_record(txid: int, roots: Dict[str, int]) -> LogRecord:
-    """Build a ROOTS record snapshotting the header root pointers."""
-    return LogRecord(ROOTS, txid=txid, state=dict(roots))
+def roots_record(
+    txid: int, roots: Dict[str, int], free_head: int
+) -> LogRecord:
+    """Build a ROOTS record: the header's root pointers in ``state`` and
+    its free-list head in ``oid``."""
+    return LogRecord(ROOTS, txid=txid, oid=free_head, state=dict(roots))

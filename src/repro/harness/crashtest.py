@@ -17,7 +17,7 @@ are checked:
   partial transaction);
 * **durability** — that snapshot is at least as new as the last commit
   that *returned* to the caller before the crash (with ``sync_commits``
-  on and group commit off, a returned commit is a durable commit), and
+  on, a returned commit is a durable commit), and
   no newer than the one commit that may have been in flight.
 
 The matrix is surfaced as the ``repro crashtest`` CLI subcommand, which

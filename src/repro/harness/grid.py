@@ -12,8 +12,8 @@ here:
 * :func:`generate_structure` — generate the HyperModel structure once
   and dump its records, so every cell reloads the same snapshot;
 * :func:`latency_leaf` / :func:`percentiles` — the
-  ``p50_ms``/``p90_ms``/``p99_ms``/``max_ms`` leaf shape ``bench-diff``
-  reads, exact order statistics from :class:`~repro.harness.timing.Stats`;
+  ``p50_ms``/``p90_ms``/``p99_ms``/``max_ms`` leaf shape of every grid
+  cell, exact order statistics from :class:`~repro.harness.timing.Stats`;
 * :func:`timeline` — the flight-recorder JSONL behind ``--timeline``;
 * :func:`write_document` — the one JSON writer.
 """

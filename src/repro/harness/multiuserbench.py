@@ -23,8 +23,7 @@ mode, so the numbers answer three questions at once:
 All times are *virtual*: the document is a pure function of the seed
 and the grid, byte-identical across machines, which is why CI can diff
 it against a committed baseline with ``repro bench-diff`` (cells carry
-the same ``p50_ms``/``p90_ms``/``p99_ms`` + ``mode`` shape as the
-closure benchmark).
+the ``mode`` tag every grid cell does).
 """
 
 from __future__ import annotations
@@ -106,8 +105,8 @@ def _run_cell(
     per-transaction virtual latencies (begin to successful commit,
     retries included); ``histogram`` is the fleet's log-bucketed form,
     the one a deployment that never pools its samples could still
-    emit.  ``mode`` is always ``"multiuser"`` so ``repro bench-diff``
-    tells these cells from the closure benchmark's.
+    emit.  ``mode`` is always ``"multiuser"``, the tag ``repro
+    bench-diff`` checks every cell for.
     """
     from repro.concurrency.multiuser import MultiUserHarness
 

@@ -36,10 +36,6 @@ CONCURRENCY_MODES = ("none", "optimistic")
 #: OID→shard placement policies the sharding layer understands.
 PLACEMENT_POLICIES = ("hash", "affine")
 
-#: Read-routing policies the replication layer understands.
-REPLICA_POLICIES = ("round_robin", "least_queue")
-
-
 @dataclasses.dataclass(frozen=True)
 class ReplicationConfig:
     """How reads scale out across WAL-shipping replica servers.
@@ -53,29 +49,20 @@ class ReplicationConfig:
     primary (see ``docs/replication.md``).
 
     Attributes:
-        replicas: number of replica servers behind the primary (>= 1).
-        policy: ``"round_robin"`` — rotate eligible replicas per client
-            — or ``"least_queue"`` — pick the eligible replica whose
-            transport lane has the smallest backlog (the
-            ``backend.mp.*`` busy timeline).
+        replicas: number of replica servers behind the primary (>= 1);
+            each client rotates its reads over the eligible ones.
         apply_lag_seconds: virtual delay between a commit being shipped
             and a replica applying it — the deterministic staleness
             bound (0 = replicas are always fresh).
     """
 
     replicas: int = 2
-    policy: str = "round_robin"
     apply_lag_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ConfigurationError(
                 f"replicas must be >= 1, got {self.replicas}"
-            )
-        if self.policy not in REPLICA_POLICIES:
-            raise ConfigurationError(
-                f"policy must be one of {REPLICA_POLICIES},"
-                f" got {self.policy!r}"
             )
         if self.apply_lag_seconds < 0:
             raise ConfigurationError(
@@ -105,23 +92,16 @@ class ShardConfig:
             placement that co-locates whole 1-N closure subtrees on
             one shard (clustering as a placement policy, the paper's
             own axis; see :mod:`repro.sharding.placement`).
-        virtual_nodes: ring points per shard for the ``hash`` policy
-            (more points = smoother balance, slower ring build).
         fanout: tree fan-out assumed by the ``affine`` policy (the
             HyperModel generator's 5).
         first_uid: uniqueId of the structure's root for the ``affine``
             policy (the generator's ``first_uid``).
-        affinity_level: tree level whose subtrees the ``affine``
-            policy keeps together — level 1 (default) spreads the
-            root's ``fanout`` child subtrees round-robin over shards.
     """
 
     shards: int = 1
     placement: str = "hash"
-    virtual_nodes: int = 64
     fanout: int = 5
     first_uid: int = 1
-    affinity_level: int = 1
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -133,18 +113,9 @@ class ShardConfig:
                 f"placement must be one of {PLACEMENT_POLICIES},"
                 f" got {self.placement!r}"
             )
-        if self.virtual_nodes < 1:
-            raise ConfigurationError(
-                f"virtual_nodes must be >= 1, got {self.virtual_nodes}"
-            )
         if self.fanout < 2:
             raise ConfigurationError(
                 f"fanout must be >= 2, got {self.fanout}"
-            )
-        if self.affinity_level < 0:
-            raise ConfigurationError(
-                "affinity_level cannot be negative,"
-                f" got {self.affinity_level}"
             )
 
     def replace(self, **changes) -> "ShardConfig":

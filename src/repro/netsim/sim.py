@@ -199,33 +199,6 @@ class ContendedTransport:
         return seconds
 
 
-def shard_lanes(
-    latency: LatencyModel,
-    shards: int,
-    service_time_seconds: float = 0.0,
-    instrumentation: Optional[Instrumentation] = None,
-    fallback_clock: Optional[SimulatedClock] = None,
-) -> List[ContendedTransport]:
-    """One contended transport per shard server.
-
-    Each shard gets its *own* FIFO busy timeline (``server_free_at``),
-    so requests to different shards do not queue behind each other —
-    the whole point of partitioning write throughput — while requests
-    to the same shard still serialize.  Lanes are named ``shard<i>``
-    for the per-shard ``backend.mp.shard<i>.*`` counter namespaces.
-    """
-    return [
-        ContendedTransport(
-            latency,
-            service_time_seconds=service_time_seconds,
-            instrumentation=instrumentation,
-            fallback_clock=fallback_clock,
-            lane=f"shard{i}",
-        )
-        for i in range(shards)
-    ]
-
-
 def replica_lanes(
     latency: LatencyModel,
     replicas: int,

@@ -134,8 +134,7 @@ class ReplicationGroup:
     shared clock, so staleness is deterministic and replayable.
 
     Args:
-        config: replica count and apply lag (the policy field is
-            consumed by the router, not the group).
+        config: replica count and apply lag.
         clock / latency / instrumentation / fault_model: as for
             :class:`~repro.netsim.server.ObjectServer`; the fault
             model applies to the primary only (replicas serve reads
@@ -144,9 +143,6 @@ class ReplicationGroup:
             the failover drill passes a
             :class:`~repro.engine.vfs.FaultInjectingVFS` so the
             primary can crash mid-commit.
-        wal_path: the WAL's path inside ``vfs``.
-        sync_on_commit / group_commit / fsync_seconds: WAL durability
-            knobs, as for the base server.
     """
 
     def __init__(
@@ -158,10 +154,6 @@ class ReplicationGroup:
         instrumentation: Optional[Instrumentation] = None,
         fault_model: Optional[FaultModel] = None,
         vfs=None,
-        wal_path: str = "replication-primary.wal",
-        sync_on_commit: bool = True,
-        group_commit: bool = False,
-        fsync_seconds: float = 0.0,
     ) -> None:
         self.config = config or ReplicationConfig()
         self.clock = clock or SimulatedClock()
@@ -170,11 +162,9 @@ class ReplicationGroup:
         self._instr = self.instrumentation
         self.vfs = vfs or MemoryVFS()
         self.wal = WriteAheadLog(
-            wal_path,
-            sync_on_commit=sync_on_commit,
+            "replication-primary.wal",
             instrumentation=instrumentation,
             vfs=self.vfs,
-            group_commit=group_commit,
         )
         self.primary = ObjectServer(
             self.clock,
@@ -182,7 +172,6 @@ class ReplicationGroup:
             instrumentation=instrumentation,
             fault_model=fault_model,
             wal=self.wal,
-            fsync_seconds=fsync_seconds,
             lane_tag="primary",
         )
         self.shipper = WalShipper(self.wal, self.clock)

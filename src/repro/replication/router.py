@@ -6,10 +6,9 @@
 as its ``server`` unchanged.  Behind the surface:
 
 * **Reads** (``fetch``, ``fetch_many``, ``traverse``, ``readahead`` —
-  the whole push-down surface) route to a replica picked by the
-  configured policy, but only among replicas whose applied LSN has
-  reached this client's **session LSN token** — the LSN of its last
-  acknowledged write.  If no replica qualifies (fresh write, lagging
+  the whole push-down surface) rotate round-robin over the replicas
+  whose applied LSN has reached this client's **session LSN token** —
+  the LSN of its last acknowledged write.  If no replica qualifies (fresh write, lagging
   replicas) the read falls back to the primary, so read-your-writes
   holds unconditionally while everything else enjoys bounded-staleness
   reads off the primary's lane.
@@ -18,12 +17,6 @@ as its ``server`` unchanged.  Behind the surface:
   primary; a successful write advances the session token to the LSN
   the commit shipped at.  None of these is spelled out here: they are
   forwarders generated from :mod:`repro.netsim.verbs`.
-* **Policies** — ``round_robin`` rotates the eligible set per client;
-  ``least_queue`` picks the eligible replica whose transport lane has
-  the smallest backlog (``server_free_at - virtual_now`` on the
-  contended lanes the ``backend.mp.*`` gauges watch), degrading to
-  round-robin when lanes expose no queue (the single-client
-  ``DirectTransport``).
 
 The router is **per client**: the session token and the round-robin
 cursor are client state.  All routers share one
@@ -37,8 +30,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.engine.wal import WriteAheadLog
-from repro.errors import ConfigurationError
-from repro.netsim.config import REPLICA_POLICIES
 from repro.netsim.server import ObjectServer
 from repro.netsim.verbs import READ_VERBS, SERVED_VERBS, VerbRouter
 from repro.obs import Instrumentation, resolve
@@ -50,7 +41,6 @@ class ReplicaRouter(VerbRouter):
 
     Args:
         group: the shared primary + replicas deployment.
-        policy: ``"round_robin"`` or ``"least_queue"``.
         instrumentation: counter/span sink (defaults to the group's).
     """
 
@@ -68,20 +58,14 @@ class ReplicaRouter(VerbRouter):
         self,
         group: ReplicationGroup,
         *,
-        policy: str = "round_robin",
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
-        if policy not in REPLICA_POLICIES:
-            raise ConfigurationError(
-                f"policy must be one of {REPLICA_POLICIES}, got {policy!r}"
-            )
         super().__init__(
             resolve(instrumentation)
             if instrumentation is not None
             else group.instrumentation
         )
         self.group = group
-        self.policy = policy
         #: LSN of this client's last acknowledged write; reads only
         #: route to replicas that have applied at least this much.
         self.session_lsn = 0
@@ -114,14 +98,12 @@ class ReplicaRouter(VerbRouter):
             "primary": {
                 "role": "primary",
                 "replicas": self.group.config.replicas,
-                "policy": self.policy,
             }
         }
         for index in range(self.group.config.replicas):
             meta[f"replica{index}"] = {
                 "role": "replica",
                 "replicas": self.group.config.replicas,
-                "policy": self.policy,
             }
         return meta
 
@@ -161,15 +143,6 @@ class ReplicaRouter(VerbRouter):
             self.session_lsn = 0
             self._rr = 0
 
-    @staticmethod
-    def _backlog(server: ObjectServer) -> float:
-        transport = server.transport
-        free_at = getattr(transport, "server_free_at", None)
-        now = getattr(transport, "virtual_now", None)
-        if free_at is None or now is None:
-            return 0.0
-        return max(0.0, free_at - now)
-
     def _read_server(self) -> ObjectServer:
         """Pick the server for one read: an eligible replica, or the
         primary when none is fresh enough for the session token."""
@@ -181,20 +154,8 @@ class ReplicaRouter(VerbRouter):
         if not states:
             self._instr.count("backend.replica.fallbacks")
             return self.group.primary
-        if self.policy == "least_queue":
-            backlogs = [self._backlog(state.server) for state in states]
-            if max(backlogs) > min(backlogs):
-                choice = min(
-                    zip(backlogs, range(len(states))),
-                    key=lambda pair: pair,
-                )[1]
-                state = states[choice]
-            else:
-                state = states[self._rr % len(states)]
-                self._rr += 1
-        else:
-            state = states[self._rr % len(states)]
-            self._rr += 1
+        state = states[self._rr % len(states)]
+        self._rr += 1
         self._instr.count("backend.replica.reads")
         self._instr.count(f"backend.replica.{state.index}.reads")
         return state.server

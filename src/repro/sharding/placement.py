@@ -9,9 +9,9 @@ Two policies, deliberately at the two ends of the clustering axis:
   general-purpose store gives you for free.
 * :class:`SubtreeAffinePlacement` — exploits the generator's
   deterministic layout (uids allocated level by level, fanout-5 1-N
-  wiring) to co-locate whole subtrees: the ancestor at a configurable
-  *affinity level* decides the shard, so 1-N closures below that level
-  never cross shards and only M-N ``parts``/``refTo`` edges do.
+  wiring) to co-locate whole subtrees: the ancestor at
+  :data:`AFFINITY_LEVEL` decides the shard, so 1-N closures below that
+  level never cross shards and only M-N ``parts``/``refTo`` edges do.
   Clustering-as-placement is exactly the benchmark axis Darmont's
   critique says object-database benchmarks should expose.
 
@@ -32,6 +32,14 @@ from typing import Dict, Iterable, List
 
 from repro.errors import ConfigurationError
 from repro.netsim.config import ShardConfig
+
+#: Ring points each shard contributes to :class:`HashPlacement`.
+VIRTUAL_NODES = 64
+
+#: Tree level whose subtrees :class:`SubtreeAffinePlacement` keeps
+#: together: level 1 spreads the root's child subtrees round-robin
+#: over the shards.
+AFFINITY_LEVEL = 1
 
 
 def _digest(token: str) -> int:
@@ -71,7 +79,7 @@ class Placement:
 class HashPlacement(Placement):
     """Consistent hashing with virtual nodes.
 
-    Each shard contributes ``virtual_nodes`` points on a 64-bit ring;
+    Each shard contributes :data:`VIRTUAL_NODES` points on a 64-bit ring;
     a uid belongs to the first ring point clockwise of its own digest.
     Consistent hashing (rather than plain ``uid % shards``) keeps the
     policy honest about what a production store would do — adding a
@@ -79,16 +87,11 @@ class HashPlacement(Placement):
     the per-shard load to within a few percent.
     """
 
-    def __init__(self, shards: int, virtual_nodes: int = 64) -> None:
+    def __init__(self, shards: int) -> None:
         super().__init__(shards)
-        if virtual_nodes < 1:
-            raise ConfigurationError(
-                f"virtual_nodes must be >= 1, got {virtual_nodes}"
-            )
-        self.virtual_nodes = virtual_nodes
         points: List[tuple] = []
         for shard in range(shards):
-            for vnode in range(virtual_nodes):
+            for vnode in range(VIRTUAL_NODES):
                 points.append((_digest(f"shard:{shard}:{vnode}"), shard))
         # Ties are impossible in practice (64-bit digests) but sort the
         # (point, shard) pairs so even a collision breaks the same way
@@ -119,8 +122,8 @@ class SubtreeAffinePlacement(Placement):
                  where cum(l) = (fanout**l - 1) / (fanout - 1)
         index  = offset - cum(level); ancestor index = index // fanout
 
-    The shard is the ``affinity_level`` ancestor's index modulo the
-    shard count: every node below one level-``affinity_level`` subtree
+    The shard is the :data:`AFFINITY_LEVEL` ancestor's index modulo the
+    shard count: every node below one such subtree
     shares that subtree's shard, so ``children`` closures below it are
     entirely shard-local and only M-N edges (``parts``, ``refTo`` —
     random across subtrees by construction) cross shards.  Uids
@@ -133,20 +136,13 @@ class SubtreeAffinePlacement(Placement):
         shards: int,
         fanout: int = 5,
         first_uid: int = 1,
-        affinity_level: int = 1,
-        virtual_nodes: int = 64,
     ) -> None:
         super().__init__(shards)
         if fanout < 2:
             raise ConfigurationError(f"fanout must be >= 2, got {fanout}")
-        if affinity_level < 0:
-            raise ConfigurationError(
-                f"affinity_level cannot be negative, got {affinity_level}"
-            )
         self.fanout = fanout
         self.first_uid = first_uid
-        self.affinity_level = affinity_level
-        self._fallback = HashPlacement(shards, virtual_nodes)
+        self._fallback = HashPlacement(shards)
         # cum[l] = number of uids strictly above level l (levels are
         # complete by construction); grown on demand for deep trees.
         self._cum = [0, 1]
@@ -163,7 +159,7 @@ class SubtreeAffinePlacement(Placement):
             return self._fallback.shard_of(uid)
         level = self._level_of(offset)
         index = offset - self._cum[level]
-        while level > self.affinity_level:
+        while level > AFFINITY_LEVEL:
             index //= self.fanout
             level -= 1
         return index % self.shards
@@ -172,14 +168,10 @@ class SubtreeAffinePlacement(Placement):
 def make_placement(config: ShardConfig) -> Placement:
     """Build the placement policy a :class:`ShardConfig` names."""
     if config.placement == "hash":
-        return HashPlacement(config.shards, config.virtual_nodes)
+        return HashPlacement(config.shards)
     if config.placement == "affine":
         return SubtreeAffinePlacement(
-            config.shards,
-            fanout=config.fanout,
-            first_uid=config.first_uid,
-            affinity_level=config.affinity_level,
-            virtual_nodes=config.virtual_nodes,
+            config.shards, fanout=config.fanout, first_uid=config.first_uid
         )
     raise ConfigurationError(
         f"unknown placement policy {config.placement!r}"

@@ -84,7 +84,6 @@ class ShardRouter(VerbRouter):
         fault_model: seeded fault injection shared by built servers
             (one model, consulted in request order, keeps the fault
             sequence deterministic across the fan-out).
-        wals: optional per-shard write-ahead logs for built servers.
         decision_log: the coordinator's durable decision record — a
             plain :class:`~repro.engine.wal.WriteAheadLog`; a commit
             decision is ``log_commit(txid, [])``, absence means abort.
@@ -114,11 +113,9 @@ class ShardRouter(VerbRouter):
         latency: Optional[LatencyModel] = None,
         instrumentation: Optional[Instrumentation] = None,
         fault_model: Optional[FaultModel] = None,
-        wals: Optional[Sequence[Optional[WriteAheadLog]]] = None,
         decision_log: Optional[WriteAheadLog] = None,
         servers: Optional[Sequence[ObjectServer]] = None,
         placement: Optional[Placement] = None,
-        fsync_seconds: float = 0.0,
         rpc_retries: int = 4,
         rpc_backoff_seconds: float = 0.002,
     ) -> None:
@@ -139,8 +136,6 @@ class ShardRouter(VerbRouter):
                     latency,
                     instrumentation=self.instrumentation,
                     fault_model=fault_model,
-                    wal=None if wals is None else wals[index],
-                    fsync_seconds=fsync_seconds,
                     shard_id=index,
                 )
                 for index in range(config.shards)
@@ -552,7 +547,7 @@ class ShardRouter(VerbRouter):
         """
         committed = set()
         if self.decision_log is not None:
-            for txid, _ops in self.decision_log.recover_operations():
+            for txid, _ops in self.decision_log.recover()[0]:
                 committed.add(txid)
                 self._txid = max(self._txid, txid)
         outcomes: Dict[int, str] = {}

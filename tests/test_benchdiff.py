@@ -1,7 +1,8 @@
-"""``repro bench-diff``: the cell-by-cell table over two grid documents.
+"""``repro bench-diff``: two grid documents, leaf by leaf.
 
-Covers the ``cells`` document shape, the percentile-aware thresholds,
-the absolute noise floor, and the exit-code contract.
+Covers the ``cells`` document shape, the exact-equality rule (every
+differing leaf is reported, a cell on one side only is a difference)
+and the exit-code contract.
 """
 
 import copy
@@ -10,13 +11,11 @@ import json
 import pytest
 
 from repro.harness.benchdiff import (
-    ABSOLUTE_FLOOR_MS,
-    DEFAULT_THRESHOLDS,
+    MISSING,
     diff_documents,
     diff_files,
     extract_cells,
     format_diff,
-    regressions,
 )
 
 
@@ -40,8 +39,16 @@ def closure_doc(p50=1.0, p90=2.0, p99=3.0):
 class TestExtractCells:
     def test_closure_documents_yield_closure_mode_cells(self):
         cells = extract_cells(closure_doc())
-        assert ("memory", "10", "native") in cells
-        assert cells[("memory", "10", "native")]["p90"] == 2.0
+        assert cells[("memory", "10", "mode")] == "native"
+        assert cells[("memory", "10", "p90_ms")] == 2.0
+
+    def test_nested_leaves_are_walked(self):
+        document = closure_doc()
+        document["cells"]["memory"]["10"]["histogram"] = {
+            "buckets": {"3": 2}
+        }
+        cells = extract_cells(document)
+        assert cells[("memory", "10", "histogram", "buckets", "3")] == 2
 
     def test_unknown_shape_raises(self):
         with pytest.raises(ValueError):
@@ -49,71 +56,55 @@ class TestExtractCells:
 
 
 class TestThresholds:
+    """There is one threshold, zero: any differing leaf fails."""
+
     def test_identical_documents_have_no_regressions(self):
-        rows = diff_documents(closure_doc(), closure_doc())
-        assert rows and not regressions(rows)
+        assert diff_documents(closure_doc(), closure_doc()) == []
 
     def test_p90_regression_past_threshold_is_flagged(self):
-        rows = diff_documents(closure_doc(), closure_doc(p90=2.0 * 1.5))
-        bad = regressions(rows)
-        assert [r.quantile for r in bad] == ["p90"]
-        assert bad[0].threshold == DEFAULT_THRESHOLDS["p90"]
+        (row,) = diff_documents(closure_doc(), closure_doc(p90=3.0))
+        assert row.path == ("memory", "10", "p90_ms")
+        assert (row.baseline, row.candidate) == (2.0, 3.0)
+        assert row.change == pytest.approx(0.5)
 
-    def test_p90_drift_inside_threshold_passes(self):
-        rows = diff_documents(closure_doc(), closure_doc(p90=2.0 * 1.3))
-        assert not regressions(rows)
+    def test_any_change_differs_improvements_too(self):
+        rows = diff_documents(closure_doc(), closure_doc(p99=2.9999))
+        assert [row.label for row in rows] == ["memory/10/p99_ms"]
 
-    def test_p99_gets_the_loosest_threshold(self):
-        # +40% trips p90 but not p99.
-        rows = diff_documents(closure_doc(), closure_doc(p99=3.0 * 1.4))
-        assert not regressions(rows)
-        rows = diff_documents(closure_doc(), closure_doc(p99=3.0 * 1.6))
-        assert [r.quantile for r in regressions(rows)] == ["p99"]
+    def test_changed_aborted_count_fails(self):
+        base = closure_doc()
+        base["cells"]["memory"]["10"]["aborted"] = 0
+        cand = copy.deepcopy(base)
+        cand["cells"]["memory"]["10"]["aborted"] = 1
+        (row,) = diff_documents(base, cand)
+        assert row.label == "memory/10/aborted"
+        assert row.change == float("inf")
 
-    def test_improvements_never_regress(self):
-        rows = diff_documents(
-            closure_doc(), closure_doc(p50=0.1, p90=0.2, p99=0.3)
-        )
-        assert not regressions(rows)
-
-    def test_sub_floor_cells_never_regress(self):
-        # 0.010 ms -> 0.040 ms is +300% but both sit under the noise
-        # floor: timer jitter, not a regression.
-        tiny = ABSOLUTE_FLOOR_MS / 5
-        rows = diff_documents(
-            closure_doc(p50=tiny, p90=tiny, p99=tiny),
-            closure_doc(p50=tiny * 4, p90=tiny * 4, p99=tiny * 4),
-        )
-        assert not regressions(rows)
-
-    def test_crossing_the_floor_does_regress(self):
-        rows = diff_documents(
-            closure_doc(p50=0.04, p90=0.04, p99=0.04),
-            closure_doc(p50=0.2, p90=0.2, p99=0.2),
-        )
-        assert regressions(rows)
-
-    def test_cells_on_one_side_only_are_skipped(self):
+    def test_cell_on_one_side_only_differs(self):
         base = closure_doc()
         cand = copy.deepcopy(base)
         cand["cells"]["sqlite"] = {
-            "10": {"p50_ms": 99.0, "p90_ms": 99.0, "mode": "native"}
+            "10": {"p50_ms": 99.0, "mode": "native"}
         }
         rows = diff_documents(base, cand)
-        assert {r.backend for r in rows} == {"memory"}
+        assert {row.label for row in rows} == {
+            "sqlite/10/p50_ms", "sqlite/10/mode"
+        }
+        assert all(row.baseline == MISSING for row in rows)
+        assert all(row.change is None for row in rows)
 
 
 class TestCliContract:
     def test_diff_files_exit_codes(self, tmp_path):
         base = tmp_path / "base.json"
-        good = tmp_path / "good.json"
-        bad = tmp_path / "bad.json"
+        same = tmp_path / "same.json"
+        moved = tmp_path / "moved.json"
         base.write_text(json.dumps(closure_doc()))
-        good.write_text(json.dumps(closure_doc(p90=2.1)))
-        bad.write_text(json.dumps(closure_doc(p90=5.0)))
-        _rows, code = diff_files(str(base), str(good))
+        same.write_text(json.dumps(closure_doc()))
+        moved.write_text(json.dumps(closure_doc(p90=2.1)))
+        _rows, code = diff_files(str(base), str(same))
         assert code == 0
-        _rows, code = diff_files(str(base), str(bad))
+        _rows, code = diff_files(str(base), str(moved))
         assert code == 1
 
     def test_cli_bench_diff_exits_nonzero_on_regression(self, tmp_path):
@@ -127,11 +118,12 @@ class TestCliContract:
         assert main(["bench-diff", str(base), str(bad)]) == 1
 
     def test_format_diff_mentions_every_regression(self):
-        rows = diff_documents(closure_doc(), closure_doc(p90=5.0))
-        table = format_diff(rows, only_regressions=True)
-        assert "REGRESSED" in table
-        assert "memory/10/native/p90" in table
-        assert "1 regression" in table
+        rows = diff_documents(closure_doc(), closure_doc(p50=1.5, p90=5.0))
+        table = format_diff(rows)
+        assert "memory/10/p90_ms: 2.0 -> 5.0 (+150.00%)" in table
+        assert "memory/10/p50_ms" in table
+        assert "3 differing leaves" in table  # median_ms moved with p50
+        assert format_diff([]) == "cells equal"
 
     def test_baseline_document_self_diffs_clean(self):
         # A committed baseline never flags itself.
@@ -147,5 +139,5 @@ class TestCliContract:
         with open(path) as handle:
             document = json.load(handle)
         assert "provenance" in document
-        rows = diff_documents(document, document)
-        assert rows and not regressions(rows)
+        assert extract_cells(document)
+        assert diff_documents(document, document) == []

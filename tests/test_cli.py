@@ -30,6 +30,20 @@ class TestGenerate:
         ) == 0
         assert "generated 31 nodes" in capsys.readouterr().out
 
+    def test_level4_oodb_file_is_byte_identical(self, tmp_path):
+        # The on-disk page format is frozen: a refactor of the engine
+        # must write this exact level-4 file.
+        import hashlib
+
+        path = tmp_path / "l4.hmdb"
+        assert main(
+            ["generate", "--backend", "oodb", "--path", str(path),
+             "--level", "4"]
+        ) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f925974e34a67e17e9428eeabf4ddf1b98d80b8d72daaa87097943e1b72f0220"
+        )
+
 
 class TestVerify:
     def test_verify_passes(self, capsys):

@@ -4,6 +4,10 @@ import json
 
 import pytest
 
+from repro.engine.catalog import FieldDefinition
+from repro.engine.store import ObjectStore
+from repro.engine.vfs import FaultInjectingVFS, RealVFS, SimulatedCrash
+from repro.harness.crashpoints import crash_points
 from repro.harness.crashtest import (
     CrashPointResult,
     _verify_cell,
@@ -161,3 +165,102 @@ class TestCli:
         assert doc["violation_count"] == 0
         captured = capsys.readouterr().out
         assert "crash-recovery matrix" in captured
+
+
+class TestFreeListCrashes:
+    """Records larger than a page, checkpointed, then rewritten or
+    freed: every crash point of each script recovers the last
+    acknowledged state, and the recovered free list hands out no page
+    an acknowledged record still owns."""
+
+    @staticmethod
+    def _big(fill, n=0):
+        return {"body": fill * 9000, "n": n}  # overflows one 4 KiB page
+
+    @classmethod
+    def _rewrite(cls, store, commit):
+        oid = store.new("Blob", cls._big("x"))
+        commit({oid: cls._big("x")})
+        store.checkpoint()
+        store.update(oid, {"n": 1})
+        commit({oid: cls._big("x", 1)})
+
+    @classmethod
+    def _free_then_reuse(cls, store, commit):
+        a = store.new("Blob", cls._big("a"))
+        commit({a: cls._big("a")})
+        store.checkpoint()
+        store.delete(a)
+        commit({})
+        store.checkpoint()
+        b = store.new("Blob", cls._big("b"))
+        commit({b: cls._big("b")})
+
+    @staticmethod
+    def _run(path, vfs, script, snapshots):
+        store = ObjectStore(path, sync_commits=True, vfs=vfs)
+        try:
+            store.open()
+            store.define_class(
+                "Blob", [FieldDefinition("body", ""), FieldDefinition("n", 0)]
+            )
+            store.commit()
+            snapshots.append({})
+
+            def commit(expected):
+                store.commit()
+                snapshots.append(expected)
+
+            script(store, commit)
+            store.close()
+        finally:
+            if store.is_open:
+                store._dispose_handles()
+
+    @staticmethod
+    def _read_all(store):
+        return {oid: store.get(oid) for oid in store.scan_class("Blob")}
+
+    @pytest.mark.parametrize("script", ["_rewrite", "_free_then_reuse"])
+    def test_every_crash_point_recovers_and_reuses_safely(
+        self, tmp_path, script
+    ):
+        run = getattr(self, script)
+        reference = []
+        _total, points = crash_points(
+            lambda op: FaultInjectingVFS(seed=op),
+            lambda counter: self._run(
+                str(tmp_path / "pre.hmdb"), counter, run, reference
+            ),
+        )
+        failures = []
+        for op, torn, vfs in points:
+            path = str(tmp_path / f"cell-{op}.hmdb")
+            snapshots = []
+            try:
+                self._run(path, vfs, run, snapshots)
+                acked = len(reference) - 1
+            except SimulatedCrash:
+                acked = max(0, len(snapshots) - 1)
+            store = ObjectStore(path, vfs=RealVFS())
+            try:
+                store.open()
+                defined = "Blob" in store.catalog.class_names()
+                recovered = self._read_all(store) if defined else {}
+                _snapshot, violation = _verify_cell(
+                    recovered, reference, acked
+                )
+                if violation is None and defined:
+                    c = store.new("Blob", self._big("c"))
+                    store.commit()
+                    expected = {**recovered, c: self._big("c")}
+                    if self._read_all(store) != expected:
+                        violation = "a reused page clobbered an acked record"
+            except Exception as error:
+                violation = f"recovery raised {error!r}"
+            finally:
+                if store.is_open:
+                    store._dispose_handles()
+            if violation:
+                failures.append((op, torn, violation))
+        assert failures == []

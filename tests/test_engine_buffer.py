@@ -304,8 +304,11 @@ class TestDirtySnapshot:
         assert set(dirty) == {pids[0]}
         assert dirty[pids[0]][2] == 0x33
 
-    def test_free_page_removes_from_cache(self, pool):
+    def test_free_page_logs_its_link_as_a_dirty_frame(self, pool):
         pids = _fill(pool, 2)
         pool.flush_all()
         pool.free_page(pids[0])
-        assert pids[0] not in set(pool.cached_page_ids())
+        # The link (the old, empty head) is a dirty frame, logged and
+        # forced with its commit; the data file is not written ahead.
+        assert pool.dirty_pages() == {pids[0]: bytes(PAGE_SIZE)}
+        assert pool.new_page() == pids[0]

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.engine.buffer import BufferPool
 from repro.engine.pages import FORMAT_VERSION, PAGE_SIZE, PageFile
 from repro.errors import PageError
 
@@ -71,20 +72,23 @@ class TestPageIO:
 
 class TestFreeList:
     def test_freed_pages_are_recycled(self, page_file):
-        first = page_file.allocate()
-        second = page_file.allocate()
-        page_file.free(first)
-        assert page_file.allocate() == first  # recycled before growing
-        assert page_file.allocate() == second + 1
+        pool = BufferPool(page_file, capacity=4)
+        first = pool.new_page()
+        second = pool.new_page()
+        pool.free_page(first)
+        assert pool.new_page() == first  # recycled before growing
+        assert pool.new_page() == second + 1
 
     def test_free_list_survives_reopen(self, tmp_path):
         path = str(tmp_path / "f.db")
         pf = PageFile(path)
-        pids = [pf.allocate() for _ in range(3)]
-        pf.free(pids[1])
+        pool = BufferPool(pf, capacity=4)
+        pids = [pool.new_page() for _ in range(3)]
+        pool.free_page(pids[1])
+        pool.flush_all()
         pf.close()
         reopened = PageFile(path)
-        assert reopened.allocate() == pids[1]
+        assert BufferPool(reopened, capacity=4).new_page() == pids[1]
         reopened.close()
 
 
@@ -97,9 +101,10 @@ class TestRoots:
         page_file.set_root("b", 2)
         snap = page_file.roots_snapshot()
         page_file.set_root("a", 100)
-        page_file.restore_roots(snap)
+        page_file.restore_roots(snap, 3)
         assert page_file.get_root("a") == 1
         assert page_file.get_root("b") == 2
+        assert page_file.free_head == 3
 
     def test_long_root_name_rejected(self, page_file):
         with pytest.raises(PageError):

@@ -757,70 +757,6 @@ class TestCloseDropCacheContract:
         assert store.get(oid)["value"] == 7
 
 
-class TestStoreGroupCommit:
-    def _group_store(self, tmp_path, **kwargs):
-        kwargs.setdefault("group_commit", True)
-        kwargs.setdefault("group_commit_size", 4)
-        kwargs.setdefault("sync_commits", True)
-        return _make_store(tmp_path, "group.hmdb", **kwargs)
-
-    def test_fewer_syncs_than_commits(self, tmp_path):
-        from repro.obs import Instrumentation
-
-        instr = Instrumentation()
-        store = self._group_store(tmp_path, instrumentation=instr)
-        store.open()
-        store.define_class("Item", [FieldDefinition("value", default=0)])
-        before = instr.snapshot()
-        for value in range(8):
-            store.new("Item", {"value": value})
-            store.commit()
-        delta = instr.snapshot().delta(before)
-        assert delta.get("engine.wal.group_commit.batches", 0) == 2
-        assert delta.get("engine.wal.group_commit.deferred", 0) == 6
-        assert delta.get("engine.wal.syncs", 0) < 8
-        store.close()
-
-    def test_deferred_commits_survive_close(self, tmp_path):
-        store = self._group_store(tmp_path, group_commit_size=16)
-        store.open()
-        store.define_class("Item", [FieldDefinition("value", default=0)])
-        oids = []
-        for value in range(3):  # all three deferred (batch of 16)
-            oids.append(store.new("Item", {"value": value}))
-            store.commit()
-        store.close()
-        store.open()
-        assert [store.get(oid)["value"] for oid in oids] == [0, 1, 2]
-        store.close()
-
-    def test_deferred_commits_recovered_after_crash(self, tmp_path):
-        path = os.path.join(str(tmp_path), "groupcrash.hmdb")
-        store = ObjectStore(
-            path, sync_commits=False, group_commit=True, group_commit_size=8
-        )
-        store.open()
-        store.define_class("Item", [FieldDefinition("value", default=0)])
-        oid = store.new("Item", {"value": 42})
-        store.commit()  # deferred: pages not forced yet
-        # Crash without close: the flushed-but-unsynced WAL survives in
-        # the OS page cache (this process's view), so recovery sees it.
-        store._wal._file.flush()
-        store._wal._file.close()
-        store._wal._file = None
-        store._file._file.close()
-        store._file._file = None
-
-        recovered = ObjectStore(path, sync_commits=False)
-        recovered.open()
-        assert recovered.get(oid)["value"] == 42
-        recovered.close()
-
-    def test_invalid_group_commit_size_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            self._group_store(tmp_path, group_commit_size=0).open()
-
-
 class TestVfsThreading:
     def test_engine_io_counters_flow_from_store(self, tmp_path):
         from repro.obs import Instrumentation

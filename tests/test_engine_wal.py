@@ -9,13 +9,11 @@ from repro.engine.wal import (
     ABORT,
     BEGIN,
     COMMIT,
-    DELETE,
     PAGE,
     PUT,
     ROOTS,
     LogRecord,
     WriteAheadLog,
-    delete_record,
     page_image,
     page_record,
     put_record,
@@ -35,11 +33,13 @@ class TestFraming:
     def test_records_roundtrip(self, wal):
         wal.append(LogRecord(BEGIN, txid=1))
         wal.append(put_record(1, 7, {"value": 3}))
-        wal.append(delete_record(1, 8))
+        wal.append(put_record(1, 8, None))
         wal.append(LogRecord(COMMIT, txid=1))
         wal.sync()
         kinds = [(r.kind, r.txid, r.oid) for r in wal.read_all()]
-        assert kinds == [(BEGIN, 1, 0), (PUT, 1, 7), (DELETE, 1, 8), (COMMIT, 1, 0)]
+        assert kinds == [
+            (BEGIN, 1, 0), (PUT, 1, 7), (PUT, 1, 8), (COMMIT, 1, 0)
+        ]
 
     def test_page_record_compresses_and_restores(self, wal):
         image = bytes(range(256)) * 16
@@ -52,11 +52,12 @@ class TestFraming:
         assert page_image(loaded) == image
 
     def test_roots_record_roundtrip(self, wal):
-        wal.append(roots_record(1, {"dir.root": 4, "extent.root": 7}))
+        wal.append(roots_record(1, {"dir.root": 4, "extent.root": 7}, 5))
         wal.sync()
         (loaded,) = wal.read_all()
         assert loaded.kind == ROOTS
         assert loaded.state == {"dir.root": 4, "extent.root": 7}
+        assert loaded.oid == 5  # the free-list head
 
     def test_torn_tail_ignored(self, wal, tmp_path):
         wal.log_commit(1, [put_record(1, 1, {"a": 1})])
@@ -81,7 +82,7 @@ class TestFraming:
             f.seek(size_after_first + 10)
             f.write(b"\xde\xad")
         reopened = WriteAheadLog(path, sync_on_commit=False)
-        committed = reopened.recover_operations()
+        committed = reopened.recover()[0]
         assert [txid for txid, _ops in committed] == [1]
         reopened.close()
 
@@ -119,7 +120,7 @@ class TestTornTailEdgeCases:
             f.write(b"\xff")
         reopened = WriteAheadLog(path, sync_on_commit=False)
         assert [r.kind for r in reopened.read_all()] == intact
-        assert [t for t, _ in reopened.recover_operations()] == [1]
+        assert [t for t, _ in reopened.recover()[0]] == [1]
         reopened.close()
 
     def test_zero_filled_tail_reads_as_end_of_log(self, wal, tmp_path):
@@ -179,7 +180,7 @@ class TestGroupCommit:
         wal = self._group_wal(tmp_path, size=8)
         wal.log_commit(1, [put_record(1, 1, {"a": 1})])
         assert wal.pending_commits == 1
-        assert [t for t, _ in wal.recover_operations()] == [1]
+        assert [t for t, _ in wal.recover()[0]] == [1]
         wal.close()
 
     def test_close_forces_pending_batch(self, tmp_path):
@@ -187,7 +188,7 @@ class TestGroupCommit:
         wal.log_commit(1, [put_record(1, 1, {})])
         wal.close()
         reopened = WriteAheadLog(str(tmp_path / "group.wal"))
-        assert [t for t, _ in reopened.recover_operations()] == [1]
+        assert [t for t, _ in reopened.recover()[0]] == [1]
         reopened.close()
 
     def test_checkpoint_resets_pending(self, tmp_path):
@@ -221,20 +222,20 @@ class TestRecoverOperations:
         wal.append(put_record(3, 12, {"z": 3}))
         wal.append(LogRecord(ABORT, txid=3))
         wal.sync()
-        committed = wal.recover_operations()
+        committed = wal.recover()[0]
         assert [txid for txid, _ in committed] == [1]
         assert committed[0][1][0].oid == 10
 
     def test_commit_order_preserved(self, wal):
         for txid in (5, 2, 9):
             wal.log_commit(txid, [put_record(txid, txid, {})])
-        assert [txid for txid, _ in wal.recover_operations()] == [5, 2, 9]
+        assert [txid for txid, _ in wal.recover()[0]] == [5, 2, 9]
 
     def test_checkpoint_discards_earlier_work(self, wal):
         wal.log_commit(1, [put_record(1, 1, {})])
         wal.log_checkpoint()
         wal.log_commit(2, [put_record(2, 2, {})])
-        committed = wal.recover_operations()
+        committed = wal.recover()[0]
         assert [txid for txid, _ in committed] == [2]
 
     def test_checkpoint_truncates_file(self, wal, tmp_path):
@@ -245,7 +246,7 @@ class TestRecoverOperations:
         assert os.path.getsize(str(tmp_path / "test.wal")) < grown
 
     def test_empty_log_recovers_nothing(self, wal):
-        assert wal.recover_operations() == []
+        assert wal.recover()[0] == []
 
     def test_counters(self, wal):
         wal.log_commit(1, [put_record(1, 1, {})])
@@ -269,7 +270,7 @@ class TestReadFrom:
 
     def test_offset_zero_equals_read_all(self, wal):
         wal.log_commit(1, [put_record(1, 10, {"a": 1})])
-        wal.log_commit(2, [delete_record(2, 10)])
+        wal.log_commit(2, [put_record(2, 10, None)])
         by_offset = [r.kind for r, _ in wal.read_from(0)]
         assert by_offset == [r.kind for r in wal.read_all()]
 

@@ -112,7 +112,6 @@ class TestReplicationConfig:
 
         config = ReplicationConfig()
         assert config.replicas == 2
-        assert config.policy == "round_robin"
         assert config.apply_lag_seconds == 0.0
 
     def test_validation(self):
@@ -121,17 +120,15 @@ class TestReplicationConfig:
         with pytest.raises(ConfigurationError):
             ReplicationConfig(replicas=0)
         with pytest.raises(ConfigurationError):
-            ReplicationConfig(policy="random")
-        with pytest.raises(ConfigurationError):
             ReplicationConfig(apply_lag_seconds=-0.1)
 
     def test_replace(self):
         from repro.netsim.config import ReplicationConfig
 
         base = ReplicationConfig()
-        variant = base.replace(replicas=4, policy="least_queue")
+        variant = base.replace(replicas=4, apply_lag_seconds=0.5)
         assert variant.replicas == 4
-        assert variant.policy == "least_queue"
+        assert variant.apply_lag_seconds == 0.5
         assert base.replicas == 2
 
     def test_replication_and_sharding_exclusive(self):

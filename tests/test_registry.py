@@ -197,7 +197,7 @@ class TestErrorHierarchy:
 
 
 class TestStorageIoOptions:
-    """The vfs/group_commit options flow through create_backend."""
+    """The vfs option flows through create_backend."""
 
     def test_vfs_option_reaches_the_engine(self, tmp_path):
         from repro.backends.registry import create_backend
@@ -210,20 +210,6 @@ class TestStorageIoOptions:
         db.open()
         db.close()
         assert vfs.mutation_ops > 0  # the engine's I/O crossed the seam
-
-    def test_group_commit_option_reaches_the_wal(self, tmp_path):
-        from repro.backends.registry import create_backend
-
-        db = create_backend(
-            "oodb",
-            str(tmp_path / "gc.hmdb"),
-            group_commit=True,
-            group_commit_size=5,
-        )
-        db.open()
-        assert db.store._wal.group_commit is True
-        assert db.store._wal.group_commit_size == 5
-        db.close()
 
     def test_network_error_hierarchy(self):
         from repro.errors import (

@@ -10,7 +10,7 @@ write/read/advance interleavings against the session-token contract.
 import pytest
 
 from repro.engine.vfs import FaultInjectingVFS, MemoryVFS, SimulatedCrash
-from repro.errors import ConfigurationError, InvalidOperationError
+from repro.errors import InvalidOperationError
 from repro.netsim.config import NetworkConfig, ReplicationConfig
 from repro.netsim.latency import SimulatedClock
 from repro.obs import Instrumentation
@@ -145,14 +145,6 @@ class TestReplicaRouter:
         writer.store(1, _record(1, 5))
         reader.fetch(2)  # no session debt: replica-served
         assert instr.counters.snapshot()["backend.replica.reads"] == 1
-
-    def test_least_queue_policy_validates_and_degrades(self):
-        group, _ = _group()
-        router = ReplicaRouter(group, policy="least_queue")
-        for _ in range(4):
-            router.fetch(1)  # equal (absent) backlogs: round-robin
-        with pytest.raises(ConfigurationError):
-            ReplicaRouter(group, policy="fastest")
 
     def test_force_primary_ablation(self):
         instr = Instrumentation()

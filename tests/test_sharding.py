@@ -588,12 +588,12 @@ class TestShardedBench:
                 assert "mode" in leaf
 
     def test_benchdiff_understands_the_document(self, tmp_path):
-        from repro.harness.benchdiff import diff_documents, regressions
+        from repro.harness.benchdiff import diff_documents, extract_cells
         from repro.harness.shardbench import run_sharded_bench
 
         document = run_sharded_bench(
             shard_counts=(2,), placements=("hash",), level=2,
             closures=2, updates=3,
         )
-        rows = diff_documents(document, document)
-        assert rows and not regressions(rows)
+        assert extract_cells(document)
+        assert diff_documents(document, document) == []
