@@ -340,16 +340,14 @@ class OodbDatabase(HyperModelDatabase):
         database needs.
         """
         count = 0
-        for oid in self._store.scan_class("Node"):
-            state = self._store.get(oid, fields=("structId", "ten"))
+        for _oid, state in self._store.scan_states("Node", ("structId", "ten")):
             if state["structId"] == structure_id:
                 _ = state["ten"]
                 count += 1
         return count
 
     def iter_nodes(self, structure_id: int = 1) -> Iterator[NodeRef]:
-        for oid in self._store.scan_class("Node"):
-            state = self._store.get(oid, fields=("structId",))
+        for oid, state in self._store.scan_states("Node", ("structId",)):
             if state["structId"] == structure_id:
                 yield oid
 

@@ -299,6 +299,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     )
     for phase, ms in creation_phases(gen).items():
         print(f"  {phase:<14} {ms:8.4f} ms/item")
+    if args.backend.startswith("oodb"):
+        from repro.engine.pages import PAGE_SIZE
+
+        heap, index, free, live = db.store.space()
+        each = PAGE_SIZE / gen.total_nodes
+        print(f"  bytes/node     heap {heap * each:.1f}, index {index * each:.1f}, "
+              f"free {free * each:.1f}; heap fill {live / (heap * PAGE_SIZE):.3f}")
     db.close()
     return 0
 

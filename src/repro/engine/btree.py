@@ -400,6 +400,16 @@ class BTree:
             self._write(pid, _LEAF, flat, node.link)
         return present
 
+    def page_ids(self) -> Iterator[PageId]:
+        """Every page of the tree, root first (for statistics)."""
+        pending = [self.root]
+        while pending:
+            pid = pending.pop()
+            yield pid
+            node = self._node(pid)
+            if node.node_type != _LEAF:
+                pending += (node.link, *node.values)
+
     # ------------------------------------------------------------------
     # Invariant checking (used by property-based tests)
     # ------------------------------------------------------------------

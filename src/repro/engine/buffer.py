@@ -283,6 +283,15 @@ class BufferPool:
         self.unpin(pid, dirty=True)
         self._file.free_head = pid
 
+    def free_page_ids(self) -> Iterator[PageId]:
+        """The file's free list, head first (for statistics)."""
+        pid = self._file.free_head
+        while pid:
+            yield pid
+            (next_pid,) = _FREE_NEXT.unpack_from(self.get(pid), 0)
+            self.unpin(pid)
+            pid = next_pid
+
     # ------------------------------------------------------------------
     # Eviction and flushing
     # ------------------------------------------------------------------

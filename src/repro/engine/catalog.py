@@ -5,18 +5,22 @@ defaults) and base classes.  It is stored as one serialized record in a
 dedicated heap whose RID is a named root of the page file, so it
 survives restarts and is loaded with a single record read.
 
-Schema evolution is *lazy*: adding a field to a class bumps the class's
-schema version and records the field's default; objects written under
-an older version are upgraded on read by filling in defaults.  Nothing
-is rewritten eagerly — exactly how engines avoid O(extent) schema
-changes, and what makes the paper's "add a DrawNode type / add an
-attribute" extension cheap to measure.
+Each class has a **layout**: the field names its records store, in
+order.  It is the inherited and own fields at definition time, and it
+only grows: adding a field to a class appends it to the layout of the
+class and of every subclass, and bumps each one's schema version.  A
+record written under an older version is therefore a prefix of the
+current layout, and reading it fills the tail with the defaults.
+Nothing is rewritten eagerly — exactly how engines avoid O(extent)
+schema changes, and what makes the paper's "add a DrawNode type / add
+an attribute" extension cheap to measure.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional
+import sys
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.heap import HeapFile
 from repro.engine import serializer
@@ -25,65 +29,35 @@ from repro.errors import SchemaError
 
 @dataclasses.dataclass
 class FieldDefinition:
-    """One field of a class: name plus the default for lazy upgrade.
-
-    ``since_version`` is the class schema version that introduced the
-    field; objects stored with an older version get ``default`` on
-    read.
-    """
+    """One field of a class: its name, and the default a new object
+    takes when it leaves the field out and a record written before the
+    field existed reads."""
 
     name: str
     default: Any = None
-    since_version: int = 1
-
-    def to_dict(self) -> dict:
-        """Serializable form."""
-        return {
-            "name": self.name,
-            "default": self.default,
-            "since": self.since_version,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "FieldDefinition":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(raw["name"], raw["default"], raw["since"])
 
 
 @dataclasses.dataclass
 class ClassDefinition:
-    """One class: id, name, optional base, fields and schema version."""
+    """One class: id, name, optional base, own fields, schema version
+    and record layout (see the module docstring)."""
 
     class_id: int
     name: str
     base: Optional[str]
     fields: List[FieldDefinition]
     version: int = 1
-
-    def field_names(self) -> List[str]:
-        """Names of the class's own (non-inherited) fields."""
-        return [f.name for f in self.fields]
+    layout: List[str] = dataclasses.field(default_factory=list)
 
     def to_dict(self) -> dict:
         """Serializable form."""
-        return {
-            "id": self.class_id,
-            "name": self.name,
-            "base": self.base,
-            "fields": [f.to_dict() for f in self.fields],
-            "version": self.version,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ClassDefinition":
         """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            raw["id"],
-            raw["name"],
-            raw["base"],
-            [FieldDefinition.from_dict(f) for f in raw["fields"]],
-            raw["version"],
-        )
+        fields = [FieldDefinition(**field) for field in raw["fields"]]
+        return cls(**{**raw, "fields": fields})
 
 
 class Catalog:
@@ -96,6 +70,8 @@ class Catalog:
         self._file = heap._pool._file
         self._classes: Dict[str, ClassDefinition] = {}
         self._by_id: Dict[int, ClassDefinition] = {}
+        #: class id -> (layout, defaults), dropped by every change.
+        self._compiled: Dict[int, Tuple[Tuple[str, ...], Tuple[Any, ...]]] = {}
         self._next_class_id = 1
         rid = self._file.get_root(self._ROOT, 0)
         if rid:
@@ -119,6 +95,7 @@ class Catalog:
 
     def save(self) -> None:
         """Write the catalog record and update its root pointer."""
+        self._compiled.clear()
         payload = serializer.encode(
             {
                 "next_id": self._next_class_id,
@@ -151,15 +128,18 @@ class Catalog:
             raise SchemaError(f"class {name!r} already defined")
         if base is not None and base not in self._classes:
             raise SchemaError(f"unknown base class {base!r}")
-        inherited = set(self.all_field_names(base)) if base else set()
-        seen = set(inherited)
+        layout = self.all_field_names(base)
+        seen = set(layout)
         for field in fields:
             if field.name in seen:
                 raise SchemaError(
                     f"duplicate field {field.name!r} in class {name!r}"
                 )
             seen.add(field.name)
-        definition = ClassDefinition(self._next_class_id, name, base, list(fields))
+            layout.append(field.name)
+        definition = ClassDefinition(
+            self._next_class_id, name, base, list(fields), layout=layout
+        )
         self._next_class_id += 1
         self._classes[name] = definition
         self._by_id[definition.class_id] = definition
@@ -167,15 +147,21 @@ class Catalog:
         return definition
 
     def add_field(self, class_name: str, field: FieldDefinition) -> None:
-        """Add a field to an existing class (lazy upgrade on read)."""
+        """Add a field to an existing class (lazy upgrade on read): it
+        ends the layout of the class and of every subclass, each of
+        which moves to a new version."""
         definition = self.get(class_name)
-        if field.name in self.all_field_names(class_name):
+        affected = [
+            c for c in self._classes.values() if self.is_subclass(c.name, class_name)
+        ]
+        if any(field.name in c.layout for c in affected):
             raise SchemaError(
                 f"class {class_name!r} already has field {field.name!r}"
             )
-        definition.version += 1
-        field.since_version = definition.version
         definition.fields.append(field)
+        for other in affected:
+            other.layout.append(field.name)
+            other.version += 1
         self.save()
 
     # ------------------------------------------------------------------
@@ -225,18 +211,15 @@ class Catalog:
             return []
         return [f.name for f in self.all_fields(name)]
 
-    def upgrade_state(self, class_id: int, version: int, state: dict) -> dict:
-        """Fill defaults for fields added after ``version`` (lazy upgrade)."""
-        definition = self.get_by_id(class_id)
-        if version >= definition.version:
-            return state
-        chain: List[ClassDefinition] = []
-        current: Optional[ClassDefinition] = definition
-        while current is not None:
-            chain.append(current)
-            current = self.get(current.base) if current.base else None
-        for cls in chain:
-            for field in cls.fields:
-                if field.since_version > version and field.name not in state:
-                    state[field.name] = field.default
-        return state
+    def layout(self, class_id: int) -> Tuple[Tuple[str, ...], Tuple[Any, ...]]:
+        """The field names a record of the class stores, in order, and
+        the default of each (what a shorter, older record reads)."""
+        compiled = self._compiled.get(class_id)
+        if compiled is None:
+            definition = self.get_by_id(class_id)
+            defaults = {f.name: f.default for f in self.all_fields(definition.name)}
+            # Interned: a read by a literal field name matches by identity.
+            names = tuple(sys.intern(name) for name in definition.layout)
+            compiled = names, tuple(defaults[name] for name in names)
+            self._compiled[class_id] = compiled
+        return compiled

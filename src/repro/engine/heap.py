@@ -423,10 +423,6 @@ class HeapFile:
                 yield make_rid(pid, slot), self._decode_record(raw)
             pid = next_pid
 
-    def page_of(self, rid: Rid) -> PageId:
-        """The page a RID lives on (used by the clustering policy)."""
-        return rid_page(rid)
-
     def page_ids(self) -> Iterator[PageId]:
         """Iterate the heap's page chain (for statistics and tests)."""
         pid = self._head

@@ -29,8 +29,9 @@ PAGE_SIZE = 4096
 #: Magic number identifying a HyperModel engine file ("HMDB").
 MAGIC = 0x484D4442
 
-#: On-disk format version.
-FORMAT_VERSION = 1
+#: On-disk format version.  2: object records are positional lists (see
+#: :class:`~repro.engine.store.ObjectStore`); 1 (named fields) is refused.
+FORMAT_VERSION = 2
 
 #: struct layout of the header page prefix: magic, version, page count,
 #: free-list head, root-slot count.

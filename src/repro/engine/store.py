@@ -18,7 +18,7 @@ counts) surface through :class:`StoreStats`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine import serializer, wal as wal_mod
 from repro.engine.btree import BTree
@@ -212,6 +212,14 @@ class ObjectStore:
     :meth:`commit` applies them all or :meth:`abort` drops them.  A
     handle is used by one thread; concurrent users each talk to the
     network server, whose optimistic validation decides R8.
+
+    **The record.**  An object is one heap record, the serialized list
+    ``[class_id, version, version_head, ts, v0, v1, ...]``: its class,
+    the class version it was written at, the rid of its newest preserved
+    version (0: none), the commit timestamp that wrote it, then its field
+    values in the order of the class's layout in the catalog — no field
+    names.  Layouts only grow, so an older record is a prefix of the
+    current layout and reads the missing tail as the fields' defaults.
 
     Args:
         path: the database file (a ``.wal`` sibling is created).
@@ -628,12 +636,7 @@ class ObjectStore:
         """
         self._require_open()
         definition = self._catalog.get(class_name)
-        valid = set(self._catalog.all_field_names(class_name))
-        unknown = set(state) - valid
-        if unknown:
-            raise SchemaError(
-                f"unknown fields for {class_name}: {sorted(unknown)}"
-            )
+        self._refuse_unknown(class_name, state)
         full_state = {
             f.name: state.get(f.name, f.default)
             for f in self._catalog.all_fields(class_name)
@@ -684,11 +687,9 @@ class ObjectStore:
         Semantically equivalent to ``{oid: store.get(oid, fields)}``
         over the distinct oids (buffered copies win, deleted oids
         raise), but the residue the decode cache does not hold is
-        fetched in *physical* order: its rids are resolved, the oids
-        sorted by heap page, and the page set prefetched through the
-        buffer pool in one pass — so a frontier of clustered objects
-        costs sequential page reads instead of one random fault per
-        object.
+        fetched in *physical* order (see :meth:`_read`) — so a frontier
+        of clustered objects costs sequential page reads instead of one
+        random fault per object.
 
         Returns a dict keyed by oid (duplicates collapse).
 
@@ -697,49 +698,64 @@ class ObjectStore:
             SchemaError: if ``fields`` names a field an object lacks.
         """
         self._require_open()
+        parts = self._read(dict.fromkeys(oids), fields)
+        out = next(parts)
+        for part in parts:
+            out.update(part)
+        self.instrumentation.count("engine.store.batch_reads")
+        self.instrumentation.count("engine.store.batch_objects", len(out))
+        return out
+
+    def scan_states(
+        self, class_name: str, fields: Optional[Sequence[str]] = None
+    ) -> Iterator[Tuple[int, Dict[str, Any]]]:
+        """``(oid, state)`` of every object :meth:`scan_class` yields,
+        committed records read in heap order, not the extent's OID
+        order (see :meth:`_read`)."""
+        self._require_open()
+        parts = self._read(self.scan_class(class_name), fields)
+        return (item for part in parts for item in part.items())
+
+    def _read(
+        self, oids: Iterable[int], fields: Optional[Sequence[str]]
+    ) -> Iterator[Dict[int, Dict[str, Any]]]:
+        """The states of ``oids`` by oid, in parts: the batch read kernel.
+
+        The first part is the pending states and decode-cache hits.  The
+        other oids' rids are resolved once (again after a commit); their
+        records follow in rid order, a part per window of at most
+        ``cache_pages`` records whose pages are prefetched in one pass."""
+        cache, as_of = self._decode_cache, self._meta["commit_ts"]
+        misses: List[Tuple[Rid, int]] = []
         out: Dict[int, Dict[str, Any]] = {}
-        committed: List[int] = []
-        for oid in dict.fromkeys(oids):
-            buffered = self._buffered_read(oid)
-            if buffered is not None:
-                out[oid] = _copy_state(oid, buffered, fields)
-            else:
-                committed.append(oid)
-        if not committed:
-            return out
-        cache = self._decode_cache
-        to_fetch = committed
-        if cache is not None:
-            # Serve decode-cache hits first; only the misses cost a
-            # directory probe, page prefetch, pin and decode below.
-            to_fetch = []
-            for oid in committed:
-                entry = cache.get(oid)
+        hits = 0
+        for oid in oids:
+            state = self._buffered_read(oid)
+            if state is None:
+                entry = cache.get(oid) if cache is not None else None
                 if entry is None:
-                    to_fetch.append(oid)
-                else:
-                    out[oid] = _copy_state(oid, entry[1]["s"], fields)
-        if to_fetch:
-            rids = {oid: self._rid_of(oid) for oid in to_fetch}
-            to_fetch.sort(key=rids.__getitem__)
-            pages = dict.fromkeys(rid_page(rids[oid]) for oid in to_fetch)
-            self._pool.prefetch(list(pages))
-            raws = self._heap.read_many([rids[oid] for oid in to_fetch])
-            for oid in to_fetch:
-                rid = rids[oid]
-                record = self._upgraded(serializer.decode(raws[rid]))
+                    misses.append((self._rid_of(oid), oid))
+                    continue
+                state = entry[1]["s"]
+                hits += 1
+            out[oid] = _copy_state(oid, state, fields)
+        yield out
+        misses.sort()
+        for start in range(0, len(misses), self.cache_pages):
+            window = misses[start:start + self.cache_pages]
+            if self._meta["commit_ts"] != as_of:
+                window = sorted((self._rid_of(oid), oid) for _rid, oid in window)
+            self._pool.prefetch(list(dict.fromkeys(rid_page(r) for r, _ in window)))
+            raws = self._heap.read_many([rid for rid, _oid in window])
+            out = {}
+            for rid, oid in window:
+                record = self._decode_record(raws[rid])
                 if cache is not None:
                     cache.put(oid, rid, record)
                 out[oid] = _copy_state(oid, record["s"], fields)
-        self.instrumentation.count("engine.store.batch_reads")
-        self.instrumentation.count(
-            "engine.store.batch_objects", len(committed)
-        )
-        self.stats.objects_read += len(committed)
-        self.instrumentation.count(
-            "engine.store.objects_read", len(committed)
-        )
-        return out
+            yield out
+        self.stats.objects_read += hits + len(misses)
+        self.instrumentation.count("engine.store.objects_read", hits + len(misses))
 
     def _buffered_read(self, oid: int) -> Optional[Dict[str, Any]]:
         """The pending state of ``oid``, if any.
@@ -777,16 +793,25 @@ class ObjectStore:
         return self._directory.search_unique(oid) is not None
 
     def put(self, oid: int, state: Dict[str, Any]) -> None:
-        """Replace an object's whole state."""
+        """Replace an object's whole state; omitted fields commit as defaults."""
         if not self.exists(oid):
             raise RecordNotFoundError(oid)
+        self._refuse_unknown(self.class_of(oid), state)
         self._txn().buffer_put(oid, dict(state))
 
     def update(self, oid: int, changes: Dict[str, Any]) -> None:
         """Apply a partial update to an object."""
         state = self.get(oid)
+        if not changes.keys() <= state.keys():
+            self._refuse_unknown(self.class_of(oid), changes)
         state.update(changes)
         self._txn().buffer_put(oid, state)
+
+    def _refuse_unknown(self, class_name: str, fields: Iterable[str]) -> None:
+        """A record has a slot only for the fields of its class."""
+        unknown = set(fields).difference(self._catalog.all_field_names(class_name))
+        if unknown:
+            raise SchemaError(f"unknown fields for {class_name}: {sorted(unknown)}")
 
     def delete(self, oid: int) -> None:
         """Delete an object."""
@@ -814,12 +839,15 @@ class ObjectStore:
             raise RecordNotFoundError(oid)
         return rid
 
-    def _upgraded(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        """``record``, its state lazily upgraded to the class's version."""
-        record["s"] = self._catalog.upgrade_state(
-            record["c"], record["v"], record["s"]
-        )
-        return record
+    def _decode_record(self, payload: bytes) -> Dict[str, Any]:
+        """A record as ``{"c": class id, "p": version-chain head, "ts":
+        timestamp, "s": state}``, missing newer fields read as defaults."""
+        values = serializer.decode_view(payload)
+        names, defaults = self._catalog.layout(values[0])
+        state = dict(zip(names, values[4:]))
+        for index in range(len(state), len(names)):
+            state[names[index]] = _clone_value(defaults[index])
+        return {"c": values[0], "p": values[2], "ts": values[3], "s": state}
 
     def _shared_record(self, oid: int) -> Tuple[Rid, Dict[str, Any]]:
         """``(rid, record)`` of committed ``oid`` — the one way a record
@@ -836,50 +864,55 @@ class ObjectStore:
             if entry is not None:
                 return entry
         rid = self._rid_of(oid)
-        record = self._upgraded(serializer.decode(self._heap.read(rid)))
+        record = self._decode_record(self._heap.read(rid))
         if cache is not None:
             cache.put(oid, rid, record)
         return rid, record
 
     def _encode_record(
         self,
-        class_id: int,
-        version: int,
+        definition: ClassDefinition,
         state: Dict[str, Any],
         version_head: Rid,
         timestamp: int,
     ) -> bytes:
-        return serializer.encode(
-            {"c": class_id, "v": version, "s": state, "p": version_head, "ts": timestamp}
-        )
+        """``state``'s record at the class's current version (a field it
+        lacks reads its default)."""
+        names, defaults = self._catalog.layout(definition.class_id)
+        values = [definition.class_id, definition.version, version_head, timestamp]
+        values += map(state.get, names, defaults)
+        return serializer.encode(values)
 
     # ------------------------------------------------------------------
     # Commit machinery
     # ------------------------------------------------------------------
 
     def _apply_and_force(self, txn: Transaction) -> None:
+        """Apply the write set, then log and force the pages.  Unhinted
+        records go first; the hinted ones follow in pre-order along the
+        forest the hints form, each placed right after the record written
+        before it, so a subtree's records are contiguous (section 5.2)."""
         try:
             self._meta["commit_ts"] += 1
             timestamp = self._meta["commit_ts"]
-            for oid, buffered in txn.write_set.items():
-                if buffered is DELETED:
-                    if oid in txn.new_classes:
-                        # Created and deleted inside this very
-                        # transaction: it never reached the directory,
-                        # so dropping it *is* the delete.
-                        continue
-                    self._apply_delete(oid)
-                elif oid in txn.created:
-                    self._apply_insert(
-                        oid, txn.new_classes[oid], buffered,
-                        txn.place_near.get(oid), timestamp,
-                    )
-                else:
-                    self._apply_update(
-                        oid, buffered, txn.place_near.get(oid), timestamp
-                    )
-                self.stats.objects_written += 1
-                self.instrumentation.count("engine.store.objects_written")
+            hinted = txn.place_near
+            for oid in txn.write_set:
+                if oid not in hinted:
+                    self._apply_write(txn, oid, None, timestamp)
+            below: Dict[int, List[int]] = {}
+            for oid, near in hinted.items():
+                below.setdefault(near, []).append(oid)
+            placed = set()
+            for root in [near for near in below if near not in hinted]:
+                previous = self._directory.search_unique(root)
+                pending = below[root][::-1]
+                while pending:
+                    oid = pending.pop()
+                    placed.add(oid)
+                    previous = self._apply_write(txn, oid, previous, timestamp)
+                    pending += below.get(oid, ())[::-1]
+            for oid in [o for o in hinted if o not in placed]:  # on a hint cycle
+                self._apply_write(txn, oid, None, timestamp)
             self._save_meta()
             self._save_roots()
         except BaseException:
@@ -931,21 +964,33 @@ class ObjectStore:
     def _wal_size(self) -> int:
         return self.vfs.size(self._wal.path)
 
+    def _apply_write(
+        self, txn: Transaction, oid: int, near: Optional[Rid], timestamp: int
+    ) -> Optional[Rid]:
+        """Apply ``oid``'s buffered write, placing the record on or after
+        ``near``'s page; returns its rid (``near`` for a delete)."""
+        buffered = txn.write_set[oid]
+        if buffered is DELETED and oid in txn.new_classes:
+            return near  # created and deleted here: dropping it is the delete
+        self.stats.objects_written += 1
+        self.instrumentation.count("engine.store.objects_written")
+        if buffered is DELETED:
+            self._apply_delete(oid)
+            return near
+        if oid in txn.created:
+            return self._apply_insert(oid, txn.new_classes[oid], buffered, near, timestamp)
+        return self._apply_update(oid, buffered, near, timestamp)
+
     def _apply_insert(
         self,
         oid: int,
         class_name: str,
         state: Dict[str, Any],
-        near_oid: Optional[int],
+        near_rid: Optional[Rid],
         timestamp: int,
-    ) -> None:
+    ) -> Rid:
         definition = self._catalog.get(class_name)
-        near_rid = None
-        if near_oid is not None:
-            near_rid = self._directory.search_unique(near_oid)
-        record = self._encode_record(
-            definition.class_id, definition.version, state, 0, timestamp
-        )
+        record = self._encode_record(definition, state, 0, timestamp)
         rid = self._heap.insert(record, near=near_rid)
         if self._decode_cache is not None:
             # An oid is never handed out twice, so nothing should be
@@ -955,26 +1000,24 @@ class ObjectStore:
         self._directory.insert(oid, rid, disc=0)
         self._extent.insert(definition.class_id, oid, disc=oid)
         self._index_replace(class_name, oid, {}, state)
+        return rid
 
     def _apply_update(
         self,
         oid: int,
         state: Dict[str, Any],
-        near_oid: Optional[int],
+        near_rid: Optional[Rid],
         timestamp: int,
-    ) -> None:
+    ) -> Rid:
         rid, old = self._shared_record(oid)  # the pre-image, read-only
-        version_head = old.get("p", 0)
+        version_head = old["p"]
         if self.versioned:
             version_head = preserve_version(
-                self._heap, oid, old.get("ts", 0), old["s"], version_head
+                self._heap, oid, old["ts"], old["s"], version_head
             )
         definition = self._catalog.get_by_id(old["c"])
-        record = self._encode_record(
-            definition.class_id, definition.version, state, version_head, timestamp
-        )
-        if near_oid is not None:
-            near_rid = self._directory.search_unique(near_oid)
+        record = self._encode_record(definition, state, version_head, timestamp)
+        if near_rid is not None:
             self._heap.delete(rid)
             new_rid = self._heap.insert(record, near=near_rid)
         else:
@@ -984,6 +1027,7 @@ class ObjectStore:
         if new_rid != rid:
             self._directory.update_value(oid, 0, new_rid)
         self._index_replace(definition.name, oid, old["s"], state)
+        return new_rid
 
     def _apply_delete(self, oid: int) -> None:
         rid, old = self._shared_record(oid)  # the pre-image, read-only
@@ -1152,7 +1196,7 @@ class ObjectStore:
     def version_chain(self, oid: int) -> VersionChain:
         """The preserved history of an object, newest first."""
         self._require_open()
-        head = self._shared_record(oid)[1].get("p", 0)
+        head = self._shared_record(oid)[1]["p"]
         return VersionChain(self._heap, head)
 
     def previous_version(self, oid: int) -> Optional[Dict[str, Any]]:
@@ -1169,9 +1213,9 @@ class ObjectStore:
         """
         self._require_open()
         record = self._shared_record(oid)[1]
-        if record.get("ts", 0) <= timestamp:
+        if record["ts"] <= timestamp:
             return _clone_value(record["s"])
-        version = VersionChain(self._heap, record.get("p", 0)).at(timestamp)
+        version = VersionChain(self._heap, record["p"]).at(timestamp)
         return dict(version.state) if version else None
 
     # ------------------------------------------------------------------
@@ -1228,28 +1272,29 @@ class ObjectStore:
         for name in self._catalog.class_names():
             definition = self._catalog.get(name)
             copied = target._catalog.define_class(
-                name, [FieldDefinition(f.name, f.default, f.since_version)
+                name, [FieldDefinition(f.name, f.default)
                        for f in definition.fields],
                 base=definition.base,
             )
             copied.version = definition.version
+            copied.layout = list(definition.layout)
         target._catalog.save()
 
         # Objects, preserving OIDs, timestamps and version chains.
         for name in self._catalog.class_names():
             for oid in self.scan_class(name, include_subclasses=False):
                 record = self._shared_record(oid)[1]
-                chain = list(VersionChain(self._heap, record.get("p", 0)))
+                chain = list(VersionChain(self._heap, record["p"]))
                 new_head = 0
                 for version in reversed(chain):  # oldest first
                     new_head = preserve_version(
                         target._heap, oid, version.timestamp,
                         version.state, new_head,
                     )
+                # At the current version: the state read back is whole.
                 definition = target._catalog.get(name)
                 encoded = target._encode_record(
-                    definition.class_id, record["v"], record["s"],
-                    new_head, record.get("ts", 0),
+                    definition, record["s"], new_head, record["ts"]
                 )
                 rid = target._heap.insert(encoded)
                 target._directory.insert(oid, rid, disc=0)
@@ -1306,7 +1351,7 @@ class ObjectStore:
         # Served from the decode cache without cloning: "ts" is a
         # scalar read, and the cache is invalidated by every commit
         # that touches the record.
-        return self._shared_record(oid)[1].get("ts", 0)
+        return self._shared_record(oid)[1]["ts"]
 
     # ------------------------------------------------------------------
     # Physical introspection (clustering ablation)
@@ -1316,6 +1361,17 @@ class ObjectStore:
         """The heap page currently holding an object's record."""
         self._require_open()
         return rid_page(self._rid_of(oid))
+
+    def space(self) -> Tuple[int, int, int, int]:
+        """``(heap, index, free, live)``: the file's pages but the header
+        by kind (heap, B+tree, free list) and the live records' payload
+        bytes — a walk of every tree, the free list and the heap."""
+        self._require_open()
+        trees = [self._directory, self._extent, *self._indexes.values()]
+        index = sum(1 for tree in trees for _ in tree.page_ids())
+        free = sum(1 for _ in self._pool.free_page_ids())
+        live = sum(len(payload) for _rid, payload in self._heap.scan())
+        return self._file.page_count - 1 - index - free, index, free, live
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "open" if self.is_open else "closed"

@@ -92,15 +92,16 @@ class TestEvolution:
             catalog.add_field("Node", FieldDefinition("ten"))
 
     def test_lazy_upgrade_fills_defaults(self, setup):
+        # A record written before the addition is a prefix of the
+        # layout; the store fills the tail from these defaults.
         catalog, *_ = setup
         catalog.define_class("Node", _node_fields())
-        old_state = {"uniqueId": 1, "ten": 2, "hundred": 3}
+        before = catalog.layout(1)
         catalog.add_field("Node", FieldDefinition("million", default=42))
-        upgraded = catalog.upgrade_state(1, 1, dict(old_state))
-        assert upgraded["million"] == 42
-        # Already-current states pass through untouched.
-        current = {**old_state, "million": 7}
-        assert catalog.upgrade_state(1, 2, dict(current)) == current
+        names, defaults = catalog.layout(1)
+        assert names[:3] == before[0] == ("uniqueId", "ten", "hundred")
+        assert (names[3], defaults[3]) == ("million", 42)
+        assert defaults[:3] == (None, 1, 1)
 
     def test_upgrade_covers_inherited_additions(self, setup):
         catalog, *_ = setup
@@ -108,8 +109,24 @@ class TestEvolution:
         catalog.define_class("TextNode", [FieldDefinition("text")], base="Node")
         catalog.add_field("TextNode", FieldDefinition("language", default="en"))
         text_id = catalog.get("TextNode").class_id
-        upgraded = catalog.upgrade_state(text_id, 1, {"uniqueId": 1})
-        assert upgraded["language"] == "en"
+        assert catalog.layout(text_id)[0][-2:] == ("text", "language")
+        assert catalog.layout(1)[0] == ("uniqueId", "ten", "hundred")
+        # A field added to the base reaches the subclass's layout too,
+        # appended after everything its older records hold.
+        catalog.add_field("Node", FieldDefinition("extra", default=5))
+        names, defaults = catalog.layout(text_id)
+        assert (names[-1], defaults[-1]) == ("extra", 5)
+        assert catalog.get("TextNode").version == 3
+        assert catalog.all_field_names("TextNode") == [
+            "uniqueId", "ten", "hundred", "extra", "text", "language",
+        ]
+
+    def test_base_addition_must_not_collide_with_a_subclass(self, setup):
+        catalog, *_ = setup
+        catalog.define_class("Node", _node_fields())
+        catalog.define_class("TextNode", [FieldDefinition("text")], base="Node")
+        with pytest.raises(SchemaError):
+            catalog.add_field("Node", FieldDefinition("text"))
 
 
 class TestPersistence:
@@ -139,7 +156,7 @@ class TestPersistence:
 
     def test_definition_serialization_roundtrip(self):
         definition = ClassDefinition(
-            5, "X", "Base", [FieldDefinition("f", default=3, since_version=2)], 2
+            5, "X", "Base", [FieldDefinition("f", default=3)], 2, ["e", "f"]
         )
         clone = ClassDefinition.from_dict(definition.to_dict())
         assert clone == definition

@@ -41,6 +41,18 @@ class TestLifecycle:
         with pytest.raises(PageError):
             PageFile(str(path))
 
+    def test_a_format_1_file_is_refused(self, tmp_path):
+        # Format 1 spelled out field names in every record; nothing
+        # reads it any more, and opening one says so.
+        path = tmp_path / "old.db"
+        PageFile(str(path)).close()
+        image = bytearray(path.read_bytes())
+        image[4:8] = (1).to_bytes(4, "little")  # after the magic
+        path.write_bytes(bytes(image))
+        with pytest.raises(PageError, match="format version 1, expected 2"):
+            PageFile(str(path))
+        assert FORMAT_VERSION == 2
+
 
 class TestPageIO:
     def test_roundtrip(self, page_file):

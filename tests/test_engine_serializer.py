@@ -242,7 +242,8 @@ GOLDEN = [
     ({1: "a", -2: [True]}, "6402" "6902" "730161" "6903" "6c0154"),
     (_Colour.RED, "6906"),
     ([_Colour.RED], "6c01" "6906"),
-    # a level-3 Node, TextNode and FormNode record, as the store writes them
+    # a level-3 Node, TextNode and FormNode record in the named-field
+    # shape of file format 1 (format 2 stores the values as a list)
     (
         {"c": 1, "v": 1, "s": {
             "uniqueId": 2, "ten": 2, "hundred": 57, "million": 284634,

@@ -11,6 +11,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.engine import serializer
 from repro.engine.catalog import FieldDefinition
 from repro.engine.store import ObjectStore
 from repro.engine.vfs import MemoryVFS
@@ -631,7 +632,8 @@ class TestClustering:
         store.define_class("Item", [FieldDefinition("value", default=0)])
         anchor = store.new("Item", {"value": 1})
         for i in range(200):
-            store.new("Item", {"value": i})
+            # A payload, so the fillers span several pages.
+            store.new("Item", {"value": bytes(64)})
         stray = store.new("Item", {"value": 99})
         store.commit()
         assert _chain_distance(
@@ -658,6 +660,70 @@ class TestClustering:
         assert store.page_of(stray) == page_before
         store.close()
 
+    def test_commit_writes_hinted_records_in_pre_order(self, tmp_path):
+        # Records hinted along a 1-N forest land subtree by subtree,
+        # each right after the one written before it.
+        store = _make_store(tmp_path, "preorder.hmdb", clustered=True)
+        store.open()
+        store.define_class("Item", [FieldDefinition("value", default=0)])
+        root = store.new("Item", {"value": bytes(900)})
+        children = [store.new("Item", {"value": bytes(900)}) for _ in range(3)]
+        grandchildren = [
+            [store.new("Item", {"value": bytes(900)}) for _ in range(3)]
+            for _ in children
+        ]
+        store.commit()
+        for child in children:  # breadth first, as the generator links
+            store.relocate_near(child, root)
+        for child, below in zip(children, grandchildren):
+            for grandchild in below:
+                store.relocate_near(grandchild, child)
+        store.commit()
+        preorder = [
+            oid for child, below in zip(children, grandchildren)
+            for oid in (child, *below)
+        ]
+        pages = [store.page_of(oid) for oid in preorder]
+        order = {pid: i for i, pid in enumerate(store._heap.page_ids())}
+        chain = [order[page] for page in pages]
+        assert chain == sorted(chain)
+        assert sorted(set(chain)) == list(range(chain[0], chain[-1] + 1))
+        store.close()
+
+    def test_scan_reads_the_heap_in_page_order(self, tmp_path):
+        store = _make_store(tmp_path, "scan.hmdb", cache_pages=16)
+        store.open()
+        store.define_class("Item", [FieldDefinition("value", default=0)])
+        oids = [store.new("Item", {"value": bytes(200)}) for _ in range(120)]
+        store.commit()
+        for oid in oids[::3]:  # grown out of their pages, to the tail
+            store.update(oid, {"value": bytes(400)})
+        store.commit()
+        store.drop_cache()
+        scanned = list(store.scan_states("Item"))
+        assert dict(scanned) == {oid: store.get(oid) for oid in oids}
+        pages = [store.page_of(oid) for oid, _state in scanned]
+        assert pages == sorted(pages) != [store.page_of(oid) for oid in oids]
+        store.close()
+
+    def test_a_commit_during_a_scan_is_read_after_it(self, tmp_path):
+        store = _make_store(
+            tmp_path, "scan2.hmdb", cache_pages=16, decode_cache_size=0
+        )
+        store.open()
+        store.define_class("Item", [FieldDefinition("value", default=0)])
+        oids = [store.new("Item", {"value": i}) for i in range(100)]
+        store.commit()
+        scan = store.scan_states("Item")
+        first, _ = next(scan)  # the first window of 16 is read
+        for oid in oids:  # every record grows out of its slot
+            store.update(oid, {"value": bytes(300)})
+        store.commit()
+        rest = dict(scan)
+        assert sorted([first, *rest]) == oids
+        assert all(rest[oid]["value"] == bytes(300) for oid in oids[16:])
+        store.close()
+
 
 class TestSchemaEvolutionOnLiveData:
     def test_existing_objects_gain_new_field_lazily(self, store):
@@ -680,6 +746,43 @@ class TestSchemaEvolutionOnLiveData:
         state = store.get(oid)
         assert state["circles"] == 3
         assert state["value"] == 0  # inherited default
+
+    def test_base_addition_reaches_earlier_subclass_records(self, store):
+        store.define_class(
+            "TextItem", [FieldDefinition("text", default="")], base="Item"
+        )
+        oid = store.new("TextItem", {"value": 1, "text": "hi"})
+        store.commit()
+        store.add_field("Item", FieldDefinition("extra", default=5))
+        expected = {"name": "", "value": 1, "text": "hi", "extra": 5}
+        assert store.get(oid) == expected
+        store.close()
+        store.open()
+        assert store.get(oid) == expected
+        store.vacuum()
+        assert store.get(oid) == expected
+        store.add_field("TextItem", FieldDefinition("more", default=[]))
+        assert store.get(oid) == {**expected, "more": []}
+
+    def test_writes_naming_a_field_the_class_lacks_are_refused(self, store):
+        # A record has a slot only for the fields of its class's layout.
+        oid = store.new("Item", {"value": 1})
+        store.commit()
+        with pytest.raises(SchemaError):
+            store.update(oid, {"ghost": 1, "value": 2})
+        with pytest.raises(SchemaError):
+            store.put(oid, {"ghost": 1})
+        store.put(oid, {"value": 2})  # a field left out reads its default
+        store.commit()
+        assert store.get(oid) == {"name": "", "value": 2}
+
+    def test_a_record_is_its_class_and_values_in_layout_order(self, store):
+        oid = store.new("Item", {"name": "a", "value": 7})
+        store.commit()
+        record = serializer.decode(store._heap.read(store._rid_of(oid)))
+        class_id = store.catalog.get("Item").class_id
+        # class, version, version-chain head, commit timestamp, values
+        assert record == [class_id, 1, 0, store.commit_timestamp, "a", 7]
 
 
 class TestOpenFailureCleanup:
@@ -819,7 +922,9 @@ class StoreMachine(RuleBasedStateMachine):
 
     A commit carrying an unencodable value is refused, and the model
     treats it as an abort: nothing of its write set may survive, not
-    even the writes buffered before the bad one.
+    even the writes buffered before the bad one.  Fields added to
+    ``Item`` or its subclass ``Sub`` reach every object of the class
+    and its subclasses, with the field's default.
     """
 
     def __init__(self):
@@ -827,6 +932,12 @@ class StoreMachine(RuleBasedStateMachine):
         self.store = ObjectStore("m.hmdb", vfs=MemoryVFS(), sync_commits=False)
         self.store.open()
         self.store.define_class("Item", [FieldDefinition("value", default=0)])
+        self.store.define_class(
+            "Sub", [FieldDefinition("tag", default=-1)], base="Item"
+        )
+        #: class -> {field: default}, inherited fields included.
+        self.defaults = {"Item": {"value": 0}, "Sub": {"value": 0, "tag": -1}}
+        self.classes = {}
         self.committed = {}
         self.current = {}
 
@@ -835,22 +946,23 @@ class StoreMachine(RuleBasedStateMachine):
 
     def _end(self, committed):
         if committed:
-            self.committed = dict(self.current)
+            self.committed = {o: dict(s) for o, s in self.current.items()}
         else:
-            self.current = dict(self.committed)
+            self.current = {o: dict(s) for o, s in self.committed.items()}
 
-    @rule(value=st.integers(-3, 3))
-    def new(self, value):
-        oid = self.store.new("Item", {"value": value})
+    @rule(cls=st.sampled_from(["Item", "Sub"]), value=st.integers(-3, 3))
+    def new(self, cls, value):
+        oid = self.store.new(cls, {"value": value})
         assert oid not in self.current
-        self.current[oid] = value
+        self.classes[oid] = cls
+        self.current[oid] = {**self.defaults[cls], "value": value}
 
     @precondition(lambda self: self.current)
     @rule(data=st.data(), value=st.integers(-3, 3))
     def update(self, data, value):
         oid = data.draw(st.sampled_from(sorted(self.current)))
         self.store.update(oid, {"value": value})
-        self.current[oid] = value
+        self.current[oid]["value"] = value
 
     @precondition(lambda self: self.current)
     @rule(data=st.data())
@@ -858,6 +970,19 @@ class StoreMachine(RuleBasedStateMachine):
         oid = data.draw(st.sampled_from(sorted(self.current)))
         self.store.delete(oid)
         del self.current[oid]
+
+    @precondition(lambda self: not self._pending())
+    @rule(cls=st.sampled_from(["Item", "Sub"]), default=st.integers(-3, 3))
+    def add_field(self, cls, default):
+        name = f"f{sum(map(len, self.defaults.values()))}"
+        self.store.add_field(cls, FieldDefinition(name, default=default))
+        touched = ["Item", "Sub"] if cls == "Item" else ["Sub"]
+        for other in touched:
+            self.defaults[other][name] = default
+        for model in (self.committed, self.current):
+            for oid, state in model.items():
+                if self.classes[oid] in touched:
+                    state[name] = default
 
     @rule()
     def commit(self):
@@ -890,9 +1015,10 @@ class StoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def reads_match_model(self):
-        for oid, value in self.current.items():
-            assert self.store.get(oid) == {"value": value}
+        for oid, state in self.current.items():
+            assert self.store.get(oid) == state
         assert sorted(self.store.scan_class("Item")) == sorted(self.current)
+        assert dict(self.store.scan_states("Item")) == self.current
 
     def teardown(self):
         self.store.close()

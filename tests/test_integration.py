@@ -127,6 +127,24 @@ class TestClusteringLocality:
         clustered.close()
         scattered.close()
 
+    def test_level4_clustered_page_span_is_pinned(self, tmp_path):
+        """The test above, as exact numbers: ten level-2 subtrees of 31
+        nodes span 51 heap pages in all, written in pre-order by the
+        rel-1-N commit."""
+        config = HyperModelConfig(levels=4, seed=11)
+        db = OodbDatabase(str(tmp_path / "c.hmdb"), clustered=True)
+        db.open()
+        gen = DatabaseGenerator(config).generate(db)
+        db.commit()
+        ops = Operations(db, config)
+        rng = random.Random(2)
+        spans = []
+        for _ in range(10):
+            closure = ops.closure_1n(db.lookup(gen.random_uid_at_level(rng, 2)))
+            spans.append(len({db.store.page_of(int(r)) for r in closure}))
+        assert sum(spans) == 51
+        db.close()
+
 
 class TestCrashRecoveryEndToEnd:
     def test_benchmark_database_survives_crash(self, tmp_path):
