@@ -124,6 +124,8 @@ def _build_parser(
 ) -> argparse.ArgumentParser:
     """The full parser; bench commands outside ``flags_for`` are listed
     but get no flags (``main`` only needs the invoked command's)."""
+    from repro.backends import available_backends
+
     parser = argparse.ArgumentParser(
         prog="hypermodel",
         description="The HyperModel benchmark (EDBT 1990), reproduced in Python.",
@@ -241,7 +243,9 @@ def _build_parser(
     query.add_argument("text", help='e.g. "find nodes where hundred between 1 and 10"')
 
     rube = sub.add_parser("rubenstein", help="run the RUBE87 baseline")
-    rube.add_argument("--backend", default="sqlite", choices=["memory", "sqlite"])
+    rube.add_argument(
+        "--backend", default="sqlite", choices=available_backends()
+    )
     rube.add_argument("--persons", type=int, default=1000)
     rube.add_argument("--documents", type=int, default=1000)
     rube.add_argument("--repetitions", type=int, default=50)
@@ -491,27 +495,18 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_rubenstein(args: argparse.Namespace) -> int:
     import tempfile
 
-    from repro.rubenstein import (
-        MemorySimpleDatabase,
-        SimpleGenerator,
-        SimpleOperations,
-        SqliteSimpleDatabase,
-    )
+    from repro import rubenstein
+    from repro.backends import create_backend
 
-    # A file, so op 7 (databaseOpen) really reopens the database.
+    # A file where the backend keeps one, so op 7 really reopens it.
     with tempfile.TemporaryDirectory() as workdir:
-        db = (
-            MemorySimpleDatabase()
-            if args.backend == "memory"
-            else SqliteSimpleDatabase(f"{workdir}/rube87.db")
-        )
+        db = create_backend(args.backend, f"{workdir}/rube87.db")
         db.open()
-        info = SimpleGenerator(args.persons, args.documents).generate(db)
-        ops = SimpleOperations(db, info)
-        results = ops.run_all(repetitions=args.repetitions)
+        dataset = rubenstein.generate(db, args.persons, args.documents)
+        results = rubenstein.run_all(db, dataset, args.repetitions)
         print(
             f"RUBE87 baseline on {db.backend_name}: "
-            f"{info.persons} persons, {info.documents} documents"
+            f"{dataset.persons} persons, {dataset.documents} documents"
         )
         for name, stats in results.items():
             print(f"  {name:<16} {stats.mean:9.4f} ms/op  (median {stats.median:.4f})")

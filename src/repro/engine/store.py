@@ -480,12 +480,6 @@ class ObjectStore:
             self._decode_cache.clear()
 
     @property
-    def buffer_stats(self):
-        """The buffer pool's hit/miss/eviction counters."""
-        self._require_open()
-        return self._pool.stats
-
-    @property
     def catalog(self) -> Catalog:
         """The schema catalog."""
         self._require_open()
@@ -1094,6 +1088,16 @@ class ObjectStore:
             )
         if field not in self._catalog.all_field_names(class_name):
             raise SchemaError(f"{class_name} has no field {field!r}")
+        # A root name is cut to the header's 16 bytes; two indexes that
+        # shared one would reopen onto the same tree.
+        root_name = self._index_root_name(class_name, field)
+        for other_class, other_field in self._indexes:
+            if self._index_root_name(other_class, other_field) == root_name:
+                raise SchemaError(
+                    f"index on {class_name}.{field} would share header root"
+                    f" {root_name!r} with the index on"
+                    f" {other_class}.{other_field}"
+                )
         tree = BTree(self._pool, 0)
         self._indexes[(class_name, field)] = tree
         self._meta["indexes"].append([class_name, field])
@@ -1185,10 +1189,6 @@ class ObjectStore:
             raise SchemaError(f"no index on {class_name}.{field}")
         return [oid for _key, oid in tree.scan_range(low, high)]
 
-    def has_index(self, class_name: str, field: str) -> bool:
-        """Whether an index exists on exactly this class/field pair."""
-        return (class_name, field) in self._indexes
-
     # ------------------------------------------------------------------
     # Versions (R5)
     # ------------------------------------------------------------------
@@ -1227,9 +1227,10 @@ class ObjectStore:
 
         Deletes leave tombstoned slots and lazily-emptied B+tree leaves
         behind; vacuum rebuilds the file by copying every live object
-        (in extent order, preserving OIDs, class versions, timestamps
-        and version chains) into a fresh store, then atomically swaps
-        the files.  Indexes are re-created and back-filled.
+        (in heap order, so a clustered file stays clustered; preserving
+        OIDs, class versions, timestamps and version chains) into a
+        fresh store, then atomically swaps the files.  Indexes are
+        re-created and back-filled.
 
         Requires no pending writes.  Returns before/after sizes.
         """
@@ -1280,25 +1281,31 @@ class ObjectStore:
             copied.layout = list(definition.layout)
         target._catalog.save()
 
-        # Objects, preserving OIDs, timestamps and version chains.
-        for name in self._catalog.class_names():
-            for oid in self.scan_class(name, include_subclasses=False):
-                record = self._shared_record(oid)[1]
-                chain = list(VersionChain(self._heap, record["p"]))
-                new_head = 0
-                for version in reversed(chain):  # oldest first
-                    new_head = preserve_version(
-                        target._heap, oid, version.timestamp,
-                        version.state, new_head,
-                    )
-                # At the current version: the state read back is whole.
-                definition = target._catalog.get(name)
-                encoded = target._encode_record(
-                    definition, record["s"], new_head, record["ts"]
+        # Objects, preserving OIDs, timestamps and version chains, in
+        # the heap order of their records: OID order is creation order,
+        # and copying in it would undo the clustering.
+        placed = sorted(
+            (self._rid_of(oid), oid, name)
+            for name in self._catalog.class_names()
+            for oid in self.scan_class(name, include_subclasses=False)
+        )
+        for rid, oid, name in placed:
+            record = self._decode_record(self._heap.read(rid))
+            chain = list(VersionChain(self._heap, record["p"]))
+            new_head = 0
+            for version in reversed(chain):  # oldest first
+                new_head = preserve_version(
+                    target._heap, oid, version.timestamp,
+                    version.state, new_head,
                 )
-                rid = target._heap.insert(encoded)
-                target._directory.insert(oid, rid, disc=0)
-                target._extent.insert(definition.class_id, oid, disc=oid)
+            # At the current version: the state read back is whole.
+            definition = target._catalog.get(name)
+            encoded = target._encode_record(
+                definition, record["s"], new_head, record["ts"]
+            )
+            new_rid = target._heap.insert(encoded)
+            target._directory.insert(oid, new_rid, disc=0)
+            target._extent.insert(definition.class_id, oid, disc=oid)
 
         target._meta["next_oid"] = self._meta["next_oid"]
         target._meta["commit_ts"] = self._meta["commit_ts"]

@@ -20,7 +20,6 @@ from typing import List, Optional
 
 from repro.engine import serializer
 from repro.engine.heap import HeapFile, Rid
-from repro.errors import RecordNotFoundError
 
 
 @dataclasses.dataclass
@@ -103,16 +102,3 @@ def preserve_version(
     return heap.insert(
         encode_version(Version(oid, timestamp, state, previous_rid))
     )
-
-
-def read_version(heap: HeapFile, rid: Rid) -> Version:
-    """Read one version record by RID.
-
-    Raises:
-        RecordNotFoundError: if the RID does not hold a record.
-    """
-    try:
-        raw = heap.read(rid)
-    except RecordNotFoundError:
-        raise
-    return decode_version(raw)

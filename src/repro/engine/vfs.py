@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import random
 import shutil
-from typing import BinaryIO, Iterator, List, Optional, Tuple
+from typing import BinaryIO, List, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.obs import Instrumentation, resolve
@@ -662,8 +662,3 @@ class FaultInjectingVFS(VFS):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self.crashed else f"{self.mutation_ops} ops"
         return f"<FaultInjectingVFS seed={self.seed} {state}>"
-
-
-def iter_fault_kinds() -> Iterator[str]:
-    """The supported fault kinds (for parametrized tests)."""
-    return iter(FAULT_KINDS)

@@ -225,10 +225,7 @@ def run_operation_sequence(
         refs = [
             item[0] if isinstance(item, tuple) else item for item in last_result
         ]
-        try:
-            db.store_node_list(f"result.{spec.op_id}", refs)
-        except Exception:
-            pass  # lists of non-refs (e.g. ranges of plain values) are fine to skip
+        db.store_node_list(f"result.{spec.op_id}", refs)
 
     # (e) close, so the next sequence starts cold.
     db.commit()

@@ -536,6 +536,29 @@ class TestIndexes:
         with pytest.raises(SchemaError):
             store.create_index("Item", "value")
 
+    def test_index_sharing_a_header_root_rejected(self, store):
+        """``ix.<class id>.<field>`` is cut to 16 bytes, so these two
+        fields would map to one root and one index would reopen onto
+        the other's tree."""
+        store.define_class(
+            "Doc",
+            [
+                FieldDefinition("description_a", default=0),
+                FieldDefinition("description_b", default=0),
+            ],
+        )
+        store.create_index("Doc", "description_a")
+        with pytest.raises(SchemaError) as excinfo:
+            store.create_index("Doc", "description_b")
+        message = str(excinfo.value)
+        assert "description_a" in message and "description_b" in message
+        oids = [store.new("Doc", {"description_a": v, "description_b": -v})
+                for v in range(50)]
+        store.commit()
+        store.close()
+        store.open()
+        assert store.index_lookup("Doc", "description_a", 5) == [oids[5]]
+
     def test_missing_index_rejected(self, store):
         with pytest.raises(SchemaError):
             store.index_range("Item", "value", 1, 2)

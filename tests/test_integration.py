@@ -131,19 +131,39 @@ class TestClusteringLocality:
         """The test above, as exact numbers: ten level-2 subtrees of 31
         nodes span 51 heap pages in all, written in pre-order by the
         rel-1-N commit."""
+        db, span = self._level4_span(tmp_path)
+        assert span() == 51
+        db.close()
+
+    def test_vacuum_keeps_the_clustering(self, tmp_path):
+        """Vacuum copies records in heap order, not in OID (creation)
+        order, so the compacted file spans no more pages than before."""
+        db, span = self._level4_span(tmp_path)
+        before = span()
+        db.store.vacuum()
+        assert span() <= before
+        db.close()
+
+    @staticmethod
+    def _level4_span(tmp_path):
+        """A clustered level-4 ``oodb`` and a function that counts the
+        heap pages ten level-2 subtrees span."""
         config = HyperModelConfig(levels=4, seed=11)
         db = OodbDatabase(str(tmp_path / "c.hmdb"), clustered=True)
         db.open()
         gen = DatabaseGenerator(config).generate(db)
         db.commit()
         ops = Operations(db, config)
-        rng = random.Random(2)
-        spans = []
-        for _ in range(10):
-            closure = ops.closure_1n(db.lookup(gen.random_uid_at_level(rng, 2)))
-            spans.append(len({db.store.page_of(int(r)) for r in closure}))
-        assert sum(spans) == 51
-        db.close()
+
+        def span():
+            rng = random.Random(2)
+            return sum(
+                len({db.store.page_of(int(r)) for r in ops.closure_1n(
+                    db.lookup(gen.random_uid_at_level(rng, 2)))})
+                for _ in range(10)
+            )
+
+        return db, span
 
 
 class TestCrashRecoveryEndToEnd:
