@@ -132,10 +132,14 @@ class SqliteDatabase(HyperModelDatabase):
             self._conn = self._memory_conn
             return
         self._conn = sqlite3.connect(self.path)
-        self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.executescript(_SCHEMA)
-        self._conn.commit()
+        if not self._conn.execute("PRAGMA user_version").fetchone()[0]:
+            # A new file: WAL mode, the schema and the version persist
+            # in it, so a reopen runs no DDL.
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.executescript(_SCHEMA)
+            self._conn.execute("PRAGMA user_version = 1")
+            self._conn.commit()
         if self.path == ":memory:":
             self._memory_conn = self._conn
 

@@ -19,7 +19,7 @@ Two features matter for the benchmark:
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.engine import slotted
 from repro.engine.buffer import BufferPool
@@ -406,22 +406,50 @@ class HeapFile:
 
     def scan(self) -> Iterator[Tuple[Rid, bytes]]:
         """Iterate every live record in physical (page-chain) order."""
+        for records in self.walk():
+            for rid, payload, whole in records:
+                yield rid, payload if whole else self.read(rid)
+
+    def walk(self) -> Iterator[List[Tuple[Rid, bytes, bool]]]:
+        """Each page's live records as ``(rid, payload, whole)`` with
+        owned bytes, a list per page in chain order, each page pinned
+        once.
+
+        An overflow record adds one pin, of its chain's first page, and
+        its payload is the bytes that page holds: ``whole`` says whether
+        that is all of the record (:meth:`read` the rest).
+        """
+        pool = self._pool
         pid = self._head
         while pid:
-            page = self._pool.get(pid)
+            page = pool.get(pid)
             try:
-                # Copy while pinned: the consumer may mutate the heap
-                # between yields, which would invalidate page views.
-                entries = [
-                    (slot, bytes(raw))
-                    for slot, raw in slotted.records(page)
-                ]
-                next_pid = _get_next(page)
+                data = bytes(page)  # the consumer may write between yields
             finally:
-                self._pool.unpin(pid)
-            for slot, raw in entries:
-                yield make_rid(pid, slot), self._decode_record(raw)
-            pid = next_pid
+                pool.unpin(pid)
+            yield [
+                ((pid << _SLOT_BITS) | slot, data[offset + 1 : offset + length], True)
+                if data[offset] == _INLINE
+                else self._overflow_head(
+                    (pid << _SLOT_BITS) | slot,
+                    *_OVERFLOW_STUB.unpack_from(data, offset + 1),
+                )
+                for slot, offset, length in slotted.cells(data)
+            ]
+            pid = _get_next(data)
+
+    def _overflow_head(
+        self, rid: Rid, total: int, first: PageId
+    ) -> Tuple[Rid, bytes, bool]:
+        """``rid``'s entry in :meth:`walk`: the bytes on the first page
+        of its overflow chain."""
+        page = self._pool.get(first)
+        try:
+            used = _OVERFLOW_HEADER.unpack_from(page, 0)[1]
+            head = bytes(page[_OVERFLOW_HEADER.size : _OVERFLOW_HEADER.size + used])
+        finally:
+            self._pool.unpin(first)
+        return rid, head, used == total
 
     def page_ids(self) -> Iterator[PageId]:
         """Iterate the heap's page chain (for statistics and tests)."""

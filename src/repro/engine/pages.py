@@ -29,9 +29,10 @@ PAGE_SIZE = 4096
 #: Magic number identifying a HyperModel engine file ("HMDB").
 MAGIC = 0x484D4442
 
-#: On-disk format version.  2: object records are positional lists (see
-#: :class:`~repro.engine.store.ObjectStore`); 1 (named fields) is refused.
-FORMAT_VERSION = 2
+#: On-disk format version.  3: an object record carries its OID, and the
+#: heap is the class extent (see :class:`~repro.engine.store.ObjectStore`);
+#: 2 (no OID, an extent B+tree) and 1 (named fields) are refused.
+FORMAT_VERSION = 3
 
 #: struct layout of the header page prefix: magic, version, page count,
 #: free-list head, root-slot count.

@@ -56,7 +56,7 @@ used as a dict key, and trailing bytes.  Whatever they return,
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import StorageError
 
@@ -85,6 +85,9 @@ _T_DICT = _TAG_DICT[0]
 import struct as _struct
 
 _DOUBLE = _struct.Struct("<d")
+
+#: The first byte of every encoded list.
+LIST_TAG = _T_LIST
 
 #: The tags that open a container on the decoder's stack.
 _T_PUSH = (_T_LIST, _T_DICT)
@@ -276,7 +279,9 @@ def _decode_scalar(data: bytes, pos: int, tag: int, n: int) -> Tuple[Any, int]:
     raise StorageError(f"unknown serializer tag {bytes((tag,))!r}")
 
 
-def _decode_value(data: Any, pos: int) -> Tuple[Any, int]:
+def _decode_value(
+    data: Any, pos: int, stop: Optional[int] = None
+) -> Tuple[Any, int]:
     """Decode one value starting at ``pos``; returns ``(value, end)``.
 
     The open container lives in locals (``container``, ``remaining``):
@@ -289,6 +294,9 @@ def _decode_value(data: Any, pos: int) -> Tuple[Any, int]:
     depth is bounded by memory, not by the interpreter's recursion
     limit.
 
+    With ``stop``, the value must be a list, and only its first
+    ``stop`` elements are decoded: ``end`` is then where they end.
+
     A view is copied to ``bytes`` first (indexing ``bytes`` is cheaper
     than indexing a ``memoryview``).  Running off the end, invalid
     UTF-8 and a container used as a dict key raise
@@ -300,6 +308,8 @@ def _decode_value(data: Any, pos: int) -> Tuple[Any, int]:
     try:
         tag = data[pos]
         pos += 1
+        if stop is not None and tag != _T_LIST:
+            raise StorageError("a prefix decode needs a list")
         if tag not in _T_PUSH:
             return _decode_scalar(data, pos, tag, n)
         remaining = data[pos]
@@ -307,6 +317,8 @@ def _decode_value(data: Any, pos: int) -> Tuple[Any, int]:
             pos += 1
         else:
             remaining, pos = _read_varint(data, pos)
+        if stop is not None and stop < remaining:
+            remaining = stop
         container: Any = [] if tag == _T_LIST else {}
         stack: List[Tuple[Any, int, Any]] = []
         while True:
@@ -490,7 +502,7 @@ def decode(data: bytes) -> Any:
     return decode_view(data)
 
 
-def decode_view(data: Any) -> Any:
+def decode_view(data: Any, stop: Optional[int] = None) -> Any:
     """Deserialize any bytes-like buffer produced by :func:`encode`.
 
     Accepts ``memoryview`` (e.g. a slice of a pinned page frame) and
@@ -498,11 +510,16 @@ def decode_view(data: Any) -> Any:
     underlying buffer alive and unmodified for the duration of the call
     only — every decoded value owns its memory.
 
+    With ``stop``, ``data`` must encode a list, and only its first
+    ``stop`` elements are decoded and returned (all of them when the
+    list is shorter); the bytes after them are not looked at, so
+    ``data`` may be a prefix of the encoding that holds those elements.
+
     Raises:
         StorageError: on any malformed input (see the module docstring);
             no other exception escapes.
     """
-    value, pos = _decode_value(data, 0)
-    if pos != len(data):
+    value, pos = _decode_value(data, 0, stop)
+    if stop is None and pos != len(data):
         raise StorageError(f"{len(data) - pos} trailing bytes after value")
     return value

@@ -292,6 +292,20 @@ def compact(page: bytearray) -> None:
     _set_hints(page, cursor - HEADER_SIZE, first_tombstone)
 
 
+def cells(page: bytes) -> List[Tuple[int, int, int]]:
+    """``(slot, offset, length)`` of every live record in slot order,
+    from one read of the slot directory."""
+    count = slot_count(page)
+    directory = struct.unpack_from(
+        f"<{2 * count}H", page, PAGE_SIZE - SLOT_SIZE * count
+    )
+    return [
+        (slot, directory[at], directory[at + 1])
+        for slot, at in enumerate(range(2 * count - 2, -2, -2))
+        if directory[at] != TOMBSTONE
+    ]
+
+
 def records(page: bytearray) -> Iterator[Tuple[int, memoryview]]:
     """Iterate (slot, record-view) pairs, skipping tombstones.
 
@@ -299,10 +313,8 @@ def records(page: bytearray) -> Iterator[Tuple[int, memoryview]]:
     that must outlive the iteration or a subsequent page mutation.
     """
     view = memoryview(page)
-    for index in range(slot_count(page)):
-        offset, length = _read_slot(page, index)
-        if offset != TOMBSTONE:
-            yield index, view[offset : offset + length]
+    for slot, offset, length in cells(page):
+        yield slot, view[offset : offset + length]
 
 
 def live_count(page: bytearray) -> int:

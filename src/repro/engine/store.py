@@ -3,8 +3,9 @@
 :class:`ObjectStore` ties the engine together.  Its design in one
 paragraph: objects are dictionaries validated against the persistent
 :class:`~repro.engine.catalog.Catalog`; each object has a stable **OID**
-resolved through a B+tree *directory* to a heap RID; per-class
-*extents* and per-field *indexes* are further B+trees; transactions
+resolved through a B+tree *directory* to a heap RID; the heap itself
+is the class extent (a record names its class and OID, and a scan walks
+the heap's pages); per-field *indexes* are further B+trees; transactions
 buffer writes in memory (deferred update) and commit by logging the
 dirtied page images to the write-ahead log, fsyncing, then forcing the
 pages — so recovery is a pure physical redo.  Clustering places objects
@@ -18,7 +19,9 @@ counts) surface through :class:`StoreStats`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.engine import serializer, wal as wal_mod
 from repro.engine.btree import BTree
@@ -68,6 +71,10 @@ class StoreStats:
 
 #: WAL size that triggers a checkpoint at the next commit boundary.
 CHECKPOINT_AFTER_BYTES = 8 * 1024 * 1024
+
+#: Values a record holds before its fields: class id, OID, class
+#: version, version-chain head and commit timestamp.
+_HEAD = 5
 
 #: Types :func:`_clone_value` shares instead of copying (immutable).
 _SCALARS = frozenset({int, str, float, bytes, bool, type(None)})
@@ -214,12 +221,16 @@ class ObjectStore:
     network server, whose optimistic validation decides R8.
 
     **The record.**  An object is one heap record, the serialized list
-    ``[class_id, version, version_head, ts, v0, v1, ...]``: its class,
-    the class version it was written at, the rid of its newest preserved
-    version (0: none), the commit timestamp that wrote it, then its field
-    values in the order of the class's layout in the catalog — no field
-    names.  Layouts only grow, so an older record is a prefix of the
-    current layout and reads the missing tail as the fields' defaults.
+    ``[class_id, oid, version, version_head, ts, v0, v1, ...]``: its
+    class, its OID, the class version it was written at, the rid of its
+    newest preserved version (0: none), the commit timestamp that wrote
+    it, then its field values in the order of the class's layout in the
+    catalog — no field names.  Layouts only grow, so an older record is
+    a prefix of the current layout and reads the missing tail as the
+    fields' defaults.  The store's other heap records (meta, catalog,
+    preserved versions) are maps, so a walk of the heap's pages tells
+    objects from the rest by the first byte and reads a class extent
+    without an index.
 
     Args:
         path: the database file (a ``.wal`` sibling is created).
@@ -240,7 +251,6 @@ class ObjectStore:
 
     _META_ROOT = "meta.rid"
     _DIR_ROOT = "dir.root"
-    _EXTENT_ROOT = "extent.root"
 
     def __init__(
         self,
@@ -276,11 +286,13 @@ class ObjectStore:
         self._heap: Optional[HeapFile] = None
         self._catalog: Optional[Catalog] = None
         self._directory: Optional[BTree] = None
-        self._extent: Optional[BTree] = None
         self._indexes: Dict[Tuple[str, str], BTree] = {}
         self._meta: Dict[str, Any] = {}
         self._meta_rid: Optional[Rid] = None
         self._decode_cache: Optional[DecodeCache] = None
+        #: Bumped whenever the heap may have changed under a scan (a
+        #: logged commit, a close), which then restarts its walk.
+        self._epoch = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -314,9 +326,6 @@ class ObjectStore:
             self._catalog = Catalog(self._heap)
             self._directory = BTree(
                 self._pool, self._file.get_root(self._DIR_ROOT, 0)
-            )
-            self._extent = BTree(
-                self._pool, self._file.get_root(self._EXTENT_ROOT, 0)
             )
             self._load_meta()
             self._load_indexes()
@@ -354,9 +363,9 @@ class ObjectStore:
         self._heap = None
         self._catalog = None
         self._directory = None
-        self._extent = None
         self._indexes = {}
         self._decode_cache = None
+        self._epoch += 1
 
     def _recover_if_needed(self) -> None:
         """Physical redo of committed work left in the WAL.
@@ -523,7 +532,6 @@ class ObjectStore:
 
     def _save_roots(self) -> None:
         self._file.set_root(self._DIR_ROOT, self._directory.root)
-        self._file.set_root(self._EXTENT_ROOT, self._extent.root)
         for (class_name, field), tree in self._indexes.items():
             self._file.set_root(self._index_root_name(class_name, field), tree.root)
 
@@ -681,7 +689,8 @@ class ObjectStore:
         Semantically equivalent to ``{oid: store.get(oid, fields)}``
         over the distinct oids (buffered copies win, deleted oids
         raise), but the residue the decode cache does not hold is
-        fetched in *physical* order (see :meth:`_read`) — so a frontier
+        fetched in *physical* order, a window of at most ``cache_pages``
+        records whose pages are prefetched in one pass — so a frontier
         of clustered objects costs sequential page reads instead of one
         random fault per object.
 
@@ -692,38 +701,11 @@ class ObjectStore:
             SchemaError: if ``fields`` names a field an object lacks.
         """
         self._require_open()
-        parts = self._read(dict.fromkeys(oids), fields)
-        out = next(parts)
-        for part in parts:
-            out.update(part)
-        self.instrumentation.count("engine.store.batch_reads")
-        self.instrumentation.count("engine.store.batch_objects", len(out))
-        return out
-
-    def scan_states(
-        self, class_name: str, fields: Optional[Sequence[str]] = None
-    ) -> Iterator[Tuple[int, Dict[str, Any]]]:
-        """``(oid, state)`` of every object :meth:`scan_class` yields,
-        committed records read in heap order, not the extent's OID
-        order (see :meth:`_read`)."""
-        self._require_open()
-        parts = self._read(self.scan_class(class_name), fields)
-        return (item for part in parts for item in part.items())
-
-    def _read(
-        self, oids: Iterable[int], fields: Optional[Sequence[str]]
-    ) -> Iterator[Dict[int, Dict[str, Any]]]:
-        """The states of ``oids`` by oid, in parts: the batch read kernel.
-
-        The first part is the pending states and decode-cache hits.  The
-        other oids' rids are resolved once (again after a commit); their
-        records follow in rid order, a part per window of at most
-        ``cache_pages`` records whose pages are prefetched in one pass."""
-        cache, as_of = self._decode_cache, self._meta["commit_ts"]
+        cache = self._decode_cache
         misses: List[Tuple[Rid, int]] = []
         out: Dict[int, Dict[str, Any]] = {}
         hits = 0
-        for oid in oids:
+        for oid in dict.fromkeys(oids):
             state = self._buffered_read(oid)
             if state is None:
                 entry = cache.get(oid) if cache is not None else None
@@ -733,23 +715,133 @@ class ObjectStore:
                 state = entry[1]["s"]
                 hits += 1
             out[oid] = _copy_state(oid, state, fields)
-        yield out
         misses.sort()
         for start in range(0, len(misses), self.cache_pages):
             window = misses[start:start + self.cache_pages]
-            if self._meta["commit_ts"] != as_of:
-                window = sorted((self._rid_of(oid), oid) for _rid, oid in window)
             self._pool.prefetch(list(dict.fromkeys(rid_page(r) for r, _ in window)))
             raws = self._heap.read_many([rid for rid, _oid in window])
-            out = {}
             for rid, oid in window:
                 record = self._decode_record(raws[rid])
                 if cache is not None:
                     cache.put(oid, rid, record)
                 out[oid] = _copy_state(oid, record["s"], fields)
-            yield out
         self.stats.objects_read += hits + len(misses)
         self.instrumentation.count("engine.store.objects_read", hits + len(misses))
+        self.instrumentation.count("engine.store.batch_reads")
+        self.instrumentation.count("engine.store.batch_objects", len(out))
+        return out
+
+    def scan_states(
+        self, class_name: str, fields: Optional[Sequence[str]] = None
+    ) -> Iterator[Tuple[int, Dict[str, Any]]]:
+        """``(oid, state)`` of every live object of the class or a
+        subclass, pending writes included, in the heap's page order.
+
+        The heap is the extent: the walk pins each page once, passes
+        over the records that are not objects of these classes, and
+        decodes the others only through the last field in ``fields``.
+        It neither probes nor fills the decode cache.  A commit during
+        the scan restarts the walk at the head, past the OIDs already
+        yielded, so each live object is yielded once, as it is when the
+        walk reaches it.
+
+        Raises:
+            SchemaError: if ``fields`` names a field the class lacks.
+        """
+        self._require_open()
+        self._refuse_unknown(class_name, fields or ())
+        return self._scan(self._class_ids(class_name, True), fields)
+
+    def _class_ids(self, class_name: str, include_subclasses: bool) -> Set[int]:
+        catalog = self._catalog
+        return {catalog.get(class_name).class_id} | {
+            catalog.get(name).class_id for name in catalog.class_names()
+            if include_subclasses and catalog.is_subclass(name, class_name)
+        }
+
+    def _scan(
+        self, class_ids: Set[int], fields: Optional[Sequence[str]]
+    ) -> Iterator[Tuple[int, Dict[str, Any]]]:
+        """The walk behind :meth:`scan_states`: the heap's pages, then
+        the pending creations.  A commit or a close during a yield
+        starts it again, past the OIDs it already yielded."""
+        yielded: Set[int] = set()
+        read = 0
+        epoch = None
+        try:
+            while epoch != self._epoch:
+                self._require_open()
+                epoch = self._epoch
+                picks, stop = self._scan_picks(class_ids, fields)
+                heap, decode = self._heap, serializer.decode_view
+                objects = serializer.LIST_TAG  # an object record is a list
+                for records in heap.walk():
+                    for rid, payload, whole in records:
+                        if payload[0] != objects:
+                            continue  # meta, catalog and preserved versions
+                        try:
+                            values = decode(payload, stop)
+                        except StorageError:
+                            if whole:
+                                raise
+                            values = decode(heap.read(rid), stop)
+                        chosen = picks.get(values[0])
+                        oid = values[1]
+                        if chosen is None or oid in yielded:
+                            continue
+                        active = self._current
+                        pending = None if active is None else active.buffered(oid)
+                        if pending is None:
+                            size = len(values)
+                            state = {
+                                name: values[at] if at < size else _clone_value(default)
+                                for name, at, default in chosen
+                            }
+                            read += 1
+                        elif pending is DELETED:
+                            continue
+                        else:
+                            state = _copy_state(oid, pending, fields)
+                        yielded.add(oid)
+                        yield oid, state
+                        if self._epoch != epoch:
+                            break
+                    if self._epoch != epoch:
+                        break
+                else:
+                    active = self._current
+                    for oid, name in list(active.new_classes.items()) if active else ():
+                        pending = active.buffered(oid)
+                        if pending is DELETED or oid in yielded:
+                            continue
+                        if self._catalog.get(name).class_id in class_ids:
+                            yielded.add(oid)
+                            yield oid, _copy_state(oid, pending, fields)
+                            if self._epoch != epoch:
+                                break
+        finally:
+            self.stats.objects_read += read
+            self.instrumentation.count("engine.store.objects_read", read)
+
+    def _scan_picks(
+        self, class_ids: Set[int], fields: Optional[Sequence[str]]
+    ) -> Tuple[Dict[int, List[Tuple[str, int, Any]]], Optional[int]]:
+        """Per class id, ``(name, position in the record, default)`` of
+        each of ``fields`` (all the class's, for None) in layout order,
+        and the values a record is decoded through to reach them all
+        (None: all)."""
+        picks = {}
+        for class_id in class_ids:
+            names, defaults = self._catalog.layout(class_id)
+            picks[class_id] = [
+                (name, _HEAD + at, defaults[at])
+                for at, name in enumerate(names)
+                if fields is None or name in fields
+            ]
+        if fields is None:
+            return picks, None
+        reach = [at + 1 for chosen in picks.values() for _name, at, _default in chosen]
+        return picks, max([2, *reach])
 
     def _buffered_read(self, oid: int) -> Optional[Dict[str, Any]]:
         """The pending state of ``oid``, if any.
@@ -838,10 +930,10 @@ class ObjectStore:
         timestamp, "s": state}``, missing newer fields read as defaults."""
         values = serializer.decode_view(payload)
         names, defaults = self._catalog.layout(values[0])
-        state = dict(zip(names, values[4:]))
+        state = dict(zip(names, values[_HEAD:]))
         for index in range(len(state), len(names)):
             state[names[index]] = _clone_value(defaults[index])
-        return {"c": values[0], "p": values[2], "ts": values[3], "s": state}
+        return {"c": values[0], "p": values[3], "ts": values[4], "s": state}
 
     def _shared_record(self, oid: int) -> Tuple[Rid, Dict[str, Any]]:
         """``(rid, record)`` of committed ``oid`` — the one way a record
@@ -866,14 +958,17 @@ class ObjectStore:
     def _encode_record(
         self,
         definition: ClassDefinition,
+        oid: int,
         state: Dict[str, Any],
         version_head: Rid,
         timestamp: int,
     ) -> bytes:
-        """``state``'s record at the class's current version (a field it
-        lacks reads its default)."""
+        """``oid``'s record at the class's current version (a field
+        ``state`` lacks reads its default)."""
         names, defaults = self._catalog.layout(definition.class_id)
-        values = [definition.class_id, definition.version, version_head, timestamp]
+        values = [
+            definition.class_id, oid, definition.version, version_head, timestamp
+        ]
         values += map(state.get, names, defaults)
         return serializer.encode(values)
 
@@ -939,6 +1034,7 @@ class ObjectStore:
         The write-ahead rule: no page image reaches the data file
         before the log records that can recreate it are durable.
         """
+        self._epoch += 1
         records = [
             wal_mod.page_record(txid, pid, image)
             for pid, image in self._pool.dirty_pages().items()
@@ -984,7 +1080,7 @@ class ObjectStore:
         timestamp: int,
     ) -> Rid:
         definition = self._catalog.get(class_name)
-        record = self._encode_record(definition, state, 0, timestamp)
+        record = self._encode_record(definition, oid, state, 0, timestamp)
         rid = self._heap.insert(record, near=near_rid)
         if self._decode_cache is not None:
             # An oid is never handed out twice, so nothing should be
@@ -992,7 +1088,6 @@ class ObjectStore:
             # entry when it was deleted or relocated.
             self._decode_cache.invalidate(oid)
         self._directory.insert(oid, rid, disc=0)
-        self._extent.insert(definition.class_id, oid, disc=oid)
         self._index_replace(class_name, oid, {}, state)
         return rid
 
@@ -1010,7 +1105,9 @@ class ObjectStore:
                 self._heap, oid, old["ts"], old["s"], version_head
             )
         definition = self._catalog.get_by_id(old["c"])
-        record = self._encode_record(definition, state, version_head, timestamp)
+        record = self._encode_record(
+            definition, oid, state, version_head, timestamp
+        )
         if near_rid is not None:
             self._heap.delete(rid)
             new_rid = self._heap.insert(record, near=near_rid)
@@ -1029,7 +1126,6 @@ class ObjectStore:
         if self._decode_cache is not None:
             self._decode_cache.invalidate(oid)
         self._directory.delete(oid, rid, disc=0)
-        self._extent.delete(old["c"], oid, disc=oid)
         class_name = self._catalog.get_by_id(old["c"]).name
         self._index_replace(class_name, oid, old["s"], {})
 
@@ -1042,35 +1138,15 @@ class ObjectStore:
         class_name: str,
         include_subclasses: bool = True,
     ) -> Iterator[int]:
-        """Iterate the OIDs of a class extent.
-
-        Committed objects come from the extent B+tree; objects created
-        (and not yet committed) by the active transaction are appended,
-        and objects it deleted are skipped, so a transaction sees its
-        own work.
+        """The OIDs of the class's live objects, and of its subclasses'
+        unless ``include_subclasses`` is off: the walk of
+        :meth:`scan_states`, decoding each record's class and OID only.
+        Objects the pending transaction created are included, and
+        objects it deleted are not, so a transaction sees its own work.
         """
         self._require_open()
-        active = self._current
-        names = [class_name]
-        if include_subclasses:
-            names += [
-                other
-                for other in self._catalog.class_names()
-                if other != class_name
-                and self._catalog.is_subclass(other, class_name)
-            ]
-        for name in names:
-            class_id = self._catalog.get(name).class_id
-            for _key, oid in self._extent.scan_range(class_id, class_id):
-                if active is not None and active.buffered(oid) is DELETED:
-                    continue
-                yield oid
-        if active is not None:
-            for oid, created_class in list(active.new_classes.items()):
-                if active.buffered(oid) is DELETED:
-                    continue
-                if created_class in names:
-                    yield oid
+        class_ids = self._class_ids(class_name, include_subclasses)
+        return (oid for oid, _state in self._scan(class_ids, ()))
 
     # ------------------------------------------------------------------
     # Indexes
@@ -1079,9 +1155,10 @@ class ObjectStore:
     def create_index(self, class_name: str, field: str) -> None:
         """Create (and back-fill) an integer index on ``class.field``.
 
-        The index covers the class and its subclasses.
+        The index covers the class and its subclasses.  Requires no
+        pending writes: the back-fill reads the committed objects.
         """
-        self._require_open()
+        self._require_idle("create an index")
         if (class_name, field) in self._indexes:
             raise SchemaError(
                 f"index on {class_name}.{field} already exists"
@@ -1104,8 +1181,8 @@ class ObjectStore:
         # Back-fill with a sorted bottom-up bulk load: O(n) instead
         # of n top-down inserts over the existing extent.
         rows = []
-        for oid in list(self.scan_class(class_name)):
-            value = self._shared_record(oid)[1]["s"].get(field)
+        for oid, state in self.scan_states(class_name, (field,)):
+            value = state[field]
             if value is not None:
                 self._index_check_int(class_name, field, value)
                 rows.append((value, oid, oid))
@@ -1284,13 +1361,11 @@ class ObjectStore:
         # Objects, preserving OIDs, timestamps and version chains, in
         # the heap order of their records: OID order is creation order,
         # and copying in it would undo the clustering.
-        placed = sorted(
-            (self._rid_of(oid), oid, name)
-            for name in self._catalog.class_names()
-            for oid in self.scan_class(name, include_subclasses=False)
-        )
-        for rid, oid, name in placed:
-            record = self._decode_record(self._heap.read(rid))
+        for _rid, payload in self._heap.scan():
+            if payload[0] != serializer.LIST_TAG:
+                continue  # meta, catalog and preserved versions
+            oid = serializer.decode_view(payload, 2)[1]
+            record = self._decode_record(payload)
             chain = list(VersionChain(self._heap, record["p"]))
             new_head = 0
             for version in reversed(chain):  # oldest first
@@ -1299,13 +1374,12 @@ class ObjectStore:
                     version.state, new_head,
                 )
             # At the current version: the state read back is whole.
-            definition = target._catalog.get(name)
+            definition = target._catalog.get_by_id(record["c"])
             encoded = target._encode_record(
-                definition, record["s"], new_head, record["ts"]
+                definition, oid, record["s"], new_head, record["ts"]
             )
             new_rid = target._heap.insert(encoded)
             target._directory.insert(oid, new_rid, disc=0)
-            target._extent.insert(definition.class_id, oid, disc=oid)
 
         target._meta["next_oid"] = self._meta["next_oid"]
         target._meta["commit_ts"] = self._meta["commit_ts"]
@@ -1374,7 +1448,7 @@ class ObjectStore:
         by kind (heap, B+tree, free list) and the live records' payload
         bytes — a walk of every tree, the free list and the heap."""
         self._require_open()
-        trees = [self._directory, self._extent, *self._indexes.values()]
+        trees = [self._directory, *self._indexes.values()]
         index = sum(1 for tree in trees for _ in tree.page_ids())
         free = sum(1 for _ in self._pool.free_page_ids())
         live = sum(len(payload) for _rid, payload in self._heap.scan())

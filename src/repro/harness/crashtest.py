@@ -201,7 +201,9 @@ def _recovered_state(path: str) -> Dict[int, Dict[str, Any]]:
     every cell: the cache is empty immediately after the recovering
     open (no entry survives a restart), and a fully cache-served read
     pass — whole states and a projected read alike — agrees
-    byte-for-byte with a cold re-read after ``drop_cache()``.
+    byte-for-byte with a cold re-read after ``drop_cache()``.  A third
+    ties the heap to the OID directory: the objects a walk of the heap
+    finds are exactly the directory's keys.
     """
     store = ObjectStore(path, vfs=RealVFS())
     store.open()
@@ -213,6 +215,12 @@ def _recovered_state(path: str) -> Dict[int, Dict[str, Any]]:
         if _CLASS not in store.catalog.class_names():
             return {}
         oids = list(store.scan_class(_CLASS))
+        directory = [oid for oid, _rid in store._directory.scan_all()]
+        if sorted(oids) != directory:
+            raise AssertionError(
+                f"the heap walk finds {len(oids)} objects and the"
+                f" directory {len(directory)}"
+            )
         warm = {oid: store.get(oid) for oid in oids}  # fills the cache
         cached = {oid: store.get(oid) for oid in oids}  # all cache hits
         projected = {oid: store.get(oid, fields=_PROJECTION) for oid in oids}

@@ -41,21 +41,21 @@ class TestGenerate:
              "--level", "4"]
         ) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "77e93698da4d2c97a8b9d0c6a53831e0baf9e837c53711d560520064ba73a89a"
+            "899e618ac4886d446582823c2148e2b4ec72fcc4c304fc84ebaebe7bf0aa2c02"
         )
 
     def test_level4_oodb_space_split(self, capsys, tmp_path):
-        # Where the bytes of the file above go: 171 heap, 46 B+tree and
-        # 1 free page of 4 KiB over 781 nodes; the heap is 42 % live
-        # record bytes (296 762 of 700 416).
+        # Where the bytes of the file above go: 177 heap, 36 B+tree and
+        # 1 free page of 4 KiB over 781 nodes; the heap is 41 % live
+        # record bytes (299 066 of 724 992).
         path = tmp_path / "l4.hmdb"
         assert main(
             ["generate", "--backend", "oodb", "--path", str(path),
              "--level", "4"]
         ) == 0
         assert (
-            "  bytes/node     heap 896.8, index 241.2, free 5.2; "
-            "heap fill 0.424\n"
+            "  bytes/node     heap 928.3, index 188.8, free 5.2; "
+            "heap fill 0.413\n"
         ) in capsys.readouterr().out
 
 

@@ -112,6 +112,28 @@ class TestOverflow:
         assert lengths == [4, 10_000, 9]
 
 
+class TestWalk:
+    def test_walk_is_the_scan_page_by_page(self, heap):
+        rids = [heap.insert(bytes([i]) * 700) for i in range(12)]
+        heap.delete(rids[4])
+        pages = list(heap.walk())
+        assert len(pages) == len(list(heap.page_ids()))
+        walked = [(rid, payload) for records in pages for rid, payload, _ in records]
+        assert walked == [(rid, heap.read(rid)) for rid in rids if rid != rids[4]]
+        assert all(whole for records in pages for _, _, whole in records)
+
+    def test_an_overflow_record_yields_its_first_page(self, heap):
+        big = bytes(range(256)) * 40
+        rid = heap.insert(big)
+        small_rid = heap.insert(b"small")
+        [records] = list(heap.walk())
+        (head_rid, head, whole), small = records
+        assert head_rid == rid and not whole
+        assert big.startswith(head) and len(head) < len(big)
+        assert small == (small_rid, b"small", True)
+        assert dict(heap.scan()) == {rid: big, small_rid: b"small"}
+
+
 class TestPlacementHints:
     def test_near_hint_places_on_same_page(self, heap):
         anchor = heap.insert(b"anchor" * 10)

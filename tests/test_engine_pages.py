@@ -41,17 +41,29 @@ class TestLifecycle:
         with pytest.raises(PageError):
             PageFile(str(path))
 
+    @staticmethod
+    def _file_of_format(tmp_path, version):
+        path = tmp_path / f"format{version}.db"
+        PageFile(str(path)).close()
+        image = bytearray(path.read_bytes())
+        image[4:8] = version.to_bytes(4, "little")  # after the magic
+        path.write_bytes(bytes(image))
+        return str(path)
+
     def test_a_format_1_file_is_refused(self, tmp_path):
         # Format 1 spelled out field names in every record; nothing
         # reads it any more, and opening one says so.
-        path = tmp_path / "old.db"
-        PageFile(str(path)).close()
-        image = bytearray(path.read_bytes())
-        image[4:8] = (1).to_bytes(4, "little")  # after the magic
-        path.write_bytes(bytes(image))
-        with pytest.raises(PageError, match="format version 1, expected 2"):
-            PageFile(str(path))
-        assert FORMAT_VERSION == 2
+        path = self._file_of_format(tmp_path, 1)
+        with pytest.raises(PageError, match="format version 1, expected 3"):
+            PageFile(path)
+        assert FORMAT_VERSION == 3
+
+    def test_a_format_2_file_is_refused(self, tmp_path):
+        # Format 2 records carried no OID, and a B+tree held each class
+        # extent; format 3 walks the heap for it instead.
+        path = self._file_of_format(tmp_path, 2)
+        with pytest.raises(PageError, match="format version 2, expected 3"):
+            PageFile(path)
 
 
 class TestPageIO:

@@ -78,6 +78,19 @@ class TestRoundtrips:
         padded = b"xx" + blob + b"yy"
         assert decode_view(memoryview(padded)[2:-2]) == value
 
+    def test_stop_decodes_a_list_prefix(self):
+        value = [3, 158, "x", [1, [2]], {"k": b"v"}, 2.5, None]
+        blob = encode(value)
+        for stop in range(len(value) + 2):
+            assert decode_view(blob, stop) == value[:stop]
+        # The bytes after the prefix are not looked at: a cut blob
+        # decodes as long as it holds the elements asked for.
+        assert decode_view(memoryview(blob)[:-3], 5) == value[:5]
+        with pytest.raises(StorageError):
+            decode_view(blob[:6], 4)
+        with pytest.raises(StorageError, match="needs a list"):
+            decode_view(encode({"a": 1}), 1)
+
     def test_decoder_is_iterative(self):
         """Deep nesting must not hit the interpreter recursion limit."""
         depth = 900

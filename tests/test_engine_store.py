@@ -719,14 +719,20 @@ class TestClustering:
         store.define_class("Item", [FieldDefinition("value", default=0)])
         oids = [store.new("Item", {"value": bytes(200)}) for _ in range(120)]
         store.commit()
-        for oid in oids[::3]:  # grown out of their pages, to the tail
+        for oid in oids[::3]:  # grown out of their pages, to spliced ones
             store.update(oid, {"value": bytes(400)})
         store.commit()
         store.drop_cache()
         scanned = list(store.scan_states("Item"))
         assert dict(scanned) == {oid: store.get(oid) for oid in oids}
+        # The walk follows the page chain, which is not page-id order:
+        # a record that outgrew its page went to a page spliced after it.
+        order = {pid: i for i, pid in enumerate(store._heap.page_ids())}
+        chain = [order[store.page_of(oid)] for oid, _state in scanned]
+        assert chain == sorted(chain)
         pages = [store.page_of(oid) for oid, _state in scanned]
-        assert pages == sorted(pages) != [store.page_of(oid) for oid in oids]
+        assert pages != sorted(pages)
+        assert [oid for oid, _state in scanned] != oids
         store.close()
 
     def test_a_commit_during_a_scan_is_read_after_it(self, tmp_path):
@@ -738,13 +744,13 @@ class TestClustering:
         oids = [store.new("Item", {"value": i}) for i in range(100)]
         store.commit()
         scan = store.scan_states("Item")
-        first, _ = next(scan)  # the first window of 16 is read
+        first, _ = next(scan)
         for oid in oids:  # every record grows out of its slot
             store.update(oid, {"value": bytes(300)})
         store.commit()
-        rest = dict(scan)
+        rest = dict(scan)  # the walk restarts at the head, past `first`
         assert sorted([first, *rest]) == oids
-        assert all(rest[oid]["value"] == bytes(300) for oid in oids[16:])
+        assert all(state["value"] == bytes(300) for state in rest.values())
         store.close()
 
 
@@ -804,8 +810,8 @@ class TestSchemaEvolutionOnLiveData:
         store.commit()
         record = serializer.decode(store._heap.read(store._rid_of(oid)))
         class_id = store.catalog.get("Item").class_id
-        # class, version, version-chain head, commit timestamp, values
-        assert record == [class_id, 1, 0, store.commit_timestamp, "a", 7]
+        # class, OID, version, version-chain head, commit timestamp, values
+        assert record == [class_id, oid, 1, 0, store.commit_timestamp, "a", 7]
 
 
 class TestOpenFailureCleanup:
